@@ -23,7 +23,6 @@ from .models import (
     ModelSpec,
     ShiftPolicy,
     attachment_weights,
-    compute_weights,
     gamma_value,
     make_model,
     parse_config_options,
@@ -116,7 +115,6 @@ __all__ = [
     "category_distribution",
     "classify_graph",
     "classify_trajectory",
-    "compute_weights",
     "corpus_like_schedule",
     "derive_seed",
     "evaluate_model",

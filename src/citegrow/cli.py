@@ -34,7 +34,7 @@ from .trajectory import (
     classify_graph,
     write_classification_csv,
 )
-from .evaluation import evaluate_model, model_grid, sensitivity, sweep
+from .evaluation import derive_seed, evaluate_model, model_grid, sensitivity, sweep
 from .theory import verify_theorem
 
 __all__ = ["main", "dispatch"]
@@ -314,8 +314,9 @@ def _cmd_simulate(args, out_dir: Path):
     seed_net, schedule, data_inputs = _load_sim_inputs(args)
     inputs = data_inputs + inputs
 
-    seed_graph = init_from_seed(seed_net.nodes, seed_net.edges, model, args.seed)
-    grown = run_simulation(seed_graph, schedule, model, args.seed)
+    seed_graph = init_from_seed(seed_net.nodes, seed_net.edges, model,
+                                derive_seed(args.seed, 0))
+    grown = run_simulation(seed_graph, schedule, model, derive_seed(args.seed, 1))
     grown.dump(out_dir / "graph.txt")
     model.to_config_file(out_dir / "model.cfg")
     print(f"simulate: {grown.n_nodes} nodes, {grown.n_edges} edges "
@@ -468,7 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sim_inputs(sp)
     _add_model_flags(sp)
     _add_window(sp, classify_years=True)
-    sp.add_argument("--seed", type=int, default=0, help="rng seed")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="root seed; seed-network attributes and growth use seeds derived from it")
     _add_out(sp)
     sp.set_defaults(handler=_cmd_simulate)
 

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .graph import GrowthGraph, NodeRecord
 
 __all__ = [
     "ModelKind",
@@ -43,7 +42,6 @@ __all__ = [
     "sample_location_active",
     "shift_subspace",
     "shift_due",
-    "compute_weights",
 ]
 
 DEGREE_MODES = ("in-plus-one", "total")
@@ -442,8 +440,10 @@ def attachment_weights(kind: ModelKind, eff_degrees: np.ndarray,
                        locations: np.ndarray | None = None,
                        new_location: np.ndarray | None = None,
                        gamma: float | None = None) -> np.ndarray:
-    """Raw weight rule on plain arrays. The growth loop calls this on its
-    incremental state; :func:`compute_weights` adapts a finished graph."""
+    """Raw weight rule on plain arrays: the weight of each node for one
+    incoming node. The growth loop calls it on its own state, for lbm and
+    lbm-g at every insertion, for ba, af and mf once per run (their rule
+    is affine in the effective degree)."""
     deg = np.asarray(eff_degrees, dtype=np.float64)
     if kind is ModelKind.BA:
         return deg.copy()
@@ -454,36 +454,3 @@ def attachment_weights(kind: ModelKind, eff_degrees: np.ndarray,
     diff = locations - new_location
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return np.exp(-gamma * dist) * fitness * deg
-
-
-def compute_weights(model: ModelSpec, graph: GrowthGraph,
-                    incoming: NodeRecord) -> np.ndarray:
-    """Attachment weight of every node in `graph` for one incoming node.
-
-    The graph is treated as the current snapshot: degrees are its degrees
-    as stored. For location models the graph must carry locations of the
-    model's dimension and `incoming.location` must match.
-    """
-    n = graph.n_nodes
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    if model.degree_mode == "in-plus-one":
-        eff = graph.in_degrees + 1.0
-    else:
-        eff = graph.in_degrees + graph.out_degrees.astype(np.float64)
-    if model.kind is ModelKind.BA:
-        return attachment_weights(model.kind, eff)
-    if not model.uses_location:
-        return attachment_weights(model.kind, eff, fitness=graph.fitness)
-    if graph.dim != model.dim:
-        raise ValidationError(
-            f"location model needs {model.dim}-dim node locations, "
-            f"graph carries dim {graph.dim}")
-    new_loc = np.asarray(incoming.location, dtype=np.float64)
-    if new_loc.shape != (model.dim,):
-        raise ValidationError(
-            f"incoming node location must have shape ({model.dim},), got {new_loc.shape}")
-    gamma = gamma_value(model.gamma, n)
-    return attachment_weights(model.kind, eff, fitness=graph.fitness,
-                              locations=graph.locations, new_location=new_loc,
-                              gamma=gamma)

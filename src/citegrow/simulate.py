@@ -1,10 +1,24 @@
 """Seed initialization and the sequential growth loop.
 
 A run starts from a seed network, then walks a year schedule: for every
-scheduled out-degree k it inserts one node, draws its attributes from the
-model's samplers, scores every existing node with the model's weight rule
-and cites k distinct nodes sampled without replacement. Nodes inserted
+scheduled out-degree k it inserts one node with attributes drawn from the
+model's samplers and cites k distinct existing nodes, sampled without
+replacement in proportion to the model's weight rule. Nodes inserted
 earlier in the same year are valid targets, so within-year order matters.
+
+The two samplers of `sampling` split the models:
+
+- lbm and lbm-g weigh every node by its distance to the new node, so each
+  insertion rebuilds all n weights and runs the O(n) exponential race
+  (`sample_without_replacement`). An insertion with k = 0 skips both.
+- ba, af and mf weights depend only on a node's own degree and fitness
+  and never decrease: a citation raises the cited node's weight by a
+  fixed gain, and a new node enters with its initial weight. The run
+  evaluates both once for every node with `attachment_weights`, draws the
+  new nodes' fitness up front, and keeps the weights in an `IncrementLog`
+  that draws by binary search and rejects repeats, switching to the race
+  only when the chosen nodes hold nearly all the weight. Both ways follow
+  the sequential law exactly.
 
 When fewer than k existing nodes have positive weight, the gap is filled
 uniformly from the remaining nodes; every such fill is counted on the
@@ -31,9 +45,11 @@ from .models import (
     shift_due,
     shift_subspace,
 )
-from .sampling import sample_without_replacement
+from .sampling import IncrementLog, sample_without_replacement
 
 __all__ = ["SelectionEvent", "init_from_seed", "run_simulation"]
+
+_NO_TARGETS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -157,16 +173,19 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     out_deg[:n_seed] = seed.out_degrees
     edges[:seed.n_edges] = seed.edges
 
-    in_deg = np.zeros(n_total, dtype=np.float64)
-    if seed.n_edges:
-        in_deg[:n_seed] = np.bincount(seed.edges[:, 1], minlength=n_seed)
-    out_deg_f = np.zeros(n_total, dtype=np.float64)
-    out_deg_f[:n_seed] = seed.out_degrees
-
     rng = np.random.default_rng(rng_seed)
     kind = model.kind
     in_plus_one = model.degree_mode == "in-plus-one"
     lbmg = kind is ModelKind.LBMG
+    if model.uses_location:
+        log = None
+        in_deg = np.zeros(n_total, dtype=np.float64)
+        if seed.n_edges:
+            in_deg[:n_seed] = np.bincount(seed.edges[:, 1], minlength=n_seed)
+        out_deg_f = np.zeros(n_total, dtype=np.float64)
+        out_deg_f[:n_seed] = seed.out_degrees
+    else:
+        log, gains, new_weights = _increment_log(seed, schedule, model, fitness, rng)
     subspace = initial_subspace(model) if lbmg else None
     last_shift_time = float(years_plan[0])
     nodes_since_shift = 0
@@ -183,47 +202,38 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
                 raise SimulationError(
                     f"year {year}: scheduled out-degree {k} exceeds the {n} existing nodes")
 
-            new_fitness = (sample_fitness(rng, model.alpha, model.xm)
-                           if model.uses_fitness else 1.0)
-            if kind is ModelKind.LBM:
-                new_loc = sample_location_uniform(rng, model.dim)
-            elif lbmg:
-                new_loc = sample_location_active(rng, subspace)
+            if log is not None:
+                targets = log.sample(k, rng) if k else _NO_TARGETS
             else:
-                new_loc = None
-
-            eff = in_deg[:n] + 1.0 if in_plus_one else in_deg[:n] + out_deg_f[:n]
-            if model.uses_location:
-                gamma = gamma_value(model.gamma, n)
-                w = attachment_weights(kind, eff, fitness=fitness[:n],
-                                       locations=locations[:n], new_location=new_loc,
-                                       gamma=gamma)
-            elif kind is ModelKind.BA:
-                w = eff
-            else:
-                w = attachment_weights(kind, eff, fitness=fitness[:n])
-
-            n_pos = int(np.count_nonzero(w > 0.0))
-            k_main = min(k, n_pos)
-            targets = (sample_without_replacement(w, k_main, rng)
-                       if k_main else np.empty(0, dtype=np.int64))
-            if k_main < k:
+                fitness[n] = sample_fitness(rng, model.alpha, model.xm)
+                locations[n] = (sample_location_active(rng, subspace) if lbmg
+                                else sample_location_uniform(rng, model.dim))
+                targets = _NO_TARGETS
+                if k:
+                    eff = in_deg[:n] + 1.0 if in_plus_one else in_deg[:n] + out_deg_f[:n]
+                    w = attachment_weights(kind, eff, fitness=fitness[:n],
+                                           locations=locations[:n], new_location=locations[n],
+                                           gamma=gamma_value(model.gamma, n))
+                    k_main = min(k, int(np.count_nonzero(w > 0.0)))
+                    if k_main:
+                        targets = sample_without_replacement(w, k_main, rng)
+            if len(targets) < k:
                 pool = np.setdiff1d(np.arange(n, dtype=np.int64), targets,
                                     assume_unique=True)
-                extra = rng.choice(pool, size=k - k_main, replace=False)
-                fallback_fills += k - k_main
+                extra = rng.choice(pool, size=k - len(targets), replace=False)
+                fallback_fills += k - len(targets)
                 targets = np.sort(np.concatenate([targets, extra]))
 
             years[n] = year
             sub_years[n] = j / m
-            fitness[n] = new_fitness
-            if dim:
-                locations[n] = new_loc
             out_deg[n] = k
-            out_deg_f[n] = k
             edges[e:e + k, 0] = n
             edges[e:e + k, 1] = targets
-            in_deg[targets] += 1.0
+            if log is not None:
+                log.add_node(targets, gains[targets], new_weights[n])
+            else:
+                out_deg_f[n] = k
+                in_deg[targets] += 1.0
             if events is not None:
                 events.append(SelectionEvent(n, frozenset(int(t) for t in targets)))
             e += k
@@ -245,3 +255,38 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
         out_degrees=out_deg, edges=edges, n_seed=n_seed,
         fallback_fills=fallback_fills, subspace_shifts=shifts,
     )
+
+
+def _increment_log(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
+                   fitness: np.ndarray, rng: np.random.Generator):
+    """Weights of a ba, af or mf run, set up before its first insertion.
+
+    Draws the fitness of every scheduled node into `fitness` (the only
+    per-node draw these models make), then evaluates the weight rule once
+    for all nodes. A new node enters with effective degree 1, or its
+    out-degree k under "total"; every later citation raises a node's
+    effective degree by one. The rule is affine in the effective degree
+    for these models, so each citation adds the fixed gain w(1) - w(0).
+
+    Returns the log holding the seed nodes, the per-node gains and the
+    per-node initial weights (meaningful for scheduled nodes).
+    """
+    n_seed = seed.n_nodes
+    n_total = n_seed + schedule.total_nodes
+    fitness[n_seed:] = (sample_fitness(rng, model.alpha, model.xm, size=n_total - n_seed)
+                        if model.uses_fitness else 1.0)
+    eff = np.zeros(n_total, dtype=np.float64)
+    if seed.n_edges:
+        eff[:n_seed] = np.bincount(seed.edges[:, 1], minlength=n_seed)
+    if model.degree_mode == "in-plus-one":
+        eff[:n_seed] += 1.0
+        eff[n_seed:] = 1.0
+    else:
+        eff[:n_seed] += seed.out_degrees
+        eff[n_seed:] = [k for year in schedule.years for k in schedule.entries[year]]
+    weights = attachment_weights(model.kind, eff, fitness=fitness)
+    gains = (attachment_weights(model.kind, np.ones(n_total), fitness=fitness)
+             - attachment_weights(model.kind, np.zeros(n_total), fitness=fitness))
+    log = IncrementLog(weights[:n_seed], max_nodes=n_total,
+                       max_entries=n_total + schedule.total_edges)
+    return log, gains, weights

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from citegrow import mas_reference
+from citegrow import load_graph, mas_reference
 from citegrow.cli import dispatch
 
 
@@ -112,6 +112,17 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert str(ppath) in manifest["inputs"]
+
+    def test_simulate_seeds_attributes_and_growth_apart(self, tmp_path, corpus):
+        # one generator for both would hand the first grown node the seed
+        # draw that seed node 0 got
+        ppath, cpath = corpus
+        out = tmp_path / "af"
+        assert run(["simulate", "--papers", ppath, "--citations", cpath,
+                    "--model", "af", "--seed", "7", "--out", out]) == 0
+        graph = load_graph(out / "graph.txt", seed_end=1975)
+        assert graph.n_seed == 3
+        assert graph.fitness[graph.n_seed] != graph.fitness[0]
 
     def test_config_file_with_flag_override(self, tmp_path, corpus):
         ppath, cpath = corpus

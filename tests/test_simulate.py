@@ -1,16 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+import citegrow.sampling
 from citegrow import (
+    GrowthGraph,
     SeedNetwork,
     SimulationError,
     ValidationError,
     YearSchedule,
+    attachment_weights,
+    corpus_like_schedule,
     init_from_seed,
     make_model,
     run_simulation,
+    synthetic_seed,
 )
 from citegrow.simulate import SelectionEvent
+from test_sampling import set_probability
 
 
 def grow(model, seed, schedule, rng_seed=0, events=None):
@@ -172,6 +181,148 @@ class TestSelectionMechanics:
         schedule = YearSchedule({1976: [5]})
         with pytest.raises(SimulationError, match="5"):
             grow(make_model("ba"), tiny_seed, schedule)
+
+
+def insertion_weights(graph, model, node):
+    """Weights of nodes 0..node-1 when `node` was inserted into `graph`."""
+    earlier = graph.edges[graph.edges[:, 0] < node]
+    in_deg = np.bincount(earlier[:, 1], minlength=node).astype(np.float64)
+    if model.degree_mode == "in-plus-one":
+        eff = in_deg + 1.0
+    else:
+        eff = in_deg + graph.out_degrees[:node]
+    return attachment_weights(model.kind, eff, fitness=graph.fitness[:node])
+
+
+def assert_last_insertion_law(g0, model, degs, runs):
+    """Grow `degs` (one year) `runs` times and compare the frequency of
+    each set the last node cites with its exact probability under the
+    sequential law, given the weights the run had reached by then.
+
+    Expected counts sum each run's exact set probabilities; sets expected
+    fewer than 5 times are pooled into one bin, and the chi-square
+    statistic must stay below its 99.99% quantile."""
+    k = degs[-1]
+    node = g0.n_nodes + len(degs) - 1
+    sets = list(itertools.combinations(range(node), k))
+    index = {s: i for i, s in enumerate(sets)}
+    observed = np.zeros(len(sets))
+    expected = np.zeros(len(sets))
+    law: dict = {}
+    schedule = YearSchedule({int(g0.years.max()) + 1: list(degs)})
+    for rng_seed in range(runs):
+        g = run_simulation(g0, schedule, model, rng_seed)
+        observed[index[tuple(sorted(g.edges[-k:, 1].tolist()))]] += 1
+        weights = tuple(insertion_weights(g, model, node).tolist())
+        if weights not in law:
+            law[weights] = np.array([set_probability(weights, s) for s in sets])
+            assert law[weights].sum() == pytest.approx(1.0)
+        expected += law[weights]
+    small = expected < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    keep = expected > 0
+    stat = float((((observed - expected) ** 2)[keep] / expected[keep]).sum())
+    assert stat < chi2.ppf(0.9999, keep.sum() - 1), stat
+    assert np.abs(observed - expected).max() / runs < 0.01
+
+
+class TestIncrementLogSampler:
+    """ba, af and mf draw from the increment log; their law must be the
+    sequential weighted draw without replacement, exactly."""
+
+    SEED = SeedNetwork(nodes=((0, 1970), (1, 1970), (2, 1971), (3, 1972), (4, 1973)),
+                       edges=((2, 0), (3, 0), (3, 1), (4, 0), (4, 2)))
+
+    @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
+    @pytest.mark.parametrize("kind", ["ba", "af", "mf"])
+    def test_matches_exact_enumeration(self, kind, degree_mode):
+        model = make_model(kind, degree_mode=degree_mode)
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 1)
+        assert_last_insertion_law(g0, model, [3], runs=40_000)
+
+    @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
+    @pytest.mark.parametrize("kind", ["ba", "af", "mf"])
+    def test_later_insertion_sees_gains_and_new_node(self, kind, degree_mode):
+        # the second insertion's law depends on the citation gains of the
+        # first and on the first new node's initial weight
+        model = make_model(kind, degree_mode=degree_mode)
+        g0 = init_from_seed(self.SEED.nodes[:4], self.SEED.edges[:3], model, 2)
+        assert_last_insertion_law(g0, model, [2, 2], runs=20_000)
+
+    def test_dominant_weight_takes_the_dense_path(self, monkeypatch):
+        # node 0 holds 10000 of 10007.5 (99.93%) of the mf weight, so once
+        # it is chosen the rest of the insertion runs the exponential race
+        n = 5
+        g0 = GrowthGraph(years=np.full(n, 1970), sub_years=np.zeros(n),
+                         fitness=np.array([10000.0, 1.0, 2.0, 3.0, 1.5]),
+                         locations=np.zeros((n, 0)), out_degrees=np.zeros(n, dtype=np.int64),
+                         edges=np.zeros((0, 2), dtype=np.int64), n_seed=n)
+        race = citegrow.sampling.sample_without_replacement
+        calls = []
+
+        def counted(weights, k, rng):
+            calls.append(k)
+            return race(weights, k, rng)
+
+        monkeypatch.setattr(citegrow.sampling, "sample_without_replacement", counted)
+        runs = 40_000
+        assert_last_insertion_law(g0, make_model("mf"), [3], runs=runs)
+        assert len(calls) > 0.99 * runs
+        assert set(calls) <= {1, 2}
+
+    @pytest.mark.parametrize("kind", ["ba", "mf"])
+    def test_zero_weight_nodes_are_never_drawn(self, kind):
+        # under "total" only nodes 0 and 1 have a degree, so nodes 2-4
+        # carry weight 0 until a uniform fill cites one of them
+        seed = SeedNetwork(nodes=((0, 1970), (1, 1971), (2, 1972), (3, 1972), (4, 1973)),
+                           edges=((1, 0),))
+        model = make_model(kind, degree_mode="total")
+        for rng_seed in range(200):
+            g0 = init_from_seed(seed.nodes, seed.edges, model, rng_seed)
+            g = run_simulation(g0, YearSchedule({1976: [2]}), model, rng_seed)
+            assert sorted(g.edges[-2:, 1].tolist()) == [0, 1]
+            assert g.fallback_fills == 0
+
+    @pytest.mark.parametrize("kind", ["ba", "mf"])
+    def test_uniform_fills_are_counted(self, kind):
+        seed = SeedNetwork(nodes=((0, 1970), (1, 1971), (2, 1972), (3, 1972), (4, 1973)),
+                           edges=((1, 0),))
+        model = make_model(kind, degree_mode="total")
+        # the first insertion needs 3 targets but only 2 nodes have weight;
+        # the filled node and the new node (out-degree 3) then have weight,
+        # so the second insertion needs no fill
+        schedule = YearSchedule({1976: [3, 3]})
+        filled = set()
+        for rng_seed in range(300):
+            g0 = init_from_seed(seed.nodes, seed.edges, model, rng_seed)
+            g = run_simulation(g0, schedule, model, rng_seed)
+            assert g.fallback_fills == 1
+            first = set(g.edges[1:4, 1].tolist())
+            assert {0, 1} <= first
+            filled |= first - {0, 1}
+            second = set(g.edges[4:, 1].tolist())
+            assert second <= {0, 1, 5} | first
+        assert filled == {2, 3, 4}
+
+
+class TestSpatialGrowthStream:
+    """lbm and lbm-g keep the exponential race; skipping the weights and the
+    sampler on k = 0 insertions consumes no random numbers, so their graphs
+    are the ones the per-insertion race has always produced."""
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("lbm", "344b714efe8f8bfb73d57905ec08c4913a4506b4fbbf732d029b99f75b096f98"),
+        ("lbm-g", "f2f874e3f5191aaf023f25c586a11be00415ab0b117af664f94780518cd46cb4"),
+    ])
+    def test_digest_is_pinned(self, kind, digest):
+        seed = synthetic_seed(n_nodes=50, rng_seed=3)
+        schedule = corpus_like_schedule(n_nodes=400, start_year=1976, end_year=1985,
+                                        rng_seed=4)
+        assert any(k == 0 for y in schedule.years for k in schedule.entries[y])
+        model = make_model(kind)
+        g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
+        assert run_simulation(g0, schedule, model, 6).digest() == digest
 
 
 class TestSubspaceShifts:
