@@ -10,7 +10,6 @@ on graphs tiny enough to enumerate outright.
 from .errors import CitegrowError, IngestError, SimulationError, ValidationError
 from .graph import (
     GrowthGraph,
-    NodeRecord,
     SeedNetwork,
     YearSchedule,
     load_graph,
@@ -29,7 +28,7 @@ from .models import (
     sample_fitness,
 )
 from .sampling import sample_without_replacement
-from .simulate import SelectionEvent, init_from_seed, run_simulation
+from .simulate import init_from_seed, run_simulation
 from .trajectory import (
     CATEGORY_ORDER,
     CategoryDistribution,
@@ -39,7 +38,6 @@ from .trajectory import (
     classify_graph,
     write_classification_csv,
 )
-from .trajectory import classify as classify_trajectory
 from .evaluation import (
     EvalReport,
     SensitivityResult,
@@ -70,7 +68,6 @@ from .ingest import (
 )
 from .references import (
     APS_CATEGORY_PERCENT,
-    DATASET_STATS,
     MAS_CATEGORY_PERCENT,
     aps_reference,
     mas_reference,
@@ -86,7 +83,6 @@ __all__ = [
     "CategoryDistribution",
     "CitegrowError",
     "ClassifierParams",
-    "DATASET_STATS",
     "EvalReport",
     "GammaRegime",
     "GrowthGraph",
@@ -96,9 +92,7 @@ __all__ = [
     "MAS_CATEGORY_PERCENT",
     "ModelKind",
     "ModelSpec",
-    "NodeRecord",
     "SeedNetwork",
-    "SelectionEvent",
     "SensitivityResult",
     "ShiftPolicy",
     "SimulationError",
@@ -114,7 +108,6 @@ __all__ = [
     "build_seed_and_schedule",
     "category_distribution",
     "classify_graph",
-    "classify_trajectory",
     "corpus_like_schedule",
     "derive_seed",
     "evaluate_model",

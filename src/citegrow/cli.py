@@ -24,13 +24,12 @@ import numpy as np
 from .errors import CitegrowError, IngestError, ValidationError
 from .graph import GrowthGraph, SeedNetwork, YearSchedule, load_graph
 from .ingest import IngestConfig, build_seed_and_schedule, parse_citations, parse_papers
-from .models import DEGREE_MODES, ModelKind, make_model, parse_config_options
+from .models import MODEL_OPTIONS, ModelKind, make_model, parse_config_options
 from .simulate import init_from_seed, run_simulation
 from .trajectory import (
     CATEGORY_ORDER,
     CategoryDistribution,
     ClassifierParams,
-    category_distribution,
     classify_graph,
     write_classification_csv,
 )
@@ -40,7 +39,6 @@ from .theory import verify_theorem
 __all__ = ["main", "dispatch"]
 
 _MODEL_CHOICES = [m.value for m in ModelKind]
-_REGIME_CHOICES = ["const", "linear", "sqrt", "log"]
 
 
 def main() -> None:
@@ -111,15 +109,13 @@ def _add_out(sp) -> None:
     sp.add_argument("--out", required=True, help="output directory (created if missing)")
 
 
-def _add_window(sp, seed_years: bool = True, classify_years: bool = True) -> None:
-    if seed_years:
-        sp.add_argument("--seed-start", type=int, default=1960)
-        sp.add_argument("--seed-end", type=int, default=1975)
-    if classify_years:
-        sp.add_argument("--cutoff", type=int, default=2000,
-                        help="last publication year that gets classified")
-        sp.add_argument("--horizon", type=int, default=2010,
-                        help="last year whose citations count")
+def _add_window(sp) -> None:
+    sp.add_argument("--seed-start", type=int, default=1960)
+    sp.add_argument("--seed-end", type=int, default=1975)
+    sp.add_argument("--cutoff", type=int, default=2000,
+                    help="last publication year that gets classified")
+    sp.add_argument("--horizon", type=int, default=2010,
+                    help="last year whose citations count")
 
 
 def _add_sim_inputs(sp) -> None:
@@ -129,27 +125,19 @@ def _add_sim_inputs(sp) -> None:
     sp.add_argument("--schedule", help="schedule TSV (required with --seed-graph)")
 
 
-def _add_model_flags(sp, listy: bool = False) -> None:
+def _add_model_flags(sp, lists: bool = False) -> None:
+    """One flag per model option. With `lists` every flag takes a comma
+    list of values instead of a single one."""
     sp.add_argument("--model", choices=_MODEL_CHOICES)
     sp.add_argument("--config", help="model config file; explicit flags override it")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--xm", type=float)
-    sp.add_argument("--dim", type=int)
-    if listy:
-        sp.add_argument("--gamma-regime", help="comma list of regimes to sweep")
-        sp.add_argument("--gamma-const", type=float)
-        sp.add_argument("--sigma", help="comma list of sigma values")
-        sp.add_argument("--rho", help="comma list of rho values")
-        sp.add_argument("--shift-unit", choices=["months", "nodes"])
-        sp.add_argument("--shift-every", help="comma list of shift intervals")
-    else:
-        sp.add_argument("--gamma-regime", choices=_REGIME_CHOICES)
-        sp.add_argument("--gamma-const", type=float)
-        sp.add_argument("--sigma", type=float)
-        sp.add_argument("--rho", type=float)
-        sp.add_argument("--shift-unit", choices=["months", "nodes"])
-        sp.add_argument("--shift-every", type=float)
-    sp.add_argument("--degree-mode", choices=list(DEGREE_MODES))
+    for opt in MODEL_OPTIONS:
+        flag = "--" + opt.name.replace("_", "-")
+        if lists:
+            sp.add_argument(flag, metavar="V[,V...]",
+                            help=f"comma list of {opt.type.__name__} values; "
+                                 "several make a grid axis")
+        else:
+            sp.add_argument(flag, type=opt.type, choices=opt.choices)
 
 
 def _add_classifier_flags(sp) -> None:
@@ -161,12 +149,9 @@ def _add_classifier_flags(sp) -> None:
 
 # -- model resolution ----------------------------------------------------------
 
-_SCALAR_MODEL_KEYS = ("alpha", "xm", "dim", "gamma_regime", "gamma_const",
-                      "sigma", "rho", "shift_unit", "shift_every", "degree_mode")
-
-
-def _collect_model_options(args) -> tuple[str, dict, list]:
+def _collect_model_options(args, lists: bool = False) -> tuple[str, dict, list]:
     """Kind plus flat options from --config overlaid with explicit flags.
+    With `lists`, a flag's value is the list parsed from its comma list.
     Returns (kind, options, input files consumed)."""
     inputs = []
     kind = None
@@ -181,11 +166,24 @@ def _collect_model_options(args) -> tuple[str, dict, list]:
         kind = args.model
     if kind is None:
         raise ValidationError("a model is required: pass --model or --config")
-    for key in _SCALAR_MODEL_KEYS:
-        value = getattr(args, key, None)
+    for opt in MODEL_OPTIONS:
+        value = getattr(args, opt.name)
         if value is not None:
-            options[key] = value
+            options[opt.name] = _parse_value_list(value, opt.type) if lists else value
     return kind, options, inputs
+
+
+def _ingest_tsv(args):
+    """Parse --papers/--citations into a seed network and schedule under
+    the --seed-start/--seed-end/--cutoff/--horizon window. Returns
+    (papers, citations, ingest result, input files)."""
+    ppath, cpath = Path(args.papers), Path(args.citations)
+    config = IngestConfig(seed_start=args.seed_start, seed_end=args.seed_end,
+                          cutoff=args.cutoff, horizon=args.horizon)
+    papers = parse_papers(ppath)
+    citations = parse_citations(cpath, {r.id for r in papers.records})
+    result = build_seed_and_schedule(papers.records, citations.edges, config)
+    return papers, citations, result, [ppath, cpath]
 
 
 def _load_sim_inputs(args) -> tuple[SeedNetwork, YearSchedule, list]:
@@ -207,13 +205,8 @@ def _load_sim_inputs(args) -> tuple[SeedNetwork, YearSchedule, list]:
         return seed, YearSchedule.from_tsv(spath), [gpath, spath]
     if not (args.papers and args.citations):
         raise ValidationError("pass --papers with --citations, or --seed-graph with --schedule")
-    ppath, cpath = Path(args.papers), Path(args.citations)
-    config = IngestConfig(seed_start=args.seed_start, seed_end=args.seed_end,
-                          cutoff=args.cutoff, horizon=args.horizon)
-    papers = parse_papers(ppath)
-    citations = parse_citations(cpath, {r.id for r in papers.records})
-    result = build_seed_and_schedule(papers.records, citations.edges, config)
-    return result.seed, result.schedule, [ppath, cpath]
+    _, _, result, inputs = _ingest_tsv(args)
+    return result.seed, result.schedule, inputs
 
 
 def _seed_network_to_graph(seed: SeedNetwork) -> GrowthGraph:
@@ -276,12 +269,7 @@ def _parse_float_range(text: str) -> list[float]:
 # -- subcommand handlers ---------------------------------------------------------
 
 def _cmd_ingest(args, out_dir: Path):
-    ppath, cpath = Path(args.papers), Path(args.citations)
-    config = IngestConfig(seed_start=args.seed_start, seed_end=args.seed_end,
-                          cutoff=args.cutoff, horizon=args.horizon)
-    papers = parse_papers(ppath)
-    citations = parse_citations(cpath, {r.id for r in papers.records})
-    result = build_seed_and_schedule(papers.records, citations.edges, config)
+    papers, citations, result, inputs = _ingest_tsv(args)
 
     _seed_network_to_graph(result.seed).dump(out_dir / "seed.graph")
     result.schedule.to_tsv(out_dir / "schedule.tsv")
@@ -305,7 +293,7 @@ def _cmd_ingest(args, out_dir: Path):
     params = {"seed_start": args.seed_start, "seed_end": args.seed_end,
               "cutoff": args.cutoff, "horizon": args.horizon}
     return (["seed.graph", "schedule.tsv", "id_map.tsv", "ingest_report.json"],
-            params, [ppath, cpath])
+            params, inputs)
 
 
 def _cmd_simulate(args, out_dir: Path):
@@ -318,12 +306,13 @@ def _cmd_simulate(args, out_dir: Path):
                                 derive_seed(args.seed, 0))
     grown = run_simulation(seed_graph, schedule, model, derive_seed(args.seed, 1))
     grown.dump(out_dir / "graph.txt")
-    model.to_config_file(out_dir / "model.cfg")
+    config_text = model.to_config_text()
+    (out_dir / "model.cfg").write_text(config_text, encoding="utf-8")
     print(f"simulate: {grown.n_nodes} nodes, {grown.n_edges} edges "
           f"(fallback fills {grown.fallback_fills}, subspace shifts {grown.subspace_shifts})")
     params = {
         "model": model.kind.value,
-        "config": model.to_config_text(),
+        "config": config_text,
         "rng_seed": args.seed,
         "fallback_fills": grown.fallback_fills,
         "subspace_shifts": grown.subspace_shifts,
@@ -341,7 +330,7 @@ def _cmd_classify(args, out_dir: Path):
                               min_history_years=args.min_history)
     rows = classify_graph(graph, args.cutoff, args.horizon, params)
     write_classification_csv(rows, out_dir / "classification.csv")
-    dist = category_distribution(graph, args.cutoff, args.horizon, params)
+    dist = CategoryDistribution.from_categories(cat for _, _, cat in rows)
     dist.to_json(out_dir / "distribution.json")
     print("classify: " + ", ".join(
         f"{cat.code}={p:.4f}"
@@ -367,23 +356,15 @@ def _cmd_evaluate(args, out_dir: Path):
 
 
 def _cmd_sweep(args, out_dir: Path):
-    kind, options, cfg_inputs = _collect_model_options(args)
+    kind, options, cfg_inputs = _collect_model_options(args, lists=True)
+    # flag values are lists (config values are not): one is a base option, several an axis
     axes: dict[str, list] = {}
-    for name, conv in (("gamma_regime", str), ("sigma", float),
-                       ("rho", float), ("shift_every", float),
-                       ("alpha", float), ("xm", float)):
-        raw = options.pop(name, None)
-        if raw is None:
-            continue
-        values = _parse_value_list(raw, conv) if isinstance(raw, str) else [raw]
-        if name == "gamma_regime":
-            for v in values:
-                if v not in _REGIME_CHOICES:
-                    raise ValidationError(f"unknown gamma regime {v!r}")
-        if len(values) == 1:
-            options[name] = values[0]
-        else:
-            axes[name] = values
+    for name, value in list(options.items()):
+        if isinstance(value, list):
+            if len(value) == 1:
+                options[name] = value[0]
+            else:
+                axes[name] = options.pop(name)
     points = model_grid(kind, axes, options)
 
     seed_net, schedule, data_inputs = _load_sim_inputs(args)
@@ -468,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("simulate", help="grow one synthetic network")
     _add_sim_inputs(sp)
     _add_model_flags(sp)
-    _add_window(sp, classify_years=True)
+    _add_window(sp)
     sp.add_argument("--seed", type=int, default=0,
                     help="root seed; seed-network attributes and growth use seeds derived from it")
     _add_out(sp)
@@ -493,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("sweep", help="score a parameter grid against a reference")
     _add_sim_inputs(sp)
-    _add_model_flags(sp, listy=True)
+    _add_model_flags(sp, lists=True)
     _add_window(sp)
     sp.add_argument("--reference", required=True)
     _add_classifier_flags(sp)

@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import SeedNetwork, YearSchedule
-from .models import ModelSpec
+from .models import ModelSpec, make_model
 from .simulate import init_from_seed, run_simulation
 from .trajectory import (
     CATEGORY_ORDER,
@@ -26,6 +27,7 @@ from .trajectory import (
     ClassifierParams,
     _classify_all,
     _history_matrix,
+    category_distribution,
 )
 
 __all__ = [
@@ -174,10 +176,6 @@ def _plain(value):
 
 def _csv_cell(value) -> str:
     value = _plain(value)
-    if isinstance(value, bool) or isinstance(value, str):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
@@ -191,10 +189,6 @@ def model_grid(kind: str, axes: dict, base_options: dict | None = None) -> list[
     through make_model so per-model defaults (like rho following sigma)
     apply at every point.
     """
-    from itertools import product
-
-    from .models import make_model
-
     base = dict(base_options or {})
     names = list(axes)
     points = []
@@ -207,21 +201,34 @@ def model_grid(kind: str, axes: dict, base_options: dict | None = None) -> list[
     return points
 
 
-def _run_sweep_point(task) -> tuple[int, np.ndarray]:
-    (index, model, seed_nodes, seed_edges, schedule_entries,
-     cutoff, horizon, params, runs, root_seed) = task
-    schedule = YearSchedule(schedule_entries)
-    prop_sum = np.zeros(5, dtype=np.float64)
-    from .trajectory import category_distribution
+@dataclass(frozen=True)
+class _SweepTask:
+    """Everything one grid point's runs need, in a form that pickles for
+    worker processes."""
 
-    for r in range(runs):
-        seed_graph = init_from_seed(seed_nodes, seed_edges, model,
-                                    derive_seed(root_seed, index, r, 0))
-        grown = run_simulation(seed_graph, schedule, model,
-                               derive_seed(root_seed, index, r, 1))
-        dist = category_distribution(grown, cutoff, horizon, params)
+    index: int
+    model: ModelSpec
+    seed_nodes: tuple
+    seed_edges: tuple
+    schedule_entries: dict
+    cutoff: int
+    horizon: int
+    params: ClassifierParams
+    runs: int
+    root_seed: int
+
+
+def _run_sweep_point(task: _SweepTask) -> tuple[int, np.ndarray]:
+    schedule = YearSchedule(task.schedule_entries)
+    prop_sum = np.zeros(5, dtype=np.float64)
+    for r in range(task.runs):
+        seed_graph = init_from_seed(task.seed_nodes, task.seed_edges, task.model,
+                                    derive_seed(task.root_seed, task.index, r, 0))
+        grown = run_simulation(seed_graph, schedule, task.model,
+                               derive_seed(task.root_seed, task.index, r, 1))
+        dist = category_distribution(grown, task.cutoff, task.horizon, task.params)
         prop_sum += dist.proportions
-    return index, prop_sum / runs
+    return task.index, prop_sum / task.runs
 
 
 def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
@@ -247,9 +254,9 @@ def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
                 param_names.append(name)
 
     tasks = [
-        (i, pt.model, tuple(seed.nodes), tuple(seed.edges), schedule.entries,
-         int(cutoff_year), int(horizon_year), classifier_params,
-         int(runs_per_point), int(rng_seed))
+        _SweepTask(i, pt.model, tuple(seed.nodes), tuple(seed.edges), schedule.entries,
+                   int(cutoff_year), int(horizon_year), classifier_params,
+                   int(runs_per_point), int(rng_seed))
         for i, pt in enumerate(points)
     ]
     if jobs > 1:
@@ -312,10 +319,6 @@ def sensitivity(graph, cutoff_year: int, horizon_year: int,
     proportion under `defaults`. The default values must lie inside the
     swept ranges.
     """
-    from dataclasses import replace
-
-    from .trajectory import CategoryDistribution as _CD
-
     activations = [int(a) for a in activation_values]
     thresholds = [float(t) for t in threshold_values]
     if not activations or not thresholds:
@@ -333,11 +336,7 @@ def sensitivity(graph, cutoff_year: int, horizon_year: int,
 
     def _distribution(params: ClassifierParams) -> CategoryDistribution:
         _, _, cats = _classify_all(graph, cutoff_year, horizon_year, params, hist=hist)
-        counts = np.zeros(5, dtype=np.int64)
-        order = {cat: i for i, cat in enumerate(CATEGORY_ORDER)}
-        for c in cats:
-            counts[order[c]] += 1
-        return _CD.from_counts(counts)
+        return CategoryDistribution.from_categories(cats)
 
     baseline = _distribution(defaults)
     rows = []

@@ -19,30 +19,12 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "NodeRecord",
     "SeedNetwork",
     "YearSchedule",
     "GrowthGraph",
     "load_graph",
     "loads_graph",
 ]
-
-
-@dataclass(frozen=True)
-class NodeRecord:
-    """Single-node view of a growth graph.
-
-    `sub_year_time` places the node inside its publication year as a
-    fraction in [0, 1): the j-th of m nodes inserted in a year sits at j/m.
-    `location` is an empty array for models without a location space.
-    """
-
-    id: int
-    year: int
-    sub_year_time: float
-    fitness: float
-    location: np.ndarray
-    out_degree: int
 
 
 @dataclass(frozen=True)
@@ -223,45 +205,6 @@ class GrowthGraph:
     @property
     def total_degrees(self) -> np.ndarray:
         return self.in_degrees + self.out_degrees
-
-    def node(self, node_id: int) -> NodeRecord:
-        i = self._check_node(node_id)
-        return NodeRecord(
-            id=i,
-            year=int(self.years[i]),
-            sub_year_time=float(self.sub_years[i]),
-            fitness=float(self.fitness[i]),
-            location=self.locations[i].copy(),
-            out_degree=int(self.out_degrees[i]),
-        )
-
-    def _check_node(self, node_id: int) -> int:
-        i = int(node_id)
-        if not 0 <= i < self.n_nodes:
-            raise ValidationError(f"unknown node id {node_id} (graph has {self.n_nodes} nodes)")
-        return i
-
-    def citation_history(self, node_id: int, horizon_year: int) -> np.ndarray:
-        """Per-year citation counts for one node.
-
-        Returns an integer array of length ``horizon_year - year(node) + 1``
-        whose offset t holds the citations received t years after
-        publication. Citations from papers published after the horizon are
-        ignored.
-        """
-        i = self._check_node(node_id)
-        y0 = int(self.years[i])
-        horizon = int(horizon_year)
-        if horizon < y0:
-            raise ValidationError(
-                f"horizon {horizon} precedes node {i} publication year {y0}")
-        length = horizon - y0 + 1
-        if self.n_edges == 0:
-            return np.zeros(length, dtype=np.int64)
-        citing = self.edges[self.edges[:, 1] == i, 0]
-        cy = self.years[citing]
-        cy = cy[cy <= horizon]
-        return np.bincount(cy - y0, minlength=length).astype(np.int64)
 
     # -- serialization ----------------------------------------------------
 

@@ -15,14 +15,18 @@ Selection probabilities are these weights normalized over existing nodes.
 The decay gamma may depend on the current network size n: constant,
 n, sqrt(n), or log(n). Effective degree defaults to in-degree + 1 so that
 never-cited nodes stay reachable; "total" switches to in + out degree.
+
+The models differ only in which of ten flat options they read. Each option
+is defined once, in MODEL_OPTIONS; ModelSpec, make_model, config text and
+the CLI flags all follow that table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "GammaRegime",
     "ShiftPolicy",
     "ActiveSubspace",
+    "MODEL_OPTIONS",
     "ModelSpec",
     "make_model",
     "parse_config_options",
@@ -45,6 +50,8 @@ __all__ = [
 ]
 
 DEGREE_MODES = ("in-plus-one", "total")
+GAMMA_REGIMES = ("const", "linear", "sqrt", "log")
+SHIFT_UNITS = ("months", "nodes")
 
 
 class ModelKind(str, Enum):
@@ -55,8 +62,53 @@ class ModelKind(str, Enum):
     LBMG = "lbm-g"
 
 
-_FITNESS_KINDS = {ModelKind.ADDITIVE, ModelKind.MULTIPLICATIVE, ModelKind.LBM, ModelKind.LBMG}
-_LOCATION_KINDS = {ModelKind.LBM, ModelKind.LBMG}
+_FITNESS_KINDS = frozenset({ModelKind.ADDITIVE, ModelKind.MULTIPLICATIVE,
+                            ModelKind.LBM, ModelKind.LBMG})
+_LOCATION_KINDS = frozenset({ModelKind.LBM, ModelKind.LBMG})
+_SUBSPACE_KINDS = frozenset({ModelKind.LBMG})
+
+_BOUNDS = {">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class ModelOption:
+    """One flat model option: its name (also the config key and, with
+    dashes, the CLI flag), value type, default, the model kinds that read
+    it, and the values it admits (a bound like (">", 0), or choices)."""
+
+    name: str
+    type: type
+    default: object
+    kinds: frozenset
+    bound: tuple | None = None
+    choices: tuple | None = None
+
+    def check(self, kind: ModelKind, value) -> None:
+        if self.choices is not None and value not in self.choices:
+            raise ValidationError(
+                f"{kind.value}: {self.name} must be one of {self.choices}, got {value!r}")
+        if self.bound is not None and not _BOUNDS[self.bound[0]](value, self.bound[1]):
+            raise ValidationError(
+                f"{kind.value}: {self.name} must be {self.bound[0]} {self.bound[1]}, "
+                f"got {value!r}")
+
+
+# The option table, in config-file order. Two rules tie options together
+# and live in ModelSpec: rho (default None) follows sigma, and gamma_const
+# is ignored unless the regime is "const".
+MODEL_OPTIONS = (
+    ModelOption("alpha", float, 2.0, _FITNESS_KINDS, bound=(">", 0)),
+    ModelOption("xm", float, 1.0, _FITNESS_KINDS, bound=(">", 0)),
+    ModelOption("dim", int, 2, _LOCATION_KINDS, bound=(">=", 1)),
+    ModelOption("gamma_regime", str, "log", _LOCATION_KINDS, choices=GAMMA_REGIMES),
+    ModelOption("gamma_const", float, 1.0, _LOCATION_KINDS, bound=(">=", 0)),
+    ModelOption("sigma", float, 2.0, _SUBSPACE_KINDS, bound=(">=", 0)),
+    ModelOption("rho", float, None, _SUBSPACE_KINDS, bound=(">=", 0)),
+    ModelOption("shift_unit", str, "months", _SUBSPACE_KINDS, choices=SHIFT_UNITS),
+    ModelOption("shift_every", float, 1.0, _SUBSPACE_KINDS, bound=(">", 0)),
+    ModelOption("degree_mode", str, "in-plus-one", frozenset(ModelKind),
+                choices=DEGREE_MODES),
+)
 
 
 @dataclass(frozen=True)
@@ -66,33 +118,15 @@ class GammaRegime:
     kind: str
     const: float | None = None
 
-    _KINDS = ("const", "linear", "sqrt", "log")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in GAMMA_REGIMES:
             raise ValidationError(
-                f"unknown gamma regime {self.kind!r}; expected one of {self._KINDS}")
+                f"unknown gamma regime {self.kind!r}; expected one of {GAMMA_REGIMES}")
         if self.kind == "const":
             if self.const is None or self.const < 0:
                 raise ValidationError("const gamma regime needs a value >= 0")
         elif self.const is not None:
             raise ValidationError(f"gamma regime {self.kind!r} takes no constant")
-
-    @classmethod
-    def constant(cls, value: float) -> "GammaRegime":
-        return cls("const", float(value))
-
-    @classmethod
-    def linear(cls) -> "GammaRegime":
-        return cls("linear")
-
-    @classmethod
-    def sqrt(cls) -> "GammaRegime":
-        return cls("sqrt")
-
-    @classmethod
-    def log(cls) -> "GammaRegime":
-        return cls("log")
 
 
 def gamma_value(regime: GammaRegime, n_nodes: int) -> float:
@@ -120,7 +154,7 @@ class ShiftPolicy:
     every: float
 
     def __post_init__(self):
-        if self.unit not in ("months", "nodes"):
+        if self.unit not in SHIFT_UNITS:
             raise ValidationError(f"shift unit must be 'months' or 'nodes', got {self.unit!r}")
         if self.unit == "nodes":
             if self.every != int(self.every) or self.every < 1:
@@ -163,52 +197,56 @@ class ActiveSubspace:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full parameterization of one growth model.
+    """Full parameterization of one growth model: the kind plus one field
+    per entry of :data:`MODEL_OPTIONS`, in table order.
 
-    Only the fields a model actually uses may be set; everything else must
-    stay None. Use the per-model constructors (`ModelSpec.ba()`, ...) or
-    :func:`make_model` rather than filling fields by hand.
+    Options the kind does not read must stay None. The kind's own options
+    take the table default when unset, are converted to the table type,
+    and must satisfy the table's bound or choices. Build one with
+    :func:`make_model`.
     """
 
     kind: ModelKind
     alpha: float | None = None
     xm: float | None = None
     dim: int | None = None
-    gamma: GammaRegime | None = None
+    gamma_regime: str | None = None
+    gamma_const: float | None = None
     sigma: float | None = None
     rho: float | None = None
-    shift: ShiftPolicy | None = None
-    degree_mode: str = "in-plus-one"
+    shift_unit: str | None = None
+    shift_every: float | None = None
+    degree_mode: str | None = None
 
     def __post_init__(self):
-        if self.degree_mode not in DEGREE_MODES:
+        kind = self.kind
+        unused = [opt.name for opt in MODEL_OPTIONS
+                  if kind not in opt.kinds and getattr(self, opt.name) is not None]
+        if unused:
             raise ValidationError(
-                f"degree_mode must be one of {DEGREE_MODES}, got {self.degree_mode!r}")
-        required = {"kind", "degree_mode"}
-        if self.uses_fitness:
-            required |= {"alpha", "xm"}
-            if self.alpha is None or self.alpha <= 0:
-                raise ValidationError(f"{self.kind.value}: fitness shape alpha must be > 0")
-            if self.xm is None or self.xm <= 0:
-                raise ValidationError(f"{self.kind.value}: fitness scale xm must be > 0")
-        if self.uses_location:
-            required |= {"dim", "gamma"}
-            if self.dim is None or int(self.dim) < 1:
-                raise ValidationError(f"{self.kind.value}: location dimension must be >= 1")
-            if self.gamma is None:
-                raise ValidationError(f"{self.kind.value}: gamma regime is required")
-        if self.kind is ModelKind.LBMG:
-            required |= {"sigma", "rho", "shift"}
-            if self.sigma is None or self.sigma < 0:
-                raise ValidationError("lbm-g: sigma must be >= 0")
-            if self.rho is None or self.rho < 0:
-                raise ValidationError("lbm-g: rho must be >= 0")
-            if self.shift is None:
-                raise ValidationError("lbm-g: shift policy is required")
-        for name in ("alpha", "xm", "dim", "gamma", "sigma", "rho", "shift"):
-            if name not in required and getattr(self, name) is not None:
+                f"model {kind.value!r} does not use option(s): {', '.join(sorted(unused))}")
+        own = [opt for opt in MODEL_OPTIONS if kind in opt.kinds]
+        for opt in own:
+            if getattr(self, opt.name) is None:
+                object.__setattr__(self, opt.name, opt.default)
+        if self.rho is None:  # the walk step follows sigma unless given
+            object.__setattr__(self, "rho", self.sigma)
+        if self.gamma_regime != "const":  # gamma_const only counts under "const"
+            object.__setattr__(self, "gamma_const", None)
+        for opt in own:
+            value = getattr(self, opt.name)
+            if value is None:
+                continue
+            try:
+                value = opt.type(value)
+            except (TypeError, ValueError):
                 raise ValidationError(
-                    f"{self.kind.value}: parameter {name!r} is not used by this model")
+                    f"{kind.value}: {opt.name} needs a {opt.type.__name__}, "
+                    f"got {value!r}") from None
+            opt.check(kind, value)
+            object.__setattr__(self, opt.name, value)
+        if kind in _SUBSPACE_KINDS:
+            ShiftPolicy(self.shift_unit, self.shift_every)  # node intervals must be whole
 
     @property
     def uses_fitness(self) -> bool:
@@ -218,72 +256,25 @@ class ModelSpec:
     def uses_location(self) -> bool:
         return self.kind in _LOCATION_KINDS
 
-    # -- constructors ------------------------------------------------------
+    @property
+    def gamma(self) -> GammaRegime | None:
+        return GammaRegime(self.gamma_regime, self.gamma_const) if self.uses_location else None
 
-    @classmethod
-    def ba(cls, degree_mode: str = "in-plus-one") -> "ModelSpec":
-        return cls(ModelKind.BA, degree_mode=degree_mode)
-
-    @classmethod
-    def additive(cls, alpha: float = 2.0, xm: float = 1.0,
-                 degree_mode: str = "in-plus-one") -> "ModelSpec":
-        return cls(ModelKind.ADDITIVE, alpha=alpha, xm=xm, degree_mode=degree_mode)
-
-    @classmethod
-    def multiplicative(cls, alpha: float = 2.0, xm: float = 1.0,
-                       degree_mode: str = "in-plus-one") -> "ModelSpec":
-        return cls(ModelKind.MULTIPLICATIVE, alpha=alpha, xm=xm, degree_mode=degree_mode)
-
-    @classmethod
-    def lbm(cls, gamma: GammaRegime | None = None, dim: int = 2,
-            alpha: float = 2.0, xm: float = 1.0,
-            degree_mode: str = "in-plus-one") -> "ModelSpec":
-        return cls(ModelKind.LBM, alpha=alpha, xm=xm, dim=dim,
-                   gamma=gamma or GammaRegime.log(), degree_mode=degree_mode)
-
-    @classmethod
-    def lbmg(cls, sigma: float = 2.0, rho: float | None = None,
-             shift_unit: str = "months", shift_every: float = 1,
-             gamma: GammaRegime | None = None, dim: int = 2,
-             alpha: float = 2.0, xm: float = 1.0,
-             degree_mode: str = "in-plus-one") -> "ModelSpec":
-        # rho defaults to sigma: one knob controls both spreads unless split
-        return cls(ModelKind.LBMG, alpha=alpha, xm=xm, dim=dim,
-                   gamma=gamma or GammaRegime.log(), sigma=sigma,
-                   rho=sigma if rho is None else rho,
-                   shift=ShiftPolicy(shift_unit, shift_every),
-                   degree_mode=degree_mode)
-
-    # -- flat config io ----------------------------------------------------
+    @property
+    def shift(self) -> ShiftPolicy | None:
+        if self.kind not in _SUBSPACE_KINDS:
+            return None
+        return ShiftPolicy(self.shift_unit, self.shift_every)
 
     def to_config_text(self) -> str:
-        pairs: list[tuple[str, object]] = [("model", self.kind.value)]
-        if self.uses_fitness:
-            pairs += [("alpha", self.alpha), ("xm", self.xm)]
-        if self.uses_location:
-            pairs += [("dim", self.dim), ("gamma_regime", self.gamma.kind)]
-            if self.gamma.kind == "const":
-                pairs.append(("gamma_const", self.gamma.const))
-        if self.kind is ModelKind.LBMG:
-            pairs += [("sigma", self.sigma), ("rho", self.rho),
-                      ("shift_unit", self.shift.unit), ("shift_every", self.shift.every)]
-        pairs.append(("degree_mode", self.degree_mode))
-        return "".join(f"{k} = {v}\n" for k, v in pairs)
-
-    def to_config_file(self, path) -> None:
-        Path(path).write_text(self.to_config_text(), encoding="utf-8")
-
-    @classmethod
-    def from_config_text(cls, text: str) -> "ModelSpec":
-        kind, kwargs = parse_config_options(text)
-        return make_model(kind, **kwargs)
-
-    @classmethod
-    def from_config_file(cls, path) -> "ModelSpec":
-        return cls.from_config_text(Path(path).read_text(encoding="utf-8"))
-
-    def with_params(self, **updates) -> "ModelSpec":
-        return replace(self, **updates)
+        """Flat 'key = value' lines: the model, then every option the kind
+        reads, in table order."""
+        lines = [f"model = {self.kind.value}\n"]
+        for opt in MODEL_OPTIONS:
+            value = getattr(self, opt.name)
+            if value is not None:
+                lines.append(f"{opt.name} = {value}\n")
+        return "".join(lines)
 
 
 def parse_config_options(text: str) -> tuple[str, dict]:
@@ -304,11 +295,7 @@ def parse_config_options(text: str) -> tuple[str, dict]:
     if "model" not in options:
         raise ValidationError("config is missing the 'model' key")
     kind = options.pop("model")
-    converters = {
-        "alpha": float, "xm": float, "dim": int, "gamma_regime": str,
-        "gamma_const": float, "sigma": float, "rho": float,
-        "shift_unit": str, "shift_every": float, "degree_mode": str,
-    }
+    converters = {opt.name: opt.type for opt in MODEL_OPTIONS}
     kwargs: dict[str, object] = {}
     for key, value in options.items():
         if key not in converters:
@@ -320,67 +307,20 @@ def parse_config_options(text: str) -> tuple[str, dict]:
     return kind, kwargs
 
 
-def make_model(kind: str, *, alpha: float | None = None, xm: float | None = None,
-               dim: int | None = None, gamma_regime: str | None = None,
-               gamma_const: float | None = None, sigma: float | None = None,
-               rho: float | None = None, shift_unit: str | None = None,
-               shift_every: float | None = None,
-               degree_mode: str | None = None) -> ModelSpec:
-    """Build a ModelSpec from flat option values, applying per-model
-    defaults for everything left unset. Options a model does not use are
-    rejected, except gamma_const, which only applies when the regime is
-    "const" and is otherwise ignored (so one value can ride along a sweep
-    that mixes regimes)."""
+def make_model(kind: str, **options) -> ModelSpec:
+    """Build a ModelSpec from a kind name and flat option values (the
+    names of :data:`MODEL_OPTIONS`), applying the table defaults for
+    everything left unset. Options the model does not use are rejected,
+    except gamma_const, which only applies when the regime is "const" and
+    is otherwise ignored (so one value can ride along a sweep that mixes
+    regimes)."""
     try:
         mk = ModelKind(kind)
     except ValueError:
         raise ValidationError(
             f"unknown model {kind!r}; expected one of "
             f"{[m.value for m in ModelKind]}") from None
-
-    supplied = {name: value for name, value in [
-        ("alpha", alpha), ("xm", xm), ("dim", dim), ("gamma_regime", gamma_regime),
-        ("gamma_const", gamma_const), ("sigma", sigma), ("rho", rho),
-        ("shift_unit", shift_unit), ("shift_every", shift_every),
-    ] if value is not None}
-
-    allowed: set[str] = set()
-    if mk in _FITNESS_KINDS:
-        allowed |= {"alpha", "xm"}
-    if mk in _LOCATION_KINDS:
-        allowed |= {"dim", "gamma_regime", "gamma_const"}
-    if mk is ModelKind.LBMG:
-        allowed |= {"sigma", "rho", "shift_unit", "shift_every"}
-    extras = sorted(set(supplied) - allowed)
-    if extras:
-        raise ValidationError(f"model {mk.value!r} does not use option(s): {', '.join(extras)}")
-
-    dmode = degree_mode if degree_mode is not None else "in-plus-one"
-    gamma = None
-    if mk in _LOCATION_KINDS:
-        regime = supplied.get("gamma_regime", "log")
-        if regime == "const":
-            gamma = GammaRegime.constant(supplied.get("gamma_const", 1.0))
-        else:
-            gamma = GammaRegime(regime)
-
-    if mk is ModelKind.BA:
-        return ModelSpec.ba(degree_mode=dmode)
-    fit = {"alpha": supplied.get("alpha", 2.0), "xm": supplied.get("xm", 1.0)}
-    if mk is ModelKind.ADDITIVE:
-        return ModelSpec.additive(degree_mode=dmode, **fit)
-    if mk is ModelKind.MULTIPLICATIVE:
-        return ModelSpec.multiplicative(degree_mode=dmode, **fit)
-    if mk is ModelKind.LBM:
-        return ModelSpec.lbm(gamma=gamma, dim=int(supplied.get("dim", 2)),
-                             degree_mode=dmode, **fit)
-    return ModelSpec.lbmg(
-        sigma=supplied.get("sigma", 2.0),
-        rho=supplied.get("rho"),
-        shift_unit=supplied.get("shift_unit", "months"),
-        shift_every=supplied.get("shift_every", 1),
-        gamma=gamma, dim=int(supplied.get("dim", 2)),
-        degree_mode=dmode, **fit)
+    return ModelSpec(mk, **options)
 
 
 # -- samplers ---------------------------------------------------------------

@@ -27,8 +27,6 @@ returned graph (`fallback_fills`), never silently absorbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SimulationError, ValidationError
@@ -47,17 +45,9 @@ from .models import (
 )
 from .sampling import IncrementLog, sample_without_replacement
 
-__all__ = ["SelectionEvent", "init_from_seed", "run_simulation"]
+__all__ = ["init_from_seed", "run_simulation"]
 
 _NO_TARGETS = np.empty(0, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class SelectionEvent:
-    """One insertion: the new node's id and the targets it cited."""
-
-    incoming_node: int
-    chosen_targets: frozenset
 
 
 def init_from_seed(seed_nodes, seed_edges, model: ModelSpec,
@@ -127,7 +117,7 @@ def init_from_seed(seed_nodes, seed_edges, model: ModelSpec,
 
 
 def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
-                   rng_seed: int, events: list | None = None) -> GrowthGraph:
+                   rng_seed: int) -> GrowthGraph:
     """Grow `seed` through `schedule` under `model`.
 
     Within a year of m insertions the j-th new node gets sub-year position
@@ -135,7 +125,6 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     year and is checked after every insertion, applying as many shifts as
     the elapsed time (or node count) owes.
 
-    Pass a list as `events` to collect one SelectionEvent per insertion.
     Returns a new GrowthGraph; the seed graph is left untouched. An empty
     schedule returns the seed unchanged.
     """
@@ -177,6 +166,7 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     kind = model.kind
     in_plus_one = model.degree_mode == "in-plus-one"
     lbmg = kind is ModelKind.LBMG
+    gamma, shift = model.gamma, model.shift
     if model.uses_location:
         log = None
         in_deg = np.zeros(n_total, dtype=np.float64)
@@ -213,7 +203,7 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
                     eff = in_deg[:n] + 1.0 if in_plus_one else in_deg[:n] + out_deg_f[:n]
                     w = attachment_weights(kind, eff, fitness=fitness[:n],
                                            locations=locations[:n], new_location=locations[n],
-                                           gamma=gamma_value(model.gamma, n))
+                                           gamma=gamma_value(gamma, n))
                     k_main = min(k, int(np.count_nonzero(w > 0.0)))
                     if k_main:
                         targets = sample_without_replacement(w, k_main, rng)
@@ -234,19 +224,17 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
             else:
                 out_deg_f[n] = k
                 in_deg[targets] += 1.0
-            if events is not None:
-                events.append(SelectionEvent(n, frozenset(int(t) for t in targets)))
             e += k
             n += 1
 
             if lbmg:
                 nodes_since_shift += 1
                 t_now = year + (j + 1) / m
-                while shift_due(model.shift, t_now - last_shift_time, nodes_since_shift):
+                while shift_due(shift, t_now - last_shift_time, nodes_since_shift):
                     subspace = shift_subspace(subspace, model.rho, rng)
                     shifts += 1
-                    if model.shift.unit == "months":
-                        last_shift_time += model.shift.every / 12.0
+                    if shift.unit == "months":
+                        last_shift_time += shift.every / 12.0
                     else:
                         nodes_since_shift = 0
 

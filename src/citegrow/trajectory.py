@@ -205,6 +205,14 @@ class CategoryDistribution:
         return cls(proportions=c / total, counts=c)
 
     @classmethod
+    def from_categories(cls, categories) -> "CategoryDistribution":
+        """Count an iterable of TrajectoryCategory values."""
+        counts = np.zeros(len(CATEGORY_ORDER), dtype=np.int64)
+        for cat in categories:
+            counts[_CAT_INDEX[cat]] += 1
+        return cls.from_counts(counts)
+
+    @classmethod
     def from_proportions(cls, values, normalize: bool = False) -> "CategoryDistribution":
         p = np.array(values, dtype=np.float64)
         if normalize:
@@ -306,10 +314,7 @@ def category_distribution(graph: GrowthGraph, cutoff_year: int, horizon_year: in
                           ) -> CategoryDistribution:
     """Category distribution over all classified nodes of a graph."""
     _, _, cats = _classify_all(graph, cutoff_year, horizon_year, params)
-    counts = np.zeros(5, dtype=np.int64)
-    for c in cats:
-        counts[_CAT_INDEX[c]] += 1
-    return CategoryDistribution.from_counts(counts)
+    return CategoryDistribution.from_categories(cats)
 
 
 def write_classification_csv(rows, path) -> None:

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from citegrow import load_graph, mas_reference
+from citegrow import load_graph, mas_reference, trajectory
 from citegrow.cli import dispatch
 
 
@@ -165,6 +166,40 @@ class TestPipeline:
         assert lines[0] == "activation,threshold,category,ratio"
         assert len(lines) == 1 + 6 * 5
 
+    def test_classify_classifies_once(self, tmp_path, corpus, monkeypatch):
+        ppath, cpath = corpus
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--papers", ppath, "--citations", cpath,
+                    "--model", "ba", "--seed", "4", "--out", sim]) == 0
+        calls = []
+        inner = trajectory._classify_all
+        monkeypatch.setattr(trajectory, "_classify_all",
+                            lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+        assert run(["classify", "--graph", sim / "graph.txt", "--cutoff", "1978",
+                    "--horizon", "1987", "--out", tmp_path / "cls"]) == 0
+        assert len(calls) == 1
+        rows = (tmp_path / "cls" / "classification.csv").read_text().splitlines()[1:]
+        dist = json.loads((tmp_path / "cls" / "distribution.json").read_text())
+        assert sum(dist["counts"].values()) == len(rows)
+
+    def test_sweep_flags_take_lists(self, tmp_path, corpus):
+        # one value sets a base option, several make an axis, for every flag
+        ppath, cpath = corpus
+        ref = tmp_path / "ref.json"
+        mas_reference().to_json(ref)
+        sw = tmp_path / "sw"
+        assert run(["sweep", "--papers", ppath, "--citations", cpath,
+                    "--model", "af", "--alpha", "1.5,3", "--xm", "2",
+                    "--degree-mode", "in-plus-one,total", "--reference", ref,
+                    "--cutoff", "1978", "--horizon", "1987",
+                    "--runs", "1", "--out", sw]) == 0
+        lines = (sw / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0] == "alpha,degree_mode,er,fr,lr,sr,ot,jsd2"
+        assert len(lines) == 1 + 4
+        assert run(["sweep", "--papers", ppath, "--citations", cpath,
+                    "--model", "lbm", "--dim", "2,x", "--reference", ref,
+                    "--out", tmp_path / "bad"]) == 1
+
     def test_verify_theorem_report(self, tmp_path):
         out = tmp_path / "thm"
         assert run(["verify-theorem", "--model", "mf", "--trials", "5",
@@ -182,3 +217,52 @@ class TestPipeline:
         assert manifest["argv"] == argv
         assert "theorem_report.json" in manifest["outputs"]
         assert manifest["duration_seconds"] >= 0
+
+
+class TestPinnedOutputs:
+    """Byte-for-byte outputs of one simulate -> classify -> sweep ->
+    sensitivity chain on the `corpus` fixture: the sha256 of every file
+    except manifest.json (which records paths and timings). A change to
+    any digest is a change of CLI output and has to be deliberate."""
+
+    PINNED = {
+        "sim/graph.txt":
+            "1c55d6daca6485de7116829f700064eef6e2f8e6f14fcd7f626536d87228bd58",
+        "sim/model.cfg":
+            "cb23da14b9212658ceff674fe3f20835126b3a799a3419407a1599f5dca8ca70",
+        "cls/classification.csv":
+            "f01de1abf1eb29e95ecd14193ffee31ceb4991275478447feb9e5f5ebac57093",
+        "cls/distribution.json":
+            "98245f6cfdac6a19a3a3b34fa5fa571b7aee30bfe8686e5f15b9bf4facfb5418",
+        "sweep/sweep.csv":
+            "a84a4d83b544564f54de536993c50041724b4da6312aab85692296ba3612088b",
+        "sweep/sweep_summary.json":
+            "405a899f77b0998972fe1ea8bda3efe59d0de97cec2892bb8e0aabd7175a420b",
+        "sens/sensitivity.csv":
+            "c2cc4f247a7c5286307e38bb889e91a362b5db81b5008e00bc55cecfc7b376b1",
+    }
+
+    def test_output_digests(self, tmp_path, corpus):
+        ppath, cpath = corpus
+        ref = tmp_path / "ref.json"
+        mas_reference().to_json(ref)
+        window = ["--cutoff", "1978", "--horizon", "1987"]
+        assert run(["simulate", "--papers", ppath, "--citations", cpath,
+                    "--model", "lbm-g", "--sigma", "0.5", "--shift-unit", "nodes",
+                    "--shift-every", "3", "--seed", "5", "--out", tmp_path / "sim"]) == 0
+        assert run(["classify", "--graph", tmp_path / "sim" / "graph.txt", *window,
+                    "--out", tmp_path / "cls"]) == 0
+        assert run(["sweep", "--papers", ppath, "--citations", cpath,
+                    "--model", "lbm-g", "--sigma", "0.5,1.5", "--shift-every", "1,6",
+                    "--gamma-regime", "sqrt", "--reference", ref, *window,
+                    "--runs", "2", "--seed", "1", "--out", tmp_path / "sweep"]) == 0
+        assert run(["sensitivity", "--graph", tmp_path / "sim" / "graph.txt", *window,
+                    "--activation", "4:6", "--peak-threshold", "0.65,0.75",
+                    "--out", tmp_path / "sens"]) == 0
+        produced = {}
+        for out in ("sim", "cls", "sweep", "sens"):
+            for path in sorted((tmp_path / out).iterdir()):
+                if path.name != "manifest.json":
+                    produced[f"{out}/{path.name}"] = hashlib.sha256(
+                        path.read_bytes()).hexdigest()
+        assert produced == self.PINNED

@@ -18,7 +18,7 @@ from citegrow import (
     sensitivity,
     sweep,
 )
-from citegrow.evaluation import _run_sweep_point
+from citegrow.evaluation import _run_sweep_point, _SweepTask
 
 from conftest import graph_from_histories
 
@@ -137,8 +137,8 @@ class TestSweep:
         assert len(result.rows) == 1
         row = result.rows[0]
 
-        task = (0, points[0].model, tuple(seed.nodes), tuple(seed.edges),
-                schedule.entries, 1977, 1980, params, 2, 5)
+        task = _SweepTask(0, points[0].model, tuple(seed.nodes), tuple(seed.edges),
+                          schedule.entries, 1977, 1980, params, 2, 5)
         _, proportions = _run_sweep_point(task)
         np.testing.assert_allclose(row.distribution.proportions, proportions, atol=1e-12)
         assert row.jsd2 == pytest.approx(jsd2(proportions, ref.proportions))

@@ -11,6 +11,7 @@ from citegrow import (
     make_model,
     run_simulation,
 )
+from citegrow.trajectory import _history_matrix
 
 
 def grown_example(kind="lbm-g", rng_seed=5, tiny_seed=None, tiny_schedule=None):
@@ -104,26 +105,38 @@ class TestGrowthGraphSerialization:
             loads_graph(text)
 
 
+def edge_walk_history(g, node, horizon):
+    """Oracle: one node's citations per year offset, by walking the edge
+    list directly."""
+    manual = np.zeros(horizon - int(g.years[node]) + 1, dtype=np.int64)
+    for u, v in g.edges:
+        if v == node and g.years[u] <= horizon:
+            manual[g.years[u] - g.years[node]] += 1
+    return manual
+
+
 class TestCitationHistory:
     def test_history_matches_manual_recount(self):
         g = grown_example(kind="af", rng_seed=3)
         horizon = int(g.years.max())
+        hist = _history_matrix(g, horizon)
+        assert hist.shape == (g.n_nodes, horizon - int(g.years.min()) + 1)
         for node in range(g.n_nodes):
-            hist = g.citation_history(node, horizon)
-            # oracle: walk the edge list directly
-            length = horizon - int(g.years[node]) + 1
-            manual = np.zeros(length, dtype=np.int64)
-            for u, v in g.edges:
-                if v == node and g.years[u] <= horizon:
-                    manual[g.years[u] - g.years[node]] += 1
-            np.testing.assert_array_equal(hist, manual)
+            manual = edge_walk_history(g, node, horizon)
+            np.testing.assert_array_equal(hist[node, :manual.size], manual)
+            # offsets past the horizon stay empty
+            assert not hist[node, manual.size:].any()
 
     def test_horizon_truncates(self):
+        # citations from papers after the horizon are dropped
         g = grown_example(kind="ba", rng_seed=4)
         node = 0
         horizon = int(g.years[node]) + 2
-        hist = g.citation_history(node, horizon)
-        assert hist.size == 3
+        hist = _history_matrix(g, horizon)
+        assert int(g.years.max()) > horizon
+        assert hist.shape == (g.n_nodes, horizon - int(g.years.min()) + 1)
+        np.testing.assert_array_equal(hist[node, :3], edge_walk_history(g, node, horizon))
+        assert hist.sum() == int((g.years[g.edges[:, 0]] <= horizon).sum())
 
     def test_in_degrees_match_edges(self):
         g = grown_example(rng_seed=6)

@@ -1,12 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from citegrow import ModelKind, ValidationError, gamma_value, make_model
 from citegrow.models import (
+    MODEL_OPTIONS,
     ActiveSubspace,
     GammaRegime,
+    ModelSpec,
     ShiftPolicy,
     attachment_weights,
     initial_subspace,
@@ -20,30 +23,30 @@ from citegrow.models import (
 
 class TestGammaRegime:
     def test_constant(self):
-        regime = GammaRegime.constant(2.5)
+        regime = GammaRegime("const", 2.5)
         assert gamma_value(regime, 1) == 2.5
         assert gamma_value(regime, 10_000) == 2.5
 
     def test_constant_zero_allowed(self):
-        assert gamma_value(GammaRegime.constant(0.0), 5) == 0.0
+        assert gamma_value(GammaRegime("const", 0.0), 5) == 0.0
 
     def test_linear(self):
-        assert gamma_value(GammaRegime.linear(), 7) == 7.0
+        assert gamma_value(GammaRegime("linear"), 7) == 7.0
 
     def test_sqrt(self):
-        assert gamma_value(GammaRegime.sqrt(), 16) == 4.0
+        assert gamma_value(GammaRegime("sqrt"), 16) == 4.0
 
     def test_log_frozen_value(self):
-        assert gamma_value(GammaRegime.log(), 20) == pytest.approx(
+        assert gamma_value(GammaRegime("log"), 20) == pytest.approx(
             2.995732273553991, abs=1e-12)
 
     def test_log_needs_two_nodes(self):
         with pytest.raises(ValidationError):
-            gamma_value(GammaRegime.log(), 1)
+            gamma_value(GammaRegime("log"), 1)
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValidationError):
-            GammaRegime.constant(-1.0)
+            GammaRegime("const", -1.0)
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValidationError):
@@ -126,6 +129,34 @@ class TestMakeModelAndConfig:
         parsed_kind, options = parse_config_options(model.to_config_text())
         assert make_model(parsed_kind, **options) == model
 
+    # exact model.cfg bytes: the round trips above would not notice a
+    # reordered key or a reformatted value
+    GOLDEN_CONFIG = {
+        "ba": "model = ba\ndegree_mode = in-plus-one\n",
+        "af": "model = af\nalpha = 2.0\nxm = 1.0\ndegree_mode = in-plus-one\n",
+        "mf": "model = mf\nalpha = 2.0\nxm = 1.0\ndegree_mode = in-plus-one\n",
+        "lbm": ("model = lbm\nalpha = 2.0\nxm = 1.0\ndim = 2\ngamma_regime = log\n"
+                "degree_mode = in-plus-one\n"),
+        "lbm-g": ("model = lbm-g\nalpha = 2.0\nxm = 1.0\ndim = 2\ngamma_regime = log\n"
+                  "sigma = 2.0\nrho = 2.0\nshift_unit = months\nshift_every = 1.0\n"
+                  "degree_mode = in-plus-one\n"),
+    }
+
+    @pytest.mark.parametrize("kind", [m.value for m in ModelKind])
+    def test_config_text_golden(self, kind):
+        assert make_model(kind).to_config_text() == self.GOLDEN_CONFIG[kind]
+
+    def test_config_text_golden_custom(self):
+        model = make_model("lbm-g", alpha=3.0, xm=0.5, dim=4, sigma=1.0,
+                           rho=0.25, shift_unit="nodes", shift_every=50,
+                           degree_mode="total")
+        assert model.to_config_text() == (
+            "model = lbm-g\nalpha = 3.0\nxm = 0.5\ndim = 4\ngamma_regime = log\n"
+            "sigma = 1.0\nrho = 0.25\nshift_unit = nodes\nshift_every = 50.0\n"
+            "degree_mode = total\n")
+        const = make_model("lbm", gamma_regime="const", gamma_const=2.0)
+        assert "gamma_regime = const\ngamma_const = 2.0\n" in const.to_config_text()
+
     def test_config_round_trip_custom(self):
         model = make_model("lbm-g", alpha=3.0, xm=0.5, dim=4, sigma=1.0,
                            rho=0.25, shift_unit="nodes", shift_every=50,
@@ -136,9 +167,30 @@ class TestMakeModelAndConfig:
     def test_config_file_round_trip(self, tmp_path):
         model = make_model("lbm", gamma_regime="const", gamma_const=2.0)
         path = tmp_path / "model.cfg"
-        model.to_config_file(path)
+        path.write_text(model.to_config_text(), encoding="utf-8")
         parsed_kind, options = parse_config_options(path.read_text())
         assert make_model(parsed_kind, **options) == model
+
+    def test_spec_fields_follow_the_table(self):
+        assert [f.name for f in fields(ModelSpec)] == (
+            ["kind"] + [opt.name for opt in MODEL_OPTIONS])
+
+    def test_table_bounds_and_choices_enforced(self):
+        for kind, options in [("af", {"alpha": 0.0}), ("mf", {"xm": -1.0}),
+                              ("lbm", {"dim": 0}), ("lbm", {"gamma_regime": "cubic"}),
+                              ("lbm", {"gamma_regime": "const", "gamma_const": -1.0}),
+                              ("lbm-g", {"sigma": -0.5}), ("lbm-g", {"rho": -0.5}),
+                              ("lbm-g", {"shift_unit": "weeks"}),
+                              ("lbm-g", {"shift_every": 0.0}),
+                              ("lbm-g", {"shift_unit": "nodes", "shift_every": 2.5}),
+                              ("ba", {"degree_mode": "out"}), ("af", {"alpha": "x"})]:
+            with pytest.raises(ValidationError):
+                make_model(kind, **options)
+
+    def test_values_take_the_table_type(self):
+        model = make_model("lbm-g", dim=3.0, sigma=1, shift_every=12)
+        assert (type(model.dim), type(model.sigma), type(model.rho)) == (int, float, float)
+        assert model.shift == ShiftPolicy("months", 12.0)
 
     def test_rejects_unused_options(self):
         with pytest.raises(ValidationError, match="does not use"):
@@ -153,7 +205,7 @@ class TestMakeModelAndConfig:
     def test_gamma_const_ignored_off_const_regime(self):
         # lets one --gamma-const value ride along a regime sweep
         model = make_model("lbm", gamma_regime="log", gamma_const=9.0)
-        assert model.gamma == GammaRegime.log()
+        assert model.gamma == GammaRegime("log")
 
     def test_rho_defaults_to_sigma(self):
         model = make_model("lbm-g", sigma=0.7)

@@ -18,13 +18,17 @@ from citegrow import (
     run_simulation,
     synthetic_seed,
 )
-from citegrow.simulate import SelectionEvent
 from test_sampling import set_probability
 
 
-def grow(model, seed, schedule, rng_seed=0, events=None):
+def grow(model, seed, schedule, rng_seed=0):
     g0 = init_from_seed(seed.nodes, seed.edges, model, rng_seed)
-    return run_simulation(g0, schedule, model, rng_seed, events=events)
+    return run_simulation(g0, schedule, model, rng_seed)
+
+
+def cited_by(graph, node):
+    """The set of nodes `node` cites, read off the edge list."""
+    return set(graph.edges[graph.edges[:, 0] == node, 1].tolist())
 
 
 class TestInitFromSeed:
@@ -116,24 +120,27 @@ class TestDeterminism:
 
 
 class TestSelectionMechanics:
-    def test_events_match_edges(self, tiny_seed, tiny_schedule):
-        events: list[SelectionEvent] = []
-        g = grow(make_model("af"), tiny_seed, tiny_schedule, rng_seed=3, events=events)
-        assert len(events) == tiny_schedule.total_nodes
-        by_node: dict[int, set] = {}
-        for u, v in g.edges[tiny_seed.n_edges:]:
-            by_node.setdefault(int(u), set()).add(int(v))
-        for ev in events:
-            assert by_node.get(ev.incoming_node, set()) == set(ev.chosen_targets)
+    def test_insertions_append_their_citations(self, tiny_seed, tiny_schedule):
+        # each inserted node appends exactly its out-degree of distinct
+        # citations, as one contiguous run of edges in insertion order
+        g = grow(make_model("af"), tiny_seed, tiny_schedule, rng_seed=3)
+        new_edges = g.edges[tiny_seed.n_edges:]
+        degs = [k for year in tiny_schedule.years for k in tiny_schedule.entries[year]]
+        citing = [tiny_seed.n_nodes + j for j, k in enumerate(degs) for _ in range(k)]
+        assert new_edges[:, 0].tolist() == citing
+        for j, k in enumerate(degs):
+            node = tiny_seed.n_nodes + j
+            assert g.out_degrees[node] == k
+            assert len(cited_by(g, node)) == k
+            assert all(t < node for t in cited_by(g, node))
 
     def test_hand_case_two_inserts(self, tiny_seed):
         schedule = YearSchedule({1976: [1, 1]})
-        events: list[SelectionEvent] = []
-        g = grow(make_model("ba"), tiny_seed, schedule, rng_seed=5, events=events)
+        g = grow(make_model("ba"), tiny_seed, schedule, rng_seed=5)
         assert g.n_nodes == 6
         # first insert chooses among the 4 seed nodes, second among 5
-        assert all(t < 4 for t in events[0].chosen_targets)
-        assert all(t < 5 for t in events[1].chosen_targets)
+        assert len(cited_by(g, 4)) == 1 and all(t < 4 for t in cited_by(g, 4))
+        assert len(cited_by(g, 5)) == 1 and all(t < 5 for t in cited_by(g, 5))
 
     def test_same_year_citation_reachable(self, tiny_seed):
         # the second node of a year may cite the first; with BA weights the
@@ -142,10 +149,8 @@ class TestSelectionMechanics:
         schedule = YearSchedule({1976: [1, 1]})
         seen_same_year = False
         for rng_seed in range(60):
-            events: list[SelectionEvent] = []
-            grow(make_model("ba"), tiny_seed, schedule, rng_seed=rng_seed,
-                 events=events)
-            if 4 in events[1].chosen_targets:
+            g = grow(make_model("ba"), tiny_seed, schedule, rng_seed=rng_seed)
+            if 4 in cited_by(g, 5):
                 seen_same_year = True
                 break
         assert seen_same_year
@@ -158,9 +163,8 @@ class TestSelectionMechanics:
         hits = 0
         runs = 3000
         for rng_seed in range(runs):
-            events: list[SelectionEvent] = []
-            grow(model, seed, schedule, rng_seed=rng_seed, events=events)
-            if 0 in events[0].chosen_targets:
+            g = grow(model, seed, schedule, rng_seed=rng_seed)
+            if 0 in cited_by(g, 2):
                 hits += 1
         assert hits / runs == pytest.approx(2.0 / 3.0, abs=0.03)
 
