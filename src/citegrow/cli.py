@@ -24,13 +24,13 @@ import numpy as np
 from .errors import CitegrowError, IngestError, ValidationError
 from .graph import GrowthGraph, SeedNetwork, YearSchedule, load_graph
 from .ingest import IngestConfig, build_seed_and_schedule, parse_citations, parse_papers
+from . import trajectory
 from .models import MODEL_OPTIONS, ModelKind, make_model, parse_config_options
 from .simulate import init_from_seed, run_simulation
 from .trajectory import (
     CATEGORY_ORDER,
     CategoryDistribution,
     ClassifierParams,
-    classify_graph,
     write_classification_csv,
 )
 from .evaluation import derive_seed, evaluate_model, model_grid, sensitivity, sweep
@@ -147,6 +147,24 @@ def _add_classifier_flags(sp) -> None:
     sp.add_argument("--min-history", type=int, default=10)
 
 
+def _classifier_params(args, activation: str = "activation",
+                       threshold: str = "peak_threshold") -> ClassifierParams:
+    """ClassifierParams from the parsed flags. `activation` and `threshold`
+    name the attributes to read: sensitivity sweeps --activation and
+    --peak-threshold and reads its defaults from the --default-* flags."""
+    return ClassifierParams(activation_period=getattr(args, activation),
+                            peak_threshold=getattr(args, threshold),
+                            min_history_years=args.min_history)
+
+
+def _existing(path, what: str) -> Path:
+    """`path` as a Path; a missing file is an input error naming `what`."""
+    p = Path(path)
+    if not p.exists():
+        raise IngestError(f"{what} file not found: {p}")
+    return p
+
+
 # -- model resolution ----------------------------------------------------------
 
 def _collect_model_options(args, lists: bool = False) -> tuple[str, dict, list]:
@@ -157,9 +175,7 @@ def _collect_model_options(args, lists: bool = False) -> tuple[str, dict, list]:
     kind = None
     options: dict = {}
     if args.config:
-        cfg = Path(args.config)
-        if not cfg.exists():
-            raise IngestError(f"config file not found: {cfg}")
+        cfg = _existing(args.config, "config")
         kind, options = parse_config_options(cfg.read_text(encoding="utf-8"))
         inputs.append(cfg)
     if args.model:
@@ -193,10 +209,7 @@ def _load_sim_inputs(args) -> tuple[SeedNetwork, YearSchedule, list]:
             raise ValidationError("--seed-graph needs --schedule")
         if args.papers or args.citations:
             raise ValidationError("pass either --seed-graph/--schedule or --papers/--citations")
-        gpath, spath = Path(args.seed_graph), Path(args.schedule)
-        for p in (gpath, spath):
-            if not p.exists():
-                raise IngestError(f"input file not found: {p}")
+        gpath, spath = _existing(args.seed_graph, "input"), _existing(args.schedule, "input")
         g = load_graph(gpath)
         seed = SeedNetwork(
             nodes=tuple((i, int(g.years[i])) for i in range(g.n_nodes)),
@@ -225,7 +238,7 @@ def _seed_network_to_graph(seed: SeedNetwork) -> GrowthGraph:
 
 def _parse_value_list(text: str, conv) -> list:
     try:
-        return [conv(part) for part in str(text).split(",") if part.strip()]
+        return [conv(part.strip()) for part in str(text).split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"bad value list {text!r}") from None
 
@@ -321,31 +334,26 @@ def _cmd_simulate(args, out_dir: Path):
 
 
 def _cmd_classify(args, out_dir: Path):
-    gpath = Path(args.graph)
-    if not gpath.exists():
-        raise IngestError(f"graph file not found: {gpath}")
+    gpath = _existing(args.graph, "graph")
     graph = load_graph(gpath, seed_end=args.seed_end)
-    params = ClassifierParams(activation_period=args.activation,
-                              peak_threshold=args.peak_threshold,
-                              min_history_years=args.min_history)
-    rows = classify_graph(graph, args.cutoff, args.horizon, params)
-    write_classification_csv(rows, out_dir / "classification.csv")
-    dist = CategoryDistribution.from_categories(cat for _, _, cat in rows)
+    result = trajectory._classify_all(graph, args.cutoff, args.horizon,
+                                      _classifier_params(args))
+    write_classification_csv(result.rows(), out_dir / "classification.csv")
+    dist = result.distribution()
     dist.to_json(out_dir / "distribution.json")
     print("classify: " + ", ".join(
         f"{cat.code}={p:.4f}"
         for cat, p in zip(CATEGORY_ORDER, dist.proportions)))
     run_params = {"cutoff": args.cutoff, "horizon": args.horizon,
                   "activation": args.activation, "peak_threshold": args.peak_threshold,
-                  "min_history": args.min_history, "seed_end": args.seed_end}
+                  "min_history": args.min_history, "seed_end": args.seed_end,
+                  "decision_rules": result.rule_counts()}
     return ["classification.csv", "distribution.json"], run_params, [gpath]
 
 
 def _cmd_evaluate(args, out_dir: Path):
-    dpath, rpath = Path(args.distribution), Path(args.reference)
-    for p in (dpath, rpath):
-        if not p.exists():
-            raise IngestError(f"distribution file not found: {p}")
+    dpath = _existing(args.distribution, "distribution")
+    rpath = _existing(args.reference, "reference")
     dist = CategoryDistribution.from_json(dpath)
     ref = CategoryDistribution.from_json(rpath)
     report = evaluate_model(dist, ref, label=args.label)
@@ -368,16 +376,11 @@ def _cmd_sweep(args, out_dir: Path):
     points = model_grid(kind, axes, options)
 
     seed_net, schedule, data_inputs = _load_sim_inputs(args)
-    rpath = Path(args.reference)
-    if not rpath.exists():
-        raise IngestError(f"reference file not found: {rpath}")
+    rpath = _existing(args.reference, "reference")
     reference = CategoryDistribution.from_json(rpath)
-    cparams = ClassifierParams(activation_period=args.activation,
-                               peak_threshold=args.peak_threshold,
-                               min_history_years=args.min_history)
     result = sweep(points, seed_net, schedule, reference,
                    cutoff_year=args.cutoff, horizon_year=args.horizon,
-                   classifier_params=cparams, runs_per_point=args.runs,
+                   classifier_params=_classifier_params(args), runs_per_point=args.runs,
                    rng_seed=args.seed, jobs=args.jobs)
     result.to_csv(out_dir / "sweep.csv")
     (out_dir / "sweep_summary.json").write_text(
@@ -393,13 +396,9 @@ def _cmd_sweep(args, out_dir: Path):
 
 
 def _cmd_sensitivity(args, out_dir: Path):
-    gpath = Path(args.graph)
-    if not gpath.exists():
-        raise IngestError(f"graph file not found: {gpath}")
+    gpath = _existing(args.graph, "graph")
     graph = load_graph(gpath, seed_end=args.seed_end)
-    defaults = ClassifierParams(activation_period=args.default_activation,
-                                peak_threshold=args.default_threshold,
-                                min_history_years=args.min_history)
+    defaults = _classifier_params(args, "default_activation", "default_threshold")
     activations = _parse_int_range(args.activation)
     thresholds = _parse_float_range(args.peak_threshold)
     result = sensitivity(graph, args.cutoff, args.horizon,

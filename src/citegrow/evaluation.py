@@ -335,8 +335,7 @@ def sensitivity(graph, cutoff_year: int, horizon_year: int,
     hist = _history_matrix(graph, horizon_year)
 
     def _distribution(params: ClassifierParams) -> CategoryDistribution:
-        _, _, cats = _classify_all(graph, cutoff_year, horizon_year, params, hist=hist)
-        return CategoryDistribution.from_categories(cats)
+        return _classify_all(graph, cutoff_year, horizon_year, params, hist=hist).distribution()
 
     baseline = _distribution(defaults)
     rows = []

@@ -11,10 +11,24 @@ threshold somewhere between them. The category rules, applied in order:
   frequent riser (fr) two or more distinct peaks
   late riser (lr)     a single peak after the activation period that is
                       not the final year
-  other (ot)          anything else (e.g. still rising at the horizon)
+  other (ot)          anything else: a single peak in the final year
+                      that lies past the activation period
 
 Categories depend only on the shape of the trajectory: scaling every count
 by a constant cannot change the outcome (except through the mean rule).
+
+`classify` applies these rules to one trajectory. A graph's nodes are
+classified together by `_classify_rows`, which states the same rules as
+array operations over the zero-padded history matrix; `classify` is its
+test oracle. Two facts let the array form skip two branches of `classify`:
+a trajectory whose mean reaches 1 is not all zero, and its first maximum
+is always a peak candidate, so every trajectory past the mean rule has at
+least one peak. Its dip rule compares each candidate with the previous
+candidate, kept or not, where `detect_peaks` compares it with the previous
+kept peak. The two agree: a candidate is dropped only when nothing between
+it and the kept peak before it dips below the threshold, and it is itself
+above the threshold, so a dip after the kept peak lies after the dropped
+candidate too.
 """
 
 from __future__ import annotations
@@ -113,7 +127,10 @@ def detect_peaks(counts, normalized, threshold: float) -> list[int]:
     missing side) whose normalized value reaches `threshold`. The strict
     left edge keeps only the earliest offset of a plateau. A candidate
     after the first is kept only if some offset between it and the last
-    kept peak falls below the threshold.
+    kept peak falls below the threshold. Comparing with the previous
+    candidate instead, kept or not, gives the same peaks, because a
+    dropped candidate is itself above the threshold (see the module
+    docstring); the array classifier uses that form.
     """
     c = np.asarray(counts, dtype=np.float64)
     z = np.asarray(normalized, dtype=np.float64)
@@ -205,14 +222,6 @@ class CategoryDistribution:
         return cls(proportions=c / total, counts=c)
 
     @classmethod
-    def from_categories(cls, categories) -> "CategoryDistribution":
-        """Count an iterable of TrajectoryCategory values."""
-        counts = np.zeros(len(CATEGORY_ORDER), dtype=np.int64)
-        for cat in categories:
-            counts[_CAT_INDEX[cat]] += 1
-        return cls.from_counts(counts)
-
-    @classmethod
     def from_proportions(cls, values, normalize: bool = False) -> "CategoryDistribution":
         p = np.array(values, dtype=np.float64)
         if normalize:
@@ -276,11 +285,97 @@ def _history_matrix(graph: GrowthGraph, horizon_year: int) -> np.ndarray:
     return hist
 
 
+# Decision-rule codes of the array classifier, one per classified node.
+# Codes 0-4 are the category indices of CATEGORY_ORDER, where an ot code 4
+# is a single peak in the final year; code 5 is an ot settled by the mean
+# rule alone.
+_DECISION_RULES = ("er", "fr", "lr", "sr", "ot_peak_at_horizon", "ot_low_mean")
+_RULE_CATEGORY = np.array([0, 1, 2, 3, 4, 4])
+_ER, _FR, _LR, _SR, _OT_PEAK_AT_HORIZON, _OT_LOW_MEAN = range(len(_DECISION_RULES))
+
+
+def _classify_rows(counts, lengths, params: ClassifierParams) -> np.ndarray:
+    """Decision-rule code (an index into `_DECISION_RULES`) of each row of
+    a history matrix. Row r holds a trajectory of lengths[r] years, and its
+    columns from lengths[r] on must be zero. The code's category is the
+    one `classify` gives that trajectory. The rules, in order:
+
+    mean       an integer sum below the length is a mean below 1 (ot);
+               only the rows that pass go further
+    monotone   no decrease inside the window, and the last in-window
+               count above the first (sr)
+    candidates at or above the threshold, strictly above the left
+               neighbour and at least the right one; the last in-window
+               offset skips the right test
+    peaks      a candidate is kept if it is its row's first, or if a
+               running count of below-threshold offsets grew since the
+               previous candidate
+    """
+    counts = np.asarray(counts)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    codes = np.full(lengths.size, _OT_LOW_MEAN, dtype=np.int8)
+    live = np.nonzero(counts.sum(axis=1) >= lengths)[0]
+    if live.size == 0:
+        return codes
+    c = counts[live]
+    n = lengths[live]
+    last = n - 1
+    cols = np.arange(c.shape[1])
+    inside = cols < n[:, None]
+
+    rising = c[:, 1:] >= c[:, :-1]
+    steady = (np.all(rising | ~inside[:, 1:], axis=1)
+              & (c[np.arange(c.shape[0]), last] > c[:, 0]))
+
+    above = c / c.max(axis=1, keepdims=True) >= params.peak_threshold
+    left = np.ones_like(above)
+    left[:, 1:] = c[:, 1:] > c[:, :-1]
+    right = cols == last[:, None]
+    right[:, :-1] |= c[:, :-1] >= c[:, 1:]
+    rows, offsets = np.nonzero(above & left & right & inside)
+    dips = np.cumsum(~above, axis=1)[rows, offsets]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    kept = first.copy()
+    kept[1:] |= dips[1:] > dips[:-1]
+    n_peaks = np.bincount(rows[kept], minlength=c.shape[0])
+    peak = offsets[first]  # each row's first maximum is a candidate
+
+    live_codes = np.where(
+        n_peaks >= 2, _FR,
+        np.where(peak < params.activation_period, _ER,
+                 np.where(peak != last, _LR, _OT_PEAK_AT_HORIZON)))
+    live_codes[steady] = _SR
+    codes[live] = live_codes
+    return codes
+
+
+@dataclass(frozen=True)
+class _Classification:
+    """Classified nodes: ids, publication years and decision-rule codes."""
+
+    ids: np.ndarray
+    years: np.ndarray
+    codes: np.ndarray
+
+    def rows(self) -> list:
+        cats = [CATEGORY_ORDER[i] for i in _RULE_CATEGORY[self.codes].tolist()]
+        return list(zip(self.ids.tolist(), self.years.tolist(), cats))
+
+    def distribution(self) -> CategoryDistribution:
+        return CategoryDistribution.from_counts(
+            np.bincount(_RULE_CATEGORY[self.codes], minlength=len(CATEGORY_ORDER)))
+
+    def rule_counts(self) -> dict:
+        """Nodes settled by each decision rule; they sum to the classified nodes."""
+        counts = np.bincount(self.codes, minlength=len(_DECISION_RULES))
+        return {rule: int(k) for rule, k in zip(_DECISION_RULES, counts)}
+
+
 def _classify_all(graph: GrowthGraph, cutoff_year: int, horizon_year: int,
                   params: ClassifierParams,
-                  hist: np.ndarray | None = None):
-    """Classify every non-seed node published up to the cutoff. Returns
-    (ids, years, categories)."""
+                  hist: np.ndarray | None = None) -> _Classification:
+    """Classify every non-seed node published up to the cutoff."""
     cutoff = int(cutoff_year)
     horizon = int(horizon_year)
     if horizon - cutoff < params.min_history_years - 1:
@@ -294,27 +389,27 @@ def _classify_all(graph: GrowthGraph, cutoff_year: int, horizon_year: int,
             f"no non-seed nodes published up to {cutoff}; nothing to classify")
     if hist is None:
         hist = _history_matrix(graph, horizon)
-    years = graph.years
-    cats = []
-    for i in ids:
-        length = horizon - int(years[i]) + 1
-        cats.append(classify(hist[i, :length], params))
-    return ids, years[ids], cats
+    years = graph.years[ids]
+    # grown and ingested graphs list nodes by year, so the classified rows
+    # are one block of the matrix and need no copy
+    if ids[-1] - ids[0] + 1 == ids.size:
+        counts = hist[ids[0]:ids[-1] + 1]
+    else:
+        counts = hist[ids]
+    return _Classification(ids, years, _classify_rows(counts, horizon - years + 1, params))
 
 
 def classify_graph(graph: GrowthGraph, cutoff_year: int, horizon_year: int,
                    params: ClassifierParams = ClassifierParams()):
     """Per-node categories as (node_id, year, category) rows."""
-    ids, years, cats = _classify_all(graph, cutoff_year, horizon_year, params)
-    return [(int(i), int(y), c) for i, y, c in zip(ids, years, cats)]
+    return _classify_all(graph, cutoff_year, horizon_year, params).rows()
 
 
 def category_distribution(graph: GrowthGraph, cutoff_year: int, horizon_year: int,
                           params: ClassifierParams = ClassifierParams()
                           ) -> CategoryDistribution:
     """Category distribution over all classified nodes of a graph."""
-    _, _, cats = _classify_all(graph, cutoff_year, horizon_year, params)
-    return CategoryDistribution.from_categories(cats)
+    return _classify_all(graph, cutoff_year, horizon_year, params).distribution()
 
 
 def write_classification_csv(rows, path) -> None:

@@ -182,6 +182,34 @@ class TestPipeline:
         dist = json.loads((tmp_path / "cls" / "distribution.json").read_text())
         assert sum(dist["counts"].values()) == len(rows)
 
+    def test_classify_manifest_counts_decision_rules(self, tmp_path, corpus):
+        ppath, cpath = corpus
+        sim, cls = tmp_path / "sim", tmp_path / "cls"
+        assert run(["simulate", "--papers", ppath, "--citations", cpath,
+                    "--model", "lbm-g", "--seed", "2", "--out", sim]) == 0
+        assert run(["classify", "--graph", sim / "graph.txt", "--cutoff", "1978",
+                    "--horizon", "1987", "--out", cls]) == 0
+        rules = json.loads((cls / "manifest.json").read_text())["parameters"]["decision_rules"]
+        counts = json.loads((cls / "distribution.json").read_text())["counts"]
+        rows = (cls / "classification.csv").read_text().splitlines()[1:]
+        assert sum(rules.values()) == len(rows) == sum(counts.values())
+        assert {code: rules[code] for code in ("er", "fr", "lr", "sr")} == {
+            code: counts[code] for code in ("er", "fr", "lr", "sr")}
+        assert rules["ot_low_mean"] + rules["ot_peak_at_horizon"] == counts["ot"]
+
+    def test_sweep_list_items_may_carry_blanks(self, tmp_path, corpus):
+        ppath, cpath = corpus
+        ref = tmp_path / "ref.json"
+        mas_reference().to_json(ref)
+        sw = tmp_path / "sw"
+        assert run(["sweep", "--papers", ppath, "--citations", cpath,
+                    "--model", "lbm", "--gamma-regime", "const, log", "--reference", ref,
+                    "--cutoff", "1978", "--horizon", "1987",
+                    "--runs", "1", "--out", sw]) == 0
+        lines = (sw / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0].startswith("gamma_regime,")
+        assert sorted(line.split(",")[0] for line in lines[1:]) == ["const", "log"]
+
     def test_sweep_flags_take_lists(self, tmp_path, corpus):
         # one value sets a base option, several make an axis, for every flag
         ppath, cpath = corpus

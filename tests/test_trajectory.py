@@ -12,9 +12,23 @@ from citegrow import (
     ValidationError,
     category_distribution,
     classify_graph,
+    corpus_like_schedule,
+    init_from_seed,
+    make_model,
+    run_simulation,
+    synthetic_seed,
     write_classification_csv,
 )
-from citegrow.trajectory import classify, detect_peaks, normalize_trajectory
+from citegrow.trajectory import (
+    _DECISION_RULES,
+    _RULE_CATEGORY,
+    _classify_all,
+    _classify_rows,
+    _history_matrix,
+    classify,
+    detect_peaks,
+    normalize_trajectory,
+)
 
 from conftest import graph_from_histories
 
@@ -297,3 +311,105 @@ class TestGraphClassification:
         assert lines[0] == "node_id,year,category"
         assert lines[1] == "1,2000,er"
         assert len(lines) == 7
+
+
+def scalar_mismatches(counts, lengths, params):
+    """Rows where the array classifier and the scalar `classify` differ."""
+    codes = _classify_rows(np.asarray(counts), np.asarray(lengths), params)
+    got = [CATEGORY_ORDER[i] for i in _RULE_CATEGORY[codes]]
+    return [(list(row[:n]), g, classify(row[:n], params))
+            for row, n, g in zip(counts, lengths, got)
+            if g is not classify(row[:n], params)]
+
+
+def grown_graph(kind, seed, **options):
+    """A 2500-node growth run over a 150-node seed network."""
+    model = make_model(kind, **options)
+    net = synthetic_seed(150, rng_seed=seed)
+    return run_simulation(init_from_seed(net.nodes, net.edges, model, seed),
+                          corpus_like_schedule(2500, rng_seed=seed), model, seed + 100)
+
+
+# the sensitivity grid of acceptance check 9 plus the defaults
+SENSITIVITY_GRID = [ClassifierParams()] + [
+    ClassifierParams(activation_period=a, peak_threshold=round(0.45 + 0.05 * k, 2))
+    for a in range(3, 8) for k in range(11)]
+
+
+class TestArrayClassifier:
+    """`_classify_rows` against the scalar `classify` as oracle."""
+
+    def test_every_short_trajectory(self):
+        rows = np.array(list(itertools.product(range(4), repeat=7)))
+        lengths = np.full(len(rows), 7)
+        for threshold in (0.45, 0.75, 0.9, 1.0):
+            for activation in (1, 3, 7):
+                params = ClassifierParams(activation_period=activation,
+                                          peak_threshold=threshold,
+                                          min_history_years=7)
+                assert scalar_mismatches(rows, lengths, params) == [], (threshold, activation)
+
+    def test_mixed_lengths_hand_cases(self):
+        width = 8
+        cases = [
+            # (trajectory, rule code under activation 2 and threshold 0.75)
+            ([0, 3, 0, 9], "ot_peak_at_horizon"),   # last in-window peak, then padding
+            ([2, 1, 1, 1, 1, 9], "ot_peak_at_horizon"),
+            ([1, 2, 3, 4, 5], "sr"),                # monotone, shorter than the width
+            ([1, 1, 2, 2, 3, 3, 4, 4], "sr"),
+            ([5, 5, 5], "er"),                      # flat: not sr, plateau peak at 0
+            ([0, 4, 4, 0], "er"),
+            ([8, 0, 0, 8], "fr"),                   # second peak on the last offset
+            ([0, 6, 1, 1, 1, 6, 1, 6], "fr"),
+            ([10, 9, 10], "er"),                    # no dip: one peak
+            ([0, 0, 0, 9, 2, 0, 1], "lr"),
+            ([0, 0, 0, 0], "ot_low_mean"),
+            ([3, 0, 0, 0], "ot_low_mean"),
+        ]
+        counts = np.zeros((len(cases), width), dtype=np.int64)
+        for r, (traj, _) in enumerate(cases):
+            counts[r, :len(traj)] = traj
+        lengths = [len(traj) for traj, _ in cases]
+        params = ClassifierParams(activation_period=2, min_history_years=3)
+        codes = _classify_rows(counts, lengths, params)
+        assert [_DECISION_RULES[k] for k in codes] == [rule for _, rule in cases]
+        assert scalar_mismatches(counts, lengths, params) == []
+
+    def test_random_mixed_lengths(self):
+        rng = np.random.default_rng(5)
+        width = 14
+        lengths = rng.integers(3, width + 1, size=4000)
+        shape = (lengths.size, width)
+        counts = rng.integers(0, 6, size=shape) * (rng.random(shape) < 0.6)
+        counts[np.arange(width) >= lengths[:, None]] = 0
+        for params in (ClassifierParams(min_history_years=3),
+                       ClassifierParams(activation_period=3, peak_threshold=0.5,
+                                        min_history_years=3)):
+            assert scalar_mismatches(counts, lengths, params) == []
+
+    @pytest.mark.parametrize("kind,options", [
+        ("ba", {}), ("af", {}), ("mf", {}), ("lbm", {}),
+        ("lbm-g", {"sigma": 1.5, "shift_every": 12}),
+    ])
+    def test_seeded_graphs_over_the_sensitivity_grid(self, kind, options):
+        cutoff, horizon = 1991, 2000
+        for seed in (1, 2):
+            graph = grown_graph(kind, seed, **options)
+            hist = _history_matrix(graph, horizon)
+            for params in SENSITIVITY_GRID:
+                result = _classify_all(graph, cutoff, horizon, params, hist=hist)
+                got = [CATEGORY_ORDER[i] for i in _RULE_CATEGORY[result.codes]]
+                want = [classify(hist[i, :horizon - y + 1], params)
+                        for i, y in zip(result.ids.tolist(), result.years.tolist())]
+                assert got == want, (kind, seed, params)
+
+    def test_rule_counts_sum_to_the_classified_nodes(self):
+        result = _classify_all(grown_graph("af", 3), 1991, 2000, ClassifierParams())
+        rules = result.rule_counts()
+        dist = result.distribution()
+        assert set(rules) == set(_DECISION_RULES)
+        assert sum(rules.values()) == result.ids.size == int(dist.counts.sum())
+        for code in ("er", "fr", "lr", "sr"):
+            assert rules[code] == dist.count(code)
+        assert rules["ot_low_mean"] + rules["ot_peak_at_horizon"] == dist.count("ot")
+        assert rules["ot_low_mean"] > 0
