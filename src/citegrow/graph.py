@@ -179,7 +179,6 @@ class GrowthGraph:
         for arr in (self.years, self.sub_years, self.fitness, self.locations,
                     self.out_degrees, self.edges):
             arr.flags.writeable = False
-        self._in_degrees: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -192,19 +191,6 @@ class GrowthGraph:
     @property
     def dim(self) -> int:
         return self.locations.shape[1]
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        """Citation counts, computed once from the edge list."""
-        if self._in_degrees is None:
-            deg = np.bincount(self.edges[:, 1], minlength=self.n_nodes)
-            deg.flags.writeable = False
-            self._in_degrees = deg
-        return self._in_degrees
-
-    @property
-    def total_degrees(self) -> np.ndarray:
-        return self.in_degrees + self.out_degrees
 
     # -- serialization ----------------------------------------------------
 
@@ -248,6 +234,29 @@ class GrowthGraph:
     def digest(self) -> str:
         """SHA-256 hex digest of the canonical byte encoding."""
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
+
+
+def check_citations(edges: np.ndarray, years: np.ndarray, label: str = "edge") -> None:
+    """Reject citations growth cannot produce. Each (citing, cited) row of
+    `edges` must name two of the nodes whose years are `years`, cite an
+    earlier id of no later year, and appear once. Raises ValidationError
+    naming the first offending edge under the first rule it breaks."""
+    n = years.shape[0]
+    u, v = edges[:, 0], edges[:, 1]
+
+    def reject(bad, reason):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"{label} ({u[i]}, {v[i]}) {reason(i)}")
+
+    reject((u < 0) | (u >= n) | (v < 0) | (v >= n), lambda i: "references a missing node")
+    reject(u == v, lambda i: "is a self-citation")
+    reject(v > u, lambda i: "cites a later insertion position")
+    reject(years[u] < years[v],
+           lambda i: f"cites a later year ({years[v[i]]} > {years[u[i]]})")
+    repeat = np.ones(len(u), dtype=bool)
+    repeat[np.unique(u * n + v, return_index=True)[1]] = False
+    reject(repeat, lambda i: "appears twice")
 
 
 def loads_graph(text: str, seed_end: int | None = None) -> GrowthGraph:
@@ -298,6 +307,7 @@ def loads_graph(text: str, seed_end: int | None = None) -> GrowthGraph:
     years_arr = np.array(years, dtype=np.int64)
     edges_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
     out_deg = np.bincount(edges_arr[:, 0], minlength=n) if edges else np.zeros(n, dtype=np.int64)
+    check_citations(edges_arr, years_arr)
     n_seed = int(np.count_nonzero(years_arr <= seed_end)) if seed_end is not None else 0
     return GrowthGraph(
         years=years_arr,

@@ -7,11 +7,15 @@ of an existing node when one new node arrives is
     ba     D
     af     D + xi
     mf     D * xi
-    lbm    exp(-gamma * dist(chi, chi_new)) * xi * D
+    lbm    xi * D * exp(-gamma * dist(chi, chi_new))
     lbm-g  same rule as lbm; locations are drawn from a Gaussian active
            subspace whose mean performs a random walk during growth.
 
 Selection probabilities are these weights normalized over existing nodes.
+An lbm or lbm-g weight is the mf weight xi * D times a distance factor
+that localizes a node's influence around its location.
+`attachment_weights` evaluates the degree/fitness part of every rule (the
+mf rule for lbm and lbm-g) and `distance_decay` the factor.
 The decay gamma may depend on the current network size n: constant,
 n, sqrt(n), or log(n). Effective degree defaults to in-degree + 1 so that
 never-cited nodes stay reachable; "total" switches to in + out degree.
@@ -376,21 +380,23 @@ def initial_subspace(model: ModelSpec) -> ActiveSubspace:
 # -- attachment weights -------------------------------------------------------
 
 def attachment_weights(kind: ModelKind, eff_degrees: np.ndarray,
-                       fitness: np.ndarray | None = None,
-                       locations: np.ndarray | None = None,
-                       new_location: np.ndarray | None = None,
-                       gamma: float | None = None) -> np.ndarray:
-    """Raw weight rule on plain arrays: the weight of each node for one
-    incoming node. The growth loop calls it on its own state, for lbm and
-    lbm-g at every insertion, for ba, af and mf once per run (their rule
-    is affine in the effective degree)."""
+                       fitness: np.ndarray | None = None) -> np.ndarray:
+    """The degree/fitness rule on plain arrays: ba D, af D + xi, and
+    D * xi for mf, lbm and lbm-g. lbm and lbm-g scale this by
+    :func:`distance_decay` at each insertion. The growth loop evaluates it
+    once per run; the rule is affine in the effective degree, so a
+    citation adds the fixed gain w(1) - w(0)."""
     deg = np.asarray(eff_degrees, dtype=np.float64)
     if kind is ModelKind.BA:
         return deg.copy()
     if kind is ModelKind.ADDITIVE:
         return deg + fitness
-    if kind is ModelKind.MULTIPLICATIVE:
-        return deg * fitness
+    return deg * fitness
+
+
+def distance_decay(locations: np.ndarray, new_location: np.ndarray,
+                   gamma: float) -> np.ndarray:
+    """exp(-gamma * dist) from each of `locations` to `new_location`: the
+    factor by which lbm and lbm-g localize the mf weight."""
     diff = locations - new_location
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return np.exp(-gamma * dist) * fitness * deg
+    return np.exp(-gamma * np.sqrt(np.einsum("ij,ij->i", diff, diff)))

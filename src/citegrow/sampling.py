@@ -8,21 +8,25 @@ enumerate small cases against that definition.
 key E_i / w_i with E_i iid standard exponential, and keep the k smallest
 keys. The joint law of the winners is exactly the sequential-draw law,
 reached in one O(n) vectorized pass over a weight vector built for the
-draw. The lbm and lbm-g models use it, because their distance factor
-changes every weight at every insertion.
+draw.
 
-`IncrementLog` serves ba, af and mf, whose weights never decrease. It
-keeps an append-only log of weight increments (who gained, and the
-running total), so one draw proportional to the current weights is a
-binary search of a uniform point in the prefix sums. Without replacement
-is rejection of repeats: iid draws are taken in batches and a draw whose
-node is already chosen is discarded. The first draw not yet chosen is
-proportional to weight among the unchosen nodes, so the accepted draws
-follow the sequential law exactly. Once the chosen nodes hold at least
-`DENSE_SHARE` of the total weight, rejections would dominate, and the
-insertion is finished with the exponential race over the unchosen nodes.
-That switch depends only on the chosen set, and both ways draw the rest
-from the same conditional law, so the mix of the two stays exact.
+`IncrementLog` holds the weights of every growth model. Its node weights
+never decrease: it keeps an append-only log of weight increments (who
+gained, and the running total), so one draw proportional to the current
+weights is a binary search of a uniform point in the prefix sums. Without
+replacement is rejection of repeats: iid draws are taken in batches and a
+draw whose node is already chosen is discarded. The first draw not yet
+chosen is proportional to weight among the unchosen nodes, so the
+accepted draws follow the sequential law exactly. Once the chosen nodes
+hold at least `DENSE_SHARE` of the total weight, rejections would
+dominate, and the insertion is finished with the exponential race over
+the unchosen nodes. That switch depends only on the chosen set, and both
+ways draw the rest from the same conditional law, so the mix of the two
+stays exact.
+
+A draw may scale the log's weights by a per-node factor, as lbm and
+lbm-g do with their distance factor. That draw is the exponential race
+over the scaled weights.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ __all__ = ["IncrementLog", "sample_without_replacement"]
 # chosen share of the total weight from which an insertion finishes with
 # the exponential race instead of rejecting repeats
 DENSE_SHARE = 0.999
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def sample_without_replacement(weights, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,25 +143,27 @@ class IncrementLog:
         self.n_nodes += 1
         self.size = end
 
-    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, k: int, rng: np.random.Generator,
+               scale: np.ndarray | None = None) -> np.ndarray:
         """Select k distinct nodes with probability proportional to weight,
-        under the sequential law of `sample_without_replacement`.
+        or to weight times `scale` (one factor per node) when given, under
+        the sequential law of `sample_without_replacement`.
 
         Returns a sorted int64 array. When fewer than k nodes have positive
         weight, all of them are returned and the caller fills the gap.
         """
+        weights = self.weights[:self.n_nodes]
+        if scale is not None:
+            return _race_positive(weights * scale, k, rng)
         cum = self.cum[:self.size]
         total = float(cum[-1])
-        weights = self.weights
         chosen: set[int] = set()
         chosen_w = 0.0
         while len(chosen) < k:
             if chosen_w >= DENSE_SHARE * total:
-                w = weights[:self.n_nodes].copy()
+                w = weights.copy()
                 w[list(chosen)] = 0.0
-                rest = min(k - len(chosen), int(np.count_nonzero(w)))
-                if rest:
-                    chosen.update(sample_without_replacement(w, rest, rng).tolist())
+                chosen.update(_race_positive(w, k - len(chosen), rng).tolist())
                 break
             need = k - len(chosen)
             # expected draws for `need` acceptances at the current rejection rate
@@ -169,3 +177,10 @@ class IncrementLog:
                     if len(chosen) == k:
                         break
         return np.array(sorted(chosen), dtype=np.int64)
+
+
+def _race_positive(w: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The exponential race for k nodes, or for all positive-weight nodes
+    when fewer than k have weight; consumes no random numbers when none do."""
+    k = min(k, int(np.count_nonzero(w)))
+    return sample_without_replacement(w, k, rng) if k else _EMPTY

@@ -6,19 +6,20 @@ model's samplers and cites k distinct existing nodes, sampled without
 replacement in proportion to the model's weight rule. Nodes inserted
 earlier in the same year are valid targets, so within-year order matters.
 
-The two samplers of `sampling` split the models:
+Every model keeps its node weights in one `IncrementLog`. The
+degree/fitness part of each rule (`attachment_weights`; the mf rule for
+lbm and lbm-g) is affine in the effective degree, so a citation raises
+the cited node's weight by a fixed gain and a new node enters with its
+initial weight; the log appends both. ba, af and mf draw straight from
+the log, by binary search with repeats rejected. lbm and lbm-g scale the
+log's weights by the distance factor to the new node (`distance_decay`)
+and run the exponential race over all n nodes. An insertion with k = 0
+draws no targets. Both ways follow the sequential law exactly.
 
-- lbm and lbm-g weigh every node by its distance to the new node, so each
-  insertion rebuilds all n weights and runs the O(n) exponential race
-  (`sample_without_replacement`). An insertion with k = 0 skips both.
-- ba, af and mf weights depend only on a node's own degree and fitness
-  and never decrease: a citation raises the cited node's weight by a
-  fixed gain, and a new node enters with its initial weight. The run
-  evaluates both once for every node with `attachment_weights`, draws the
-  new nodes' fitness up front, and keeps the weights in an `IncrementLog`
-  that draws by binary search and rejects repeats, switching to the race
-  only when the chosen nodes hold nearly all the weight. Both ways follow
-  the sequential law exactly.
+ba, af and mf draw the fitness of every scheduled node up front. lbm and
+lbm-g draw each new node's fitness and location at its insertion, so
+under the mf rule their gains are the fitness values themselves and a
+new node's initial weight (fitness times entry degree) is finished then.
 
 When fewer than k existing nodes have positive weight, the gap is filled
 uniformly from the remaining nodes; every such fill is counted on the
@@ -30,11 +31,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SimulationError, ValidationError
-from .graph import GrowthGraph, YearSchedule
+from .graph import GrowthGraph, YearSchedule, check_citations
 from .models import (
     ModelKind,
     ModelSpec,
     attachment_weights,
+    distance_decay,
     gamma_value,
     initial_subspace,
     sample_fitness,
@@ -43,7 +45,7 @@ from .models import (
     shift_due,
     shift_subspace,
 )
-from .sampling import IncrementLog, sample_without_replacement
+from .sampling import IncrementLog
 
 __all__ = ["init_from_seed", "run_simulation"]
 
@@ -63,37 +65,15 @@ def init_from_seed(seed_nodes, seed_edges, model: ModelSpec,
     nodes = [(int(i), int(y)) for i, y in seed_nodes]
     if not nodes:
         raise ValidationError("seed must contain at least one node")
-    seen: set[int] = set()
-    for nid, _ in nodes:
-        if nid in seen:
-            raise ValidationError(f"duplicate node id {nid} in seed")
-        seen.add(nid)
-    ids = [nid for nid, _ in nodes]
     n = len(nodes)
-    if ids != list(range(n)):
+    if [nid for nid, _ in nodes] != list(range(n)):
         raise ValidationError("seed node ids must be the dense range 0..n-1 in insertion order")
     years = np.array([y for _, y in nodes], dtype=np.int64)
 
-    edges = [(int(u), int(v)) for u, v in seed_edges]
-    seen_edges: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"seed edge ({u}, {v}) references a missing node")
-        if u == v:
-            raise ValidationError(f"seed edge ({u}, {v}) is a self-citation")
-        if v > u:
-            raise ValidationError(
-                f"seed edge ({u}, {v}) cites a later insertion position")
-        if years[u] < years[v]:
-            raise ValidationError(
-                f"seed edge ({u}, {v}) cites a later year ({years[v]} > {years[u]})")
-        if (u, v) in seen_edges:
-            raise ValidationError(f"duplicate seed edge ({u}, {v})")
-        seen_edges.add((u, v))
-
-    edges_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    out_deg = (np.bincount(edges_arr[:, 0], minlength=n)
-               if edges else np.zeros(n, dtype=np.int64))
+    edges_arr = np.array([(int(u), int(v)) for u, v in seed_edges],
+                         dtype=np.int64).reshape(-1, 2)
+    check_citations(edges_arr, years, label="seed edge")
+    out_deg = np.bincount(edges_arr[:, 0], minlength=n)
 
     rng = np.random.default_rng(rng_seed)
     fitness = (sample_fitness(rng, model.alpha, model.xm, size=n)
@@ -163,19 +143,10 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     edges[:seed.n_edges] = seed.edges
 
     rng = np.random.default_rng(rng_seed)
-    kind = model.kind
-    in_plus_one = model.degree_mode == "in-plus-one"
-    lbmg = kind is ModelKind.LBMG
+    spatial = model.uses_location
+    lbmg = model.kind is ModelKind.LBMG
     gamma, shift = model.gamma, model.shift
-    if model.uses_location:
-        log = None
-        in_deg = np.zeros(n_total, dtype=np.float64)
-        if seed.n_edges:
-            in_deg[:n_seed] = np.bincount(seed.edges[:, 1], minlength=n_seed)
-        out_deg_f = np.zeros(n_total, dtype=np.float64)
-        out_deg_f[:n_seed] = seed.out_degrees
-    else:
-        log, gains, new_weights = _increment_log(seed, schedule, model, fitness, rng)
+    log, gains, entry = _increment_log(seed, schedule, model, fitness, rng)
     subspace = initial_subspace(model) if lbmg else None
     last_shift_time = float(years_plan[0])
     nodes_since_shift = 0
@@ -192,21 +163,16 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
                 raise SimulationError(
                     f"year {year}: scheduled out-degree {k} exceeds the {n} existing nodes")
 
-            if log is not None:
-                targets = log.sample(k, rng) if k else _NO_TARGETS
-            else:
+            if spatial:
                 fitness[n] = sample_fitness(rng, model.alpha, model.xm)
                 locations[n] = (sample_location_active(rng, subspace) if lbmg
                                 else sample_location_uniform(rng, model.dim))
-                targets = _NO_TARGETS
-                if k:
-                    eff = in_deg[:n] + 1.0 if in_plus_one else in_deg[:n] + out_deg_f[:n]
-                    w = attachment_weights(kind, eff, fitness=fitness[:n],
-                                           locations=locations[:n], new_location=locations[n],
-                                           gamma=gamma_value(gamma, n))
-                    k_main = min(k, int(np.count_nonzero(w > 0.0)))
-                    if k_main:
-                        targets = sample_without_replacement(w, k_main, rng)
+                entry[n] *= fitness[n]  # the mf rule: entry degree times fitness
+            targets = _NO_TARGETS
+            if k:
+                scale = (distance_decay(locations[:n], locations[n], gamma_value(gamma, n))
+                         if spatial else None)
+                targets = log.sample(k, rng, scale)
             if len(targets) < k:
                 pool = np.setdiff1d(np.arange(n, dtype=np.int64), targets,
                                     assume_unique=True)
@@ -219,11 +185,7 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
             out_deg[n] = k
             edges[e:e + k, 0] = n
             edges[e:e + k, 1] = targets
-            if log is not None:
-                log.add_node(targets, gains[targets], new_weights[n])
-            else:
-                out_deg_f[n] = k
-                in_deg[targets] += 1.0
+            log.add_node(targets, gains[targets], entry[n])
             e += k
             n += 1
 
@@ -247,14 +209,17 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
 
 def _increment_log(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
                    fitness: np.ndarray, rng: np.random.Generator):
-    """Weights of a ba, af or mf run, set up before its first insertion.
+    """Weights of a run, set up before its first insertion.
 
-    Draws the fitness of every scheduled node into `fitness` (the only
-    per-node draw these models make), then evaluates the weight rule once
-    for all nodes. A new node enters with effective degree 1, or its
-    out-degree k under "total"; every later citation raises a node's
-    effective degree by one. The rule is affine in the effective degree
-    for these models, so each citation adds the fixed gain w(1) - w(0).
+    A new node enters with effective degree 1, or its out-degree k under
+    "total"; every later citation raises a node's effective degree by
+    one. The rule is affine in the effective degree, so each citation adds
+    the fixed gain w(1) - w(0). ba, af and mf draw the fitness of every
+    scheduled node into `fitness` here (the only per-node draw these
+    models make). lbm and lbm-g draw it at each insertion: until then a
+    new node's fitness reads 1, so its initial weight holds only its entry
+    degree, and its gain, the mf rule's w(1) - w(0) = xi, is read from
+    `fitness` itself.
 
     Returns the log holding the seed nodes, the per-node gains and the
     per-node initial weights (meaningful for scheduled nodes).
@@ -262,7 +227,7 @@ def _increment_log(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     n_seed = seed.n_nodes
     n_total = n_seed + schedule.total_nodes
     fitness[n_seed:] = (sample_fitness(rng, model.alpha, model.xm, size=n_total - n_seed)
-                        if model.uses_fitness else 1.0)
+                        if model.uses_fitness and not model.uses_location else 1.0)
     eff = np.zeros(n_total, dtype=np.float64)
     if seed.n_edges:
         eff[:n_seed] = np.bincount(seed.edges[:, 1], minlength=n_seed)
@@ -273,7 +238,8 @@ def _increment_log(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
         eff[:n_seed] += seed.out_degrees
         eff[n_seed:] = [k for year in schedule.years for k in schedule.entries[year]]
     weights = attachment_weights(model.kind, eff, fitness=fitness)
-    gains = (attachment_weights(model.kind, np.ones(n_total), fitness=fitness)
+    gains = (fitness if model.uses_location else
+             attachment_weights(model.kind, np.ones(n_total), fitness=fitness)
              - attachment_weights(model.kind, np.zeros(n_total), fitness=fitness))
     log = IncrementLog(weights[:n_seed], max_nodes=n_total,
                        max_entries=n_total + schedule.total_edges)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .models import ModelKind
+from .models import ModelKind, attachment_weights
 
 __all__ = [
     "TheoryGraph",
@@ -119,20 +119,10 @@ def random_theory_graph(rng: np.random.Generator, t: int,
     return TheoryGraph(degrees=degrees, fitness=fitness)
 
 
-def _weights(kind: ModelKind, degrees, fitness) -> np.ndarray:
-    deg = np.asarray(degrees, dtype=np.float64)
-    if kind is ModelKind.BA:
-        return deg.copy()
-    fit = np.asarray(fitness, dtype=np.float64)
-    if kind is ModelKind.ADDITIVE:
-        return deg + fit
-    return deg * fit
-
-
 def selection_probabilities(model, graph: TheoryGraph) -> np.ndarray:
     """Probability that the entrant cites each node."""
     kind = _theory_kind(model)
-    w = _weights(kind, graph.degrees, graph.fitness)
+    w = attachment_weights(kind, graph.degrees, graph.fitness)
     total = w.sum()
     if total <= 0:
         raise ValidationError("all attachment weights are zero; selection is undefined")
@@ -149,16 +139,16 @@ def exact_expected_change_all(model, graph: TheoryGraph,
     if new_fitness < 0:
         raise ValidationError(f"entrant fitness must be >= 0, got {new_fitness}")
     P = selection_probabilities(kind, graph)
-    w0 = _weights(kind, graph.degrees, graph.fitness)
+    w0 = attachment_weights(kind, graph.degrees, graph.fitness)
     before = w0 / w0.sum()
 
     t = graph.t
     expected_after = np.zeros(t, dtype=np.float64)
-    entrant_w = float(_weights(kind, np.array([1]), np.array([new_fitness]))[0])
+    entrant_w = float(attachment_weights(kind, np.array([1]), np.array([new_fitness]))[0])
     for s in range(t):
         deg_after = graph.degrees.astype(np.float64)
         deg_after[s] += 1.0
-        w1 = _weights(kind, deg_after, graph.fitness)
+        w1 = attachment_weights(kind, deg_after, graph.fitness)
         total_after = w1.sum() + entrant_w
         expected_after += P[s] * (w1 / total_after)
     return expected_after - before
@@ -180,12 +170,12 @@ def entrant_expected_probability(model, graph: TheoryGraph,
     changes plus this value is zero."""
     kind = _theory_kind(model)
     P = selection_probabilities(kind, graph)
-    entrant_w = float(_weights(kind, np.array([1]), np.array([new_fitness]))[0])
+    entrant_w = float(attachment_weights(kind, np.array([1]), np.array([new_fitness]))[0])
     value = 0.0
     for s in range(graph.t):
         deg_after = graph.degrees.astype(np.float64)
         deg_after[s] += 1.0
-        w1 = _weights(kind, deg_after, graph.fitness)
+        w1 = attachment_weights(kind, deg_after, graph.fitness)
         value += P[s] * entrant_w / (w1.sum() + entrant_w)
     return value
 

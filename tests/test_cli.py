@@ -49,6 +49,14 @@ class TestExitCodes:
                     "--out", tmp_path / "o"])
         assert code == 2
 
+    def test_classify_rejects_a_citation_of_a_later_paper(self, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("N 0 1990 0.0 1.0\nN 1 1995 0.0 1.0\nE 0 1\n")
+        code = run(["classify", "--graph", graph, "--cutoff", "1995",
+                    "--horizon", "2000", "--out", tmp_path / "o"])
+        assert code == 1
+        assert "edge (0, 1)" in capsys.readouterr().err
+
     def test_bad_parameter_combination(self, tmp_path, corpus):
         ppath, cpath = corpus
         code = run(["simulate", "--papers", ppath, "--citations", cpath,

@@ -12,6 +12,7 @@ from citegrow.models import (
     ModelSpec,
     ShiftPolicy,
     attachment_weights,
+    distance_decay,
     initial_subspace,
     parse_config_options,
     sample_fitness,
@@ -215,42 +216,45 @@ class TestMakeModelAndConfig:
 
 class TestAttachmentWeights:
     def test_ba_weights_are_degrees(self):
-        w = attachment_weights(ModelKind.BA, np.array([3.0, 1.0]),
-                               None, None, None, None)
+        w = attachment_weights(ModelKind.BA, np.array([3.0, 1.0]))
         assert w.tolist() == [3.0, 1.0]
 
     def test_af_weights(self):
         w = attachment_weights(ModelKind.ADDITIVE, np.array([2.0, 1.0]),
-                               np.array([0.5, 4.0]), None, None, None)
+                               np.array([0.5, 4.0]))
         assert w.tolist() == [2.5, 5.0]
 
     def test_mf_weights(self):
         w = attachment_weights(ModelKind.MULTIPLICATIVE, np.array([2.0, 1.0]),
-                               np.array([0.5, 4.0]), None, None, None)
+                               np.array([0.5, 4.0]))
         assert w.tolist() == [1.0, 4.0]
 
     def test_lbm_hand_value(self):
-        # one node at distance 1 with gamma=ln 2: e^{-ln 2} * deg 2 * fit 3 = 3
-        w = attachment_weights(
-            ModelKind.LBM, np.array([2.0]), np.array([3.0]),
-            np.array([[0.0, 0.0]]), np.array([1.0, 0.0]), math.log(2.0))
+        # one node at distance 1 with gamma=ln 2: deg 2 * fit 3 * e^{-ln 2} = 3
+        w = (attachment_weights(ModelKind.LBM, np.array([2.0]), np.array([3.0]))
+             * distance_decay(np.array([[0.0, 0.0]]), np.array([1.0, 0.0]), math.log(2.0)))
         assert w[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_lbm_gamma_zero_equals_mf(self):
+        # lbm's weight is the mf rule times the distance factor, which is 1
+        # everywhere at gamma 0
         rng = np.random.default_rng(5)
         deg = rng.uniform(1, 5, size=8)
         fit = rng.uniform(0.5, 3, size=8)
         locs = rng.uniform(0, 1, size=(8, 2))
         new_loc = rng.uniform(0, 1, size=2)
-        lbm = attachment_weights(ModelKind.LBM, deg, fit, locs, new_loc, 0.0)
-        mf = attachment_weights(ModelKind.MULTIPLICATIVE, deg, fit, None, None, None)
-        np.testing.assert_allclose(lbm, mf, rtol=1e-12)
+        lbm = attachment_weights(ModelKind.LBM, deg, fit) * distance_decay(locs, new_loc, 0.0)
+        mf = attachment_weights(ModelKind.MULTIPLICATIVE, deg, fit)
+        np.testing.assert_array_equal(lbm, mf)
 
     def test_lbmg_uses_same_rule_as_lbm(self):
         deg = np.array([1.0, 2.0])
-        fit = np.array([1.0, 1.0])
-        locs = np.array([[0.0], [0.5]])
-        new_loc = np.array([0.25])
-        a = attachment_weights(ModelKind.LBM, deg, fit, locs, new_loc, 1.0)
-        b = attachment_weights(ModelKind.LBMG, deg, fit, locs, new_loc, 1.0)
-        np.testing.assert_array_equal(a, b)
+        fit = np.array([1.5, 1.0])
+        np.testing.assert_array_equal(attachment_weights(ModelKind.LBMG, deg, fit),
+                                      attachment_weights(ModelKind.LBM, deg, fit))
+
+    def test_distance_decay_is_euclidean(self):
+        locs = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+        got = distance_decay(locs, np.array([0.0, 0.0]), 0.5)
+        np.testing.assert_allclose(got, np.exp(-0.5 * np.array([0.0, 5.0, math.sqrt(2.0)])),
+                                   rtol=1e-15)

@@ -13,11 +13,13 @@ from citegrow import (
     YearSchedule,
     attachment_weights,
     corpus_like_schedule,
+    gamma_value,
     init_from_seed,
     make_model,
     run_simulation,
     synthetic_seed,
 )
+from citegrow.models import distance_decay
 from test_sampling import set_probability
 
 
@@ -188,14 +190,20 @@ class TestSelectionMechanics:
 
 
 def insertion_weights(graph, model, node):
-    """Weights of nodes 0..node-1 when `node` was inserted into `graph`."""
+    """Weights of nodes 0..node-1 when `node` was inserted into `graph`,
+    recomputed from its edges and attributes: the degree/fitness rule,
+    times the distance factor to `node` for lbm and lbm-g."""
     earlier = graph.edges[graph.edges[:, 0] < node]
     in_deg = np.bincount(earlier[:, 1], minlength=node).astype(np.float64)
     if model.degree_mode == "in-plus-one":
         eff = in_deg + 1.0
     else:
         eff = in_deg + graph.out_degrees[:node]
-    return attachment_weights(model.kind, eff, fitness=graph.fitness[:node])
+    w = attachment_weights(model.kind, eff, fitness=graph.fitness[:node])
+    if model.uses_location:
+        w = w * distance_decay(graph.locations[:node], graph.locations[node],
+                               gamma_value(model.gamma, node))
+    return w
 
 
 def assert_last_insertion_law(g0, model, degs, runs):
@@ -310,10 +318,41 @@ class TestIncrementLogSampler:
         assert filled == {2, 3, 4}
 
 
+class TestSpatialSampler:
+    """lbm and lbm-g draw from the increment log's weights times the
+    distance factor; their law must be the sequential weighted draw without
+    replacement, exactly."""
+
+    SEED = TestIncrementLogSampler.SEED
+    # const decay keeps lbm's distance factor the same at every network
+    # size; lbm-g keeps its log decay, with one mean shift a year rather
+    # than twelve to keep the runs short
+    OPTIONS = {"lbm": {"gamma_regime": "const", "gamma_const": 1.0},
+               "lbm-g": {"shift_every": 12.0}}
+    RUNS = 20_000
+
+    @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
+    @pytest.mark.parametrize("kind", ["lbm", "lbm-g"])
+    def test_matches_exact_enumeration(self, kind, degree_mode):
+        model = make_model(kind, degree_mode=degree_mode, **self.OPTIONS[kind])
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 1)
+        assert_last_insertion_law(g0, model, [3], runs=self.RUNS)
+
+    def test_later_insertion_sees_gains_and_new_node(self):
+        # the second insertion's law depends on the first insertion's gains
+        # and on the first new node's weight: the fitness it drew at its
+        # insertion times its out-degree
+        model = make_model("lbm", degree_mode="total", **self.OPTIONS["lbm"])
+        g0 = init_from_seed(self.SEED.nodes[:4], self.SEED.edges[:3], model, 2)
+        assert_last_insertion_law(g0, model, [2, 2], runs=self.RUNS)
+
+
 class TestSpatialGrowthStream:
-    """lbm and lbm-g keep the exponential race; skipping the weights and the
-    sampler on k = 0 insertions consumes no random numbers, so their graphs
-    are the ones the per-insertion race has always produced."""
+    """lbm and lbm-g run the exponential race over the log's weights times
+    the distance factor, drawing each new node's fitness and location at its
+    insertion; skipping the factor and the race on k = 0 insertions consumes
+    no random numbers, so their graphs are the ones the per-insertion race
+    has always produced."""
 
     @pytest.mark.parametrize("kind, digest", [
         ("lbm", "344b714efe8f8bfb73d57905ec08c4913a4506b4fbbf732d029b99f75b096f98"),
