@@ -347,6 +347,28 @@ class TestSpatialSampler:
         assert_last_insertion_law(g0, model, [2, 2], runs=self.RUNS)
 
 
+class TestLogGrowthStream:
+    """ba, af and mf draw only from the increment log; the lbm/lbm-g
+    sampler must leave their random stream, and so their graphs, as they
+    are."""
+
+    @pytest.mark.parametrize("kind, degree_mode, digest", [
+        ("ba", "in-plus-one", "c1448378d378bf4dcb22e33f7ec22bc90b0341eeebc614ee48c3cb1bb994e7e9"),
+        ("ba", "total", "aa6ebf86fe2e872ed17138a8632bd205856ed21e3bc3c8ca1496772899e5d5d3"),
+        ("af", "in-plus-one", "e5efc32a75d03ba2583b1f7ea206d26deea24c7eb50151cf6e8849924403cafb"),
+        ("af", "total", "a90ac7f491245f01df104b111174d1027d16cabf92f151c85602def121628e0c"),
+        ("mf", "in-plus-one", "089cb49659af32a852c7b17a16cc68a736d3c771c388636fabe43cec8015e290"),
+        ("mf", "total", "b2234ecbdf294b5dc7dda1ad5d9fabb97c37cdab95eabda406bd41995dbb23a8"),
+    ])
+    def test_digest_is_pinned(self, kind, degree_mode, digest):
+        seed = synthetic_seed(n_nodes=100, rng_seed=3)
+        schedule = corpus_like_schedule(n_nodes=1500, start_year=1976, end_year=1990,
+                                        rng_seed=4)
+        model = make_model(kind, degree_mode=degree_mode)
+        g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
+        assert run_simulation(g0, schedule, model, 6).digest() == digest
+
+
 class TestSpatialGrowthStream:
     """lbm and lbm-g run the exponential race over the log's weights times
     the distance factor, drawing each new node's fitness and location at its
