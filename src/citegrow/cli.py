@@ -329,6 +329,7 @@ def _cmd_simulate(args, out_dir: Path):
         "rng_seed": args.seed,
         "fallback_fills": grown.fallback_fills,
         "subspace_shifts": grown.subspace_shifts,
+        "sampler": grown.sampler,
     }
     return ["graph.txt", "model.cfg"], params, inputs
 

@@ -149,12 +149,20 @@ class GrowthGraph:
         positive-weight candidates existed than requested.
     subspace_shifts:
         How many active-subspace mean shifts a growth run applied.
+    sampler:
+        Counters of the growth run's sampler: targets by the way they were
+        drawn (`log_draws` for ba/af/mf; `ball_draws`, `tail_draws` and
+        `race_draws` for lbm/lbm-g), the tail arrivals proposed and
+        accepted, the hand-offs to the exponential race, and the seconds
+        spent drawing. Like the two counts above, it is not part of the
+        canonical bytes or the digest.
 
     Arrays are frozen after construction; a finished graph is read-only.
     """
 
     def __init__(self, years, sub_years, fitness, locations, out_degrees, edges,
-                 n_seed: int, fallback_fills: int = 0, subspace_shifts: int = 0):
+                 n_seed: int, fallback_fills: int = 0, subspace_shifts: int = 0,
+                 sampler: dict | None = None):
         self.years = np.ascontiguousarray(years, dtype=np.int64)
         self.sub_years = np.ascontiguousarray(sub_years, dtype=np.float64)
         self.fitness = np.ascontiguousarray(fitness, dtype=np.float64)
@@ -164,6 +172,7 @@ class GrowthGraph:
         self.n_seed = int(n_seed)
         self.fallback_fills = int(fallback_fills)
         self.subspace_shifts = int(subspace_shifts)
+        self.sampler = dict(sampler or {})
 
         n = self.years.shape[0]
         if self.locations.ndim != 2 or self.locations.shape[0] != n:

@@ -24,12 +24,28 @@ the unchosen nodes. That switch depends only on the chosen set, and both
 ways draw the rest from the same conditional law, so the mix of the two
 stays exact.
 
-A draw may scale the log's weights by a per-node factor, as lbm and
-lbm-g do with their distance factor. That draw is the exponential race
-over the scaled weights.
+lbm and lbm-g scale the log's weights by a distance factor g_i <= 1
+(`IncrementLog.sample_near`). The nodes of a ball around the new node
+race with their exact weights w_i = a_i * g_i. Every other node has
+g_j <= c, a bound the ball supplies, so its race key E_j / w_j is the
+first arrival of a Poisson process of rate w_j. Those processes are one
+thinned process: arrivals at rate c * A (A the log total) propose node j
+with probability a_j / A, a proposal inside the ball is dropped, and one
+outside is kept with probability g_j / c. Superposition and thinning give
+each tail node a Poisson process of rate a_j * g_j, independent of the
+others and of the ball's keys, so the first kept arrival of each tail
+node is distributed as its race key, and the k smallest keys of ball and
+tail are the race's winners: the sequential law, exactly. Only arrivals
+before the k-th smallest key found so far can win, so the process stops
+there. The ball, c and the choice to hand an insertion to the full race
+(when the ball holds fewer than k positive weights, or the tail would
+need too many proposals) are fixed before the first draw, so they cannot
+bias it.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 import numpy as np
 
@@ -40,8 +56,18 @@ __all__ = ["IncrementLog", "sample_without_replacement"]
 # chosen share of the total weight from which an insertion finishes with
 # the exponential race instead of rejecting repeats
 DENSE_SHARE = 0.999
+# bound on the expected tail arrivals, per node, from which an lbm/lbm-g
+# insertion runs the exponential race over all nodes instead
+HANDOFF = 16.0
+# expected tail arrivals per time segment
+SEGMENT = 64.0
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+# what `IncrementLog.counts` tallies: targets by the way they were drawn,
+# tail arrivals proposed and accepted, and hand-offs to the race
+COUNTERS = ("log_draws", "ball_draws", "tail_draws", "race_draws",
+            "tail_proposed", "tail_accepted", "race_handoffs")
 
 
 def sample_without_replacement(weights, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,37 +150,38 @@ class IncrementLog:
         self.weights[:n] = w
         self.n_nodes = n
         self.size = n
+        self.counts = dict.fromkeys(COUNTERS, 0)
 
     def add_node(self, cited: np.ndarray, gains: np.ndarray, weight: float) -> None:
         """Credit each distinct node in `cited` with its gain, then append
         one new node (id `n_nodes`) of initial weight `weight`."""
         t = self.size
         end = t + len(cited) + 1
-        base = self.cum[t - 1] if t else 0.0
+        base = float(self.cum[t - 1]) if t else 0.0
         self.owner[t:end - 1] = cited
         self.owner[end - 1] = self.n_nodes
-        block = self.cum[t:end]
-        block[:-1] = gains
-        block[-1] = weight
-        np.cumsum(block, out=block)
-        block += base
+        # running sums of the new entries, each then added to the base: the
+        # additions, in order, of a cumsum over the block plus base
+        running = 0.0
+        totals = []
+        for gain in gains.tolist():
+            running += gain
+            totals.append(base + running)
+        totals.append(base + (running + weight))
+        self.cum[t:end] = totals
         self.weights[cited] += gains
         self.weights[self.n_nodes] = weight
         self.n_nodes += 1
         self.size = end
 
-    def sample(self, k: int, rng: np.random.Generator,
-               scale: np.ndarray | None = None) -> np.ndarray:
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """Select k distinct nodes with probability proportional to weight,
-        or to weight times `scale` (one factor per node) when given, under
-        the sequential law of `sample_without_replacement`.
+        under the sequential law of `sample_without_replacement`.
 
         Returns a sorted int64 array. When fewer than k nodes have positive
         weight, all of them are returned and the caller fills the gap.
         """
         weights = self.weights[:self.n_nodes]
-        if scale is not None:
-            return _race_positive(weights * scale, k, rng)
         cum = self.cum[:self.size]
         total = float(cum[-1])
         chosen: set[int] = set()
@@ -176,7 +203,92 @@ class IncrementLog:
                     chosen_w += weights[node]
                     if len(chosen) == k:
                         break
+        self.counts["log_draws"] += len(chosen)
         return np.array(sorted(chosen), dtype=np.int64)
+
+    def sample_near(self, k: int, rng: np.random.Generator, ball) -> np.ndarray:
+        """Select k distinct nodes with probability proportional to weight
+        times a distance factor, under the sequential law.
+
+        `ball` (a `spatial.Ball`) gives the factor: `ball.decay` for the
+        nodes `ball.nodes`, and for every other node at most
+        `ball.envelope`, reached as `ball.envelope *
+        ball.tail_acceptance(node)`. The ball's nodes race with their
+        exact weights; the rest are the first accepted arrivals of a
+        Poisson process of rate `envelope * total` whose arrivals are drawn
+        from the log and thinned by `tail_acceptance`. The k smallest keys
+        of both win. When the ball holds fewer than k positive weights, or
+        the expected number of arrivals, bounded with the ball's weight
+        alone, exceeds `HANDOFF` times the node count, the insertion runs
+        the exponential race over all nodes instead.
+
+        Returns a sorted int64 array; fewer than k nodes when fewer have
+        positive weight, as `sample` does.
+        """
+        n = self.n_nodes
+        counts = self.counts
+        nodes = ball.nodes
+        w = self.weights.take(nodes) * ball.decay
+        rate = ball.envelope * float(self.cum[self.size - 1])
+        if np.count_nonzero(w) < k or (rate and rate * k > HANDOFF * n * float(w.sum())):
+            chosen = _race_positive(self.weights[:n] * ball.decay_everywhere(), k, rng)
+            counts["race_handoffs"] += 1
+            counts["race_draws"] += len(chosen)
+            return chosen
+        with np.errstate(divide="ignore", over="ignore"):
+            keys = rng.exponential(size=w.size) / w
+        if k < w.size:
+            top = np.argpartition(keys, k - 1)[:k]
+            keys, nodes = keys[top], nodes[top]
+        tail = self._tail(keys, k, rng, ball, rate) if rate else None
+        from_tail = 0
+        if tail:
+            keys = np.concatenate([keys, list(tail.values())])
+            won = np.argpartition(keys, k - 1)[:k]
+            nodes = np.concatenate([nodes, list(tail)])[won]
+            from_tail = int(np.count_nonzero(won >= k))
+        counts["ball_draws"] += k - from_tail
+        counts["tail_draws"] += from_tail
+        return np.sort(nodes)
+
+    def _tail(self, keys, k, rng, ball, rate) -> dict:
+        """The first accepted arrival (as node: key) of each tail node that
+        arrives before the k-th best key.
+
+        The arrivals in a time segment are Poisson in number and uniform
+        in time, so the process is drawn one segment at a time, each
+        expected to hold `SEGMENT` arrivals. The k-th best key only falls
+        as arrivals are accepted, and the process stops once it passes
+        that key, so no arrival that could win is left out."""
+        cum = self.cum[:self.size]
+        total = float(cum[-1])
+        bound = float(keys.max())
+        best = None
+        first: dict[int, float] = {}
+        start = 0.0
+        while start < bound:
+            stop = min(bound, start + SEGMENT / rate)
+            count = int(rng.poisson(rate * (stop - start)))
+            if count:
+                u = rng.random(3 * count)
+                hits = self.owner[cum.searchsorted(u[count:2 * count] * total, side="right")]
+                took = np.flatnonzero(u[2 * count:] < ball.tail_acceptance(hits))
+                self.counts["tail_proposed"] += count
+                # accepted arrivals in time order; a node's key is its first
+                for time, node in sorted(zip((start + u[took] * (stop - start)).tolist(),
+                                             hits[took].tolist())):
+                    if time >= bound:
+                        break
+                    if node not in first and not ball.in_ball(node):
+                        first[node] = time
+                        if best is None:
+                            best = sorted(keys.tolist())
+                        insort(best, time)
+                        best.pop()
+                        bound = best[-1]
+            start = stop
+        self.counts["tail_accepted"] += len(first)
+        return first
 
 
 def _race_positive(w: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,22 +11,27 @@ degree/fitness part of each rule (`attachment_weights`; the mf rule for
 lbm and lbm-g) is affine in the effective degree, so a citation raises
 the cited node's weight by a fixed gain and a new node enters with its
 initial weight; the log appends both. ba, af and mf draw straight from
-the log, by binary search with repeats rejected. lbm and lbm-g scale the
-log's weights by the distance factor to the new node (`distance_decay`)
-and run the exponential race over all n nodes. An insertion with k = 0
-draws no targets. Both ways follow the sequential law exactly.
+the log, by binary search with repeats rejected. lbm and lbm-g weight
+the log by the distance factor exp(-gamma * (d - d_min)) to the new node,
+relative to the nearest node, and draw with `IncrementLog.sample_near`:
+an exponential race over a ball of near nodes (`spatial.balls`) plus a
+tail proposed from the log and thinned by distance. An insertion with
+k = 0 draws no targets. Every way follows the sequential law exactly.
 
-ba, af and mf draw the fitness of every scheduled node up front. lbm and
-lbm-g draw each new node's fitness and location at its insertion, so
-under the mf rule their gains are the fitness values themselves and a
-new node's initial weight (fitness times entry degree) is finished then.
+The fitness of every scheduled node is drawn before the first insertion,
+and so are lbm and lbm-g locations: none of them depends on which nodes
+get cited, and the lbm-g walk clock reads only the schedule. So the
+spatial balls of a whole run can be found on its final locations.
 
 When fewer than k existing nodes have positive weight, the gap is filled
 uniformly from the remaining nodes; every such fill is counted on the
-returned graph (`fallback_fills`), never silently absorbed.
+returned graph (`fallback_fills`), never silently absorbed. The graph
+also carries the sampler's counters (`sampler`).
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 import numpy as np
 
@@ -36,8 +41,6 @@ from .models import (
     ModelKind,
     ModelSpec,
     attachment_weights,
-    distance_decay,
-    gamma_value,
     initial_subspace,
     sample_fitness,
     sample_location_active,
@@ -46,6 +49,7 @@ from .models import (
     shift_subspace,
 )
 from .sampling import IncrementLog
+from .spatial import balls
 
 __all__ = ["init_from_seed", "run_simulation"]
 
@@ -143,15 +147,16 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     edges[:seed.n_edges] = seed.edges
 
     rng = np.random.default_rng(rng_seed)
-    spatial = model.uses_location
-    lbmg = model.kind is ModelKind.LBMG
-    gamma, shift = model.gamma, model.shift
-    log, gains, entry = _increment_log(seed, schedule, model, fitness, rng)
-    subspace = initial_subspace(model) if lbmg else None
-    last_shift_time = float(years_plan[0])
-    nodes_since_shift = 0
+    degrees = np.array([k for year in years_plan for k in schedule.entries[year]],
+                       dtype=np.int64)
+    log, gains, entry = _increment_log(seed, degrees, model, fitness, rng)
     shifts = 0
+    near = None
+    if model.uses_location:
+        locations[n_seed:], shifts = _scheduled_locations(model, schedule, rng)
+        near = balls(locations, degrees, model.gamma, n_seed)
     fallback_fills = 0
+    sampler_s = 0.0
 
     n = n_seed
     e = seed.n_edges
@@ -162,17 +167,12 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
             if k > n:
                 raise SimulationError(
                     f"year {year}: scheduled out-degree {k} exceeds the {n} existing nodes")
-
-            if spatial:
-                fitness[n] = sample_fitness(rng, model.alpha, model.xm)
-                locations[n] = (sample_location_active(rng, subspace) if lbmg
-                                else sample_location_uniform(rng, model.dim))
-                entry[n] *= fitness[n]  # the mf rule: entry degree times fitness
             targets = _NO_TARGETS
             if k:
-                scale = (distance_decay(locations[:n], locations[n], gamma_value(gamma, n))
-                         if spatial else None)
-                targets = log.sample(k, rng, scale)
+                t0 = perf_counter()
+                targets = (log.sample(k, rng) if near is None
+                           else log.sample_near(k, rng, next(near)))
+                sampler_s += perf_counter() - t0
             if len(targets) < k:
                 pool = np.setdiff1d(np.arange(n, dtype=np.int64), targets,
                                     assume_unique=True)
@@ -189,45 +189,67 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
             e += k
             n += 1
 
-            if lbmg:
-                nodes_since_shift += 1
-                t_now = year + (j + 1) / m
-                while shift_due(shift, t_now - last_shift_time, nodes_since_shift):
-                    subspace = shift_subspace(subspace, model.rho, rng)
-                    shifts += 1
-                    if shift.unit == "months":
-                        last_shift_time += shift.every / 12.0
-                    else:
-                        nodes_since_shift = 0
-
     return GrowthGraph(
         years=years, sub_years=sub_years, fitness=fitness, locations=locations,
         out_degrees=out_deg, edges=edges, n_seed=n_seed,
         fallback_fills=fallback_fills, subspace_shifts=shifts,
+        sampler={**log.counts, "seconds": sampler_s},
     )
 
 
-def _increment_log(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
+def _scheduled_locations(model: ModelSpec, schedule: YearSchedule,
+                         rng: np.random.Generator):
+    """Locations of every scheduled lbm or lbm-g node, and the number of
+    subspace mean shifts the run applies.
+
+    lbm draws uniform locations. lbm-g keeps a clock that starts at the
+    first scheduled year and is checked after every insertion, applying
+    as many shifts as the elapsed time (or node count) owes; the clock
+    reads only the schedule, so all walk steps are drawn first and each
+    node's location comes from the subspace current at its insertion."""
+    if model.kind is ModelKind.LBM:
+        return sample_location_uniform(rng, model.dim, size=schedule.total_nodes), 0
+    shift = model.shift
+    subspaces = [initial_subspace(model)]
+    sizes = [0]
+    last_shift_time = float(schedule.years[0])
+    nodes_since_shift = 0
+    for year in schedule.years:
+        m = len(schedule.entries[year])
+        for j in range(m):
+            sizes[-1] += 1
+            nodes_since_shift += 1
+            t_now = year + (j + 1) / m
+            while shift_due(shift, t_now - last_shift_time, nodes_since_shift):
+                subspaces.append(shift_subspace(subspaces[-1], model.rho, rng))
+                sizes.append(0)
+                if shift.unit == "months":
+                    last_shift_time += shift.every / 12.0
+                else:
+                    nodes_since_shift = 0
+    locations = [sample_location_active(rng, sub, size=size)
+                 for sub, size in zip(subspaces, sizes)]
+    return np.concatenate(locations), len(subspaces) - 1
+
+
+def _increment_log(seed: GrowthGraph, degrees: np.ndarray, model: ModelSpec,
                    fitness: np.ndarray, rng: np.random.Generator):
     """Weights of a run, set up before its first insertion.
 
     A new node enters with effective degree 1, or its out-degree k under
     "total"; every later citation raises a node's effective degree by
     one. The rule is affine in the effective degree, so each citation adds
-    the fixed gain w(1) - w(0). ba, af and mf draw the fitness of every
-    scheduled node into `fitness` here (the only per-node draw these
-    models make). lbm and lbm-g draw it at each insertion: until then a
-    new node's fitness reads 1, so its initial weight holds only its entry
-    degree, and its gain, the mf rule's w(1) - w(0) = xi, is read from
-    `fitness` itself.
+    the fixed gain w(1) - w(0). The fitness of every scheduled node is
+    drawn into `fitness` here, for every model that has one; `degrees`
+    are the scheduled out-degrees in insertion order.
 
     Returns the log holding the seed nodes, the per-node gains and the
     per-node initial weights (meaningful for scheduled nodes).
     """
     n_seed = seed.n_nodes
-    n_total = n_seed + schedule.total_nodes
+    n_total = n_seed + len(degrees)
     fitness[n_seed:] = (sample_fitness(rng, model.alpha, model.xm, size=n_total - n_seed)
-                        if model.uses_fitness and not model.uses_location else 1.0)
+                        if model.uses_fitness else 1.0)
     eff = np.zeros(n_total, dtype=np.float64)
     if seed.n_edges:
         eff[:n_seed] = np.bincount(seed.edges[:, 1], minlength=n_seed)
@@ -236,11 +258,10 @@ def _increment_log(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
         eff[n_seed:] = 1.0
     else:
         eff[:n_seed] += seed.out_degrees
-        eff[n_seed:] = [k for year in schedule.years for k in schedule.entries[year]]
+        eff[n_seed:] = degrees
     weights = attachment_weights(model.kind, eff, fitness=fitness)
-    gains = (fitness if model.uses_location else
-             attachment_weights(model.kind, np.ones(n_total), fitness=fitness)
+    gains = (attachment_weights(model.kind, np.ones(n_total), fitness=fitness)
              - attachment_weights(model.kind, np.zeros(n_total), fitness=fitness))
     log = IncrementLog(weights[:n_seed], max_nodes=n_total,
-                       max_entries=n_total + schedule.total_edges)
+                       max_entries=n_total + int(degrees.sum()))
     return log, gains, weights

@@ -122,6 +122,19 @@ class TestPipeline:
         assert manifest["command"] == "simulate"
         assert str(ppath) in manifest["inputs"]
 
+    def test_simulate_manifest_counts_sampler_draws(self, tmp_path, corpus):
+        ppath, cpath = corpus
+        out = tmp_path / "sim"
+        assert run(["simulate", "--papers", ppath, "--citations", cpath,
+                    "--model", "lbm", "--seed", "1", "--out", out]) == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        sampler = params["sampler"]
+        graph = load_graph(out / "graph.txt")
+        seed_edges = graph.edges[graph.years[graph.edges[:, 0]] <= 1975]
+        drawn = sum(sampler[f"{way}_draws"] for way in ("log", "ball", "tail", "race"))
+        assert drawn == graph.n_edges - len(seed_edges) - params["fallback_fills"]
+        assert sampler["log_draws"] == 0 and sampler["seconds"] >= 0
+
     def test_simulate_seeds_attributes_and_growth_apart(self, tmp_path, corpus):
         # one generator for both would hand the first grown node the seed
         # draw that seed node 0 got
@@ -263,7 +276,7 @@ class TestPinnedOutputs:
 
     PINNED = {
         "sim/graph.txt":
-            "1c55d6daca6485de7116829f700064eef6e2f8e6f14fcd7f626536d87228bd58",
+            "7c00dca5dfacb02b619de74e9484158bba5010579d3dd8e16263e887c9730e69",
         "sim/model.cfg":
             "cb23da14b9212658ceff674fe3f20835126b3a799a3419407a1599f5dca8ca70",
         "cls/classification.csv":

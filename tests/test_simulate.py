@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 import citegrow.sampling
+from citegrow import spatial
 from citegrow import (
     GrowthGraph,
     SeedNetwork,
@@ -19,8 +20,12 @@ from citegrow import (
     run_simulation,
     synthetic_seed,
 )
-from citegrow.models import distance_decay
+from citegrow.models import GammaRegime, distance_decay
+from citegrow.sampling import IncrementLog
 from test_sampling import set_probability
+
+
+_NONE = np.empty(0, dtype=np.int64)
 
 
 def grow(model, seed, schedule, rng_seed=0):
@@ -107,6 +112,39 @@ class TestConservation:
         schedule = YearSchedule({1976: [0, 0, 0, 0]})
         g = grow(make_model("ba"), tiny_seed, schedule)
         np.testing.assert_allclose(g.sub_years[4:], [0.0, 0.25, 0.5, 0.75])
+
+
+class TestSamplerCounters:
+    """Every grown edge is either drawn by one of the sampler's ways or a
+    counted uniform fill; the counters describe a run and stay out of its
+    digest."""
+
+    @pytest.mark.parametrize("kind", ["ba", "af", "mf", "lbm", "lbm-g"])
+    def test_draws_add_up_to_the_grown_edges(self, kind):
+        seed = synthetic_seed(n_nodes=60, rng_seed=3)
+        schedule = corpus_like_schedule(n_nodes=600, start_year=1976, end_year=1985,
+                                        rng_seed=4)
+        g = grow(make_model(kind), seed, schedule, rng_seed=2)
+        s = g.sampler
+        drawn = s["log_draws"] + s["ball_draws"] + s["tail_draws"] + s["race_draws"]
+        assert drawn == g.n_edges - seed.n_edges - g.fallback_fills
+        assert (s["log_draws"] == 0) == (kind in ("lbm", "lbm-g"))
+        assert s["tail_accepted"] <= s["tail_proposed"]
+        assert s["race_handoffs"] <= s["race_draws"] or s["race_draws"] == 0
+        assert s["seconds"] > 0
+
+    def test_fills_are_not_draws(self):
+        # an edgeless seed under "total" gives every node weight 0
+        seed = SeedNetwork(nodes=((0, 1970), (1, 1971)), edges=())
+        g = grow(make_model("lbm", degree_mode="total"), seed, YearSchedule({1976: [2]}))
+        assert g.fallback_fills == 2
+        assert g.sampler["race_handoffs"] == 1 and g.sampler["race_draws"] == 0
+
+    def test_counters_stay_out_of_the_digest(self, tiny_seed, tiny_schedule):
+        g = grow(make_model("lbm"), tiny_seed, tiny_schedule)
+        twin = GrowthGraph(g.years, g.sub_years, g.fitness, g.locations, g.out_degrees,
+                           g.edges, g.n_seed)
+        assert twin.sampler == {} and twin.digest() == g.digest()
 
 
 class TestDeterminism:
@@ -210,10 +248,8 @@ def assert_last_insertion_law(g0, model, degs, runs):
     """Grow `degs` (one year) `runs` times and compare the frequency of
     each set the last node cites with its exact probability under the
     sequential law, given the weights the run had reached by then.
-
-    Expected counts sum each run's exact set probabilities; sets expected
-    fewer than 5 times are pooled into one bin, and the chi-square
-    statistic must stay below its 99.99% quantile."""
+    Expected counts sum each run's exact set probabilities. Returns the
+    runs' sampler counters, summed."""
     k = degs[-1]
     node = g0.n_nodes + len(degs) - 1
     sets = list(itertools.combinations(range(node), k))
@@ -222,14 +258,25 @@ def assert_last_insertion_law(g0, model, degs, runs):
     expected = np.zeros(len(sets))
     law: dict = {}
     schedule = YearSchedule({int(g0.years.max()) + 1: list(degs)})
+    counts: dict = {}
     for rng_seed in range(runs):
         g = run_simulation(g0, schedule, model, rng_seed)
         observed[index[tuple(sorted(g.edges[-k:, 1].tolist()))]] += 1
+        for name, value in g.sampler.items():
+            counts[name] = counts.get(name, 0) + value
         weights = tuple(insertion_weights(g, model, node).tolist())
         if weights not in law:
             law[weights] = np.array([set_probability(weights, s) for s in sets])
             assert law[weights].sum() == pytest.approx(1.0)
         expected += law[weights]
+    assert_counts_match(observed, expected, runs)
+    return counts
+
+
+def assert_counts_match(observed, expected, runs):
+    """Chi-square test of set counts against their expected counts: sets
+    expected fewer than 5 times are pooled into one bin, and the statistic
+    must stay below its 99.99% quantile."""
     small = expected < 5
     observed = np.append(observed[~small], observed[small].sum())
     expected = np.append(expected[~small], expected[small].sum())
@@ -237,6 +284,20 @@ def assert_last_insertion_law(g0, model, degs, runs):
     stat = float((((observed - expected) ** 2)[keep] / expected[keep]).sum())
     assert stat < chi2.ppf(0.9999, keep.sum() - 1), stat
     assert np.abs(observed - expected).max() / runs < 0.01
+
+
+def assert_draw_law(draw, weights, k, runs):
+    """Call `draw(rng)` `runs` times and compare the frequency of each
+    k-set it returns with its exact probability under the sequential law
+    for `weights`."""
+    sets = list(itertools.combinations(range(len(weights)), k))
+    index = {s: i for i, s in enumerate(sets)}
+    law = np.array([set_probability(weights, s) for s in sets])
+    assert law.sum() == pytest.approx(1.0)
+    observed = np.zeros(len(sets))
+    for rng_seed in range(runs):
+        observed[index[tuple(draw(np.random.default_rng(rng_seed)).tolist())]] += 1
+    assert_counts_match(observed, law * runs, runs)
 
 
 class TestIncrementLogSampler:
@@ -346,6 +407,124 @@ class TestSpatialSampler:
         g0 = init_from_seed(self.SEED.nodes[:4], self.SEED.edges[:3], model, 2)
         assert_last_insertion_law(g0, model, [2, 2], runs=self.RUNS)
 
+    def test_grid_balls_and_tail_in_growth(self, monkeypatch):
+        # one-node blocks send these runs through the grid, the ball race
+        # and the tail; the second insertion sees the first one's gains
+        monkeypatch.setattr(spatial, "MIN_BLOCK", 1)
+        model = make_model("lbm", **self.OPTIONS["lbm"])
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 3)
+        counts = assert_last_insertion_law(g0, model, [2, 2], runs=self.RUNS // 2)
+        assert counts["ball_draws"] > 0 and counts["tail_draws"] > 0
+
+    def test_co_located_nodes(self):
+        # sigma 0 (and so rho 0) puts every node on the subspace mean
+        model = make_model("lbm-g", sigma=0.0, **self.OPTIONS["lbm-g"])
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 1)
+        assert_last_insertion_law(g0, model, [3], runs=self.RUNS)
+
+
+class TestNearDraw:
+    """`IncrementLog.sample_near` on a fixed state and ball: the ball race,
+    the thinned tail drawn from the log and the hand-off to the race must
+    together follow the sequential law for the log's weights times
+    exp(-gamma * dist), exactly."""
+
+    RUNS = 20_000
+
+    @staticmethod
+    def state(dim, gamma, k, weights=None, locations=None, seed=0):
+        """An increment log over 8 nodes, several entries per node, and
+        the ball of a ninth node at the last location, on one-node blocks.
+        Returns (log, ball, exact weights)."""
+        rng = np.random.default_rng(seed)
+        if locations is None:
+            locations = rng.random((9, dim))
+        if weights is None:
+            weights = rng.uniform(0.5, 3.0, size=8)
+        log = IncrementLog(weights[:3] / 2, max_nodes=8, max_entries=32)
+        for node in range(3, 8):
+            cited = np.arange(3) if node == 3 else _NONE
+            log.add_node(cited, weights[:3] / 2 if node == 3 else _NONE, weights[node])
+        np.testing.assert_allclose(log.weights, weights)
+        regime = GammaRegime("const", gamma)
+        ball = next(spatial.balls(locations, np.array([k]), regime, 8))
+        # the law's weights, relative to the nearest node's distance factor
+        d = np.sqrt(((locations[:8] - locations[8]) ** 2).sum(axis=1))
+        return log, ball, log.weights * np.exp(-gamma * (d - d.min()))
+
+    @pytest.fixture(autouse=True)
+    def one_node_blocks(self, monkeypatch):
+        monkeypatch.setattr(spatial, "MIN_BLOCK", 1)
+
+    def check(self, log, ball, exact, k):
+        assert_draw_law(lambda rng: log.sample_near(k, rng, ball), exact, k, self.RUNS)
+        counts = log.counts
+        drawn = counts["ball_draws"] + counts["tail_draws"] + counts["race_draws"]
+        assert drawn == k * self.RUNS
+        return counts
+
+    def test_ball_only(self):
+        # steep decay and three nodes next to the new one: the envelope
+        # beyond the ball is far below any ball weight, so no tail arrival
+        # comes before the k-th ball key
+        locations = np.array([[0.5, 0.501], [0.1, 0.9], [0.5012, 0.5], [0.9, 0.1],
+                              [0.9, 0.9], [0.1, 0.1], [0.4986, 0.5], [0.2, 0.5],
+                              [0.5, 0.5]])
+        log, ball, exact = self.state(2, 300.0, 2, locations=locations)
+        assert sorted(ball.nodes.tolist()) == [0, 2, 6] and ball.envelope < 1e-20
+        counts = self.check(log, ball, exact, 2)
+        assert counts["tail_draws"] == 0 and counts["race_handoffs"] == 0
+
+    @pytest.mark.parametrize("dim, seed", [(1, 4), (2, 0), (3, 2)])
+    def test_ball_and_tail(self, dim, seed):
+        # gentle decay: every node outside the ball keeps a large share
+        log, ball, exact = self.state(dim, 0.5, 2, seed=seed)
+        assert 3 <= ball.nodes.size <= 6 and ball.envelope > 0.5
+        counts = self.check(log, ball, exact, 2)
+        assert counts["ball_draws"] > 0 and counts["tail_draws"] > 0
+        assert counts["race_handoffs"] == 0
+        assert counts["tail_accepted"] <= counts["tail_proposed"]
+
+    def test_race_hand_off(self, monkeypatch):
+        # HANDOFF 0 hands every insertion with a tail to the race, decided
+        # before any draw
+        monkeypatch.setattr(citegrow.sampling, "HANDOFF", 0.0)
+        race = citegrow.sampling.sample_without_replacement
+        calls = []
+
+        def counted(weights, k, rng):
+            calls.append(k)
+            return race(weights, k, rng)
+
+        monkeypatch.setattr(citegrow.sampling, "sample_without_replacement", counted)
+        log, ball, exact = self.state(2, 0.5, 3, seed=2)
+        counts = self.check(log, ball, exact, 3)
+        assert counts["race_handoffs"] == self.RUNS == len(calls)
+        assert counts["race_draws"] == 3 * self.RUNS
+
+    def test_zero_weights_hand_off_or_stay_out(self):
+        # "total" degrees leave never-cited nodes without out-degree at
+        # weight 0; they are never drawn, and a ball with fewer than k
+        # positive weights hands the insertion to the race
+        weights = np.array([2.0, 0.0, 1.0, 0.0, 3.0, 0.0, 1.5, 0.0])
+        locations = np.array([[0.1, 0.1], [0.5, 0.52], [0.9, 0.9], [0.52, 0.5],
+                              [0.2, 0.8], [0.48, 0.5], [0.8, 0.2], [0.5, 0.48],
+                              [0.5, 0.5]])
+        log, ball, exact = self.state(2, 0.5, 2, weights=weights, locations=locations)
+        assert np.count_nonzero(log.weights[ball.nodes]) < 2
+        positive = exact > 0
+        law = exact[positive]
+        nodes = np.flatnonzero(positive)
+        assert_draw_law(lambda rng: np.searchsorted(nodes, log.sample_near(2, rng, ball)),
+                        law, 2, self.RUNS)
+        assert log.counts["race_handoffs"] == self.RUNS
+
+    def test_same_ball_same_draw(self):
+        log, ball, _ = self.state(2, 0.5, 3, seed=5)
+        a = log.sample_near(3, np.random.default_rng(7), ball)
+        b = log.sample_near(3, np.random.default_rng(7), ball)
+        np.testing.assert_array_equal(a, b)
+
 
 class TestLogGrowthStream:
     """ba, af and mf draw only from the increment log; the lbm/lbm-g
@@ -370,15 +549,16 @@ class TestLogGrowthStream:
 
 
 class TestSpatialGrowthStream:
-    """lbm and lbm-g run the exponential race over the log's weights times
-    the distance factor, drawing each new node's fitness and location at its
-    insertion; skipping the factor and the race on k = 0 insertions consumes
-    no random numbers, so their graphs are the ones the per-insertion race
-    has always produced."""
+    """lbm and lbm-g draw every fitness value and location before the first
+    insertion, then each insertion races its ball and runs its thinned tail;
+    k = 0 insertions consume no random numbers. The digests pin that random
+    stream; a change to it changes them."""
 
     @pytest.mark.parametrize("kind, digest", [
-        ("lbm", "344b714efe8f8bfb73d57905ec08c4913a4506b4fbbf732d029b99f75b096f98"),
-        ("lbm-g", "f2f874e3f5191aaf023f25c586a11be00415ab0b117af664f94780518cd46cb4"),
+        pytest.param("lbm", "342d422f0072bdc0bfb163a1ab5f7e32ab1d756f4a3618e7605e72b1635c30a9",
+                     id="lbm"),
+        pytest.param("lbm-g", "24da6b9774447075bf961e5d445387abcbc95769a7c6f61864473a2f07699706",
+                     id="lbm-g"),
     ])
     def test_digest_is_pinned(self, kind, digest):
         seed = synthetic_seed(n_nodes=50, rng_seed=3)
