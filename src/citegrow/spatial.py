@@ -121,25 +121,27 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: GammaRegime,
     degrees = degrees[queries - first]
     needs = MIN_BLOCK * (1 + degrees) // 2
     gammas = np.array([gamma_value(gamma, n) for n in queries.tolist()])
-    start, width = 0, MAX_QUERIES
+    start = 0
     while start < len(queries):
         if queries[start] <= needs[start]:
             # too few earlier nodes for a grid to choose from: all of them
             yield levels.everything(int(queries[start]), float(gammas[start]))
             start += 1
             continue
-        part = slice(start, start + width)
-        radius = levels.radius(queries[part], gammas[part], degrees[part], needs[part])
-        box = levels.box(queries[part], radius)
-        # the chunk ends before its entries would pass MAX_ENTRIES
-        sizes = (box[2] - box[1]).sum(axis=1)
-        stop = max(1, int(np.searchsorted(np.cumsum(sizes), MAX_ENTRIES, side="right")))
-        part = slice(start, start + stop)
-        yield from levels.gather(queries[part], gammas[part], radius[:stop],
-                                 [b[:stop] for b in box])
+        part = slice(start, start + MAX_QUERIES)
+        q, g = queries[part], gammas[part]
+        radius = levels.radius(q, g, degrees[part], needs[part])
+        box = levels.box(q, radius)
+        # gather in pieces of at most MAX_ENTRIES entries (or one query)
+        ends = np.cumsum((box[2] - box[1]).sum(axis=1))
+        a = 0
+        while a < len(q):
+            done = int(ends[a - 1]) if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + MAX_ENTRIES, side="right")))
+            yield from levels.gather(q[a:b], g[a:b], radius[a:b], [x[a:b] for x in box])
+            a = b
         levels.keep_used()
-        width = min(MAX_QUERIES, 2 * stop)
-        start += stop
+        start += len(q)
 
 
 def _distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -555,9 +555,9 @@ class TestSpatialGrowthStream:
     stream; a change to it changes them."""
 
     @pytest.mark.parametrize("kind, digest", [
-        pytest.param("lbm", "342d422f0072bdc0bfb163a1ab5f7e32ab1d756f4a3618e7605e72b1635c30a9",
+        pytest.param("lbm", "78372b2b662da68fe3060860657c9496bd63ab672668b74a2ab5c921ef92bef4",
                      id="lbm"),
-        pytest.param("lbm-g", "24da6b9774447075bf961e5d445387abcbc95769a7c6f61864473a2f07699706",
+        pytest.param("lbm-g", "61866bc308c7dc2422e78d139881c727a483d38be0676bd70bd665b1d52c492a",
                      id="lbm-g"),
     ])
     def test_digest_is_pinned(self, kind, digest):
