@@ -382,8 +382,9 @@ def initial_subspace(model: ModelSpec) -> ActiveSubspace:
 def attachment_weights(kind: ModelKind, eff_degrees: np.ndarray,
                        fitness: np.ndarray | None = None) -> np.ndarray:
     """The degree/fitness rule on plain arrays: ba D, af D + xi, and
-    D * xi for mf, lbm and lbm-g. lbm and lbm-g scale this by
-    :func:`distance_decay` at each insertion. The growth loop evaluates it
+    D * xi for mf, lbm and lbm-g. lbm and lbm-g scale this by the factor
+    of :func:`distance_decay`, taken relative to the nearest node, at each
+    insertion. The growth loop evaluates it
     once per run; the rule is affine in the effective degree, so a
     citation adds the fixed gain w(1) - w(0)."""
     deg = np.asarray(eff_degrees, dtype=np.float64)

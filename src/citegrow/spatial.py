@@ -9,14 +9,14 @@ from the increment log and thins by distance. This module supplies each
 insertion's ball and radius R.
 
 The locations of a whole run are drawn before its first insertion, so
-the balls are found on grids over the final locations, a chunk of
-insertions at a time:
+the balls are found on grids over the final locations, for a window of
+up to `MAX_QUERIES` insertions at a time:
 
 - Levels. Level l cuts the bounding cube of all locations into cells of
   side h = span / 2^l. A level's node ids are sorted by (cell, id), so the
   nodes of a cell inserted before node n are one contiguous run, found by
-  binary search. A level is built when a chunk first needs it and dropped
-  when a chunk no longer does.
+  binary search. A level is built when a window first needs it and
+  dropped when a window no longer does.
 - Radius. R trades ball size against tail proposals. The finest level at
   which the 2^dim cells nearest x hold `MIN_BLOCK * (k + 1) / 2` earlier
   nodes gives the local density and the smallest R, that level's cell
@@ -31,8 +31,8 @@ insertions at a time:
   should hold gets all of them as its ball, and no tail.
 
 None of this looks at the weights or at the draw, so none of it can bias
-the draw. A chunk holds at most `MAX_ENTRIES` gathered nodes, so memory
-stays bounded whatever the run's length. Ball factors are relative to the
+the draw. A window's balls are gathered in pieces of at most
+`MAX_ENTRIES` nodes, so memory stays bounded whatever the run's length. Ball factors are relative to the
 nearest ball node, `exp(-gamma * (d_i - d_min))`, which keeps that node's
 factor at 1 where `exp(-gamma * d_i)` would underflow.
 """
@@ -49,9 +49,9 @@ from .models import GammaRegime, gamma_value
 
 __all__ = ["Ball", "balls"]
 
-# gathered nodes held per chunk of insertions
+# gathered nodes held at once
 MAX_ENTRIES = 1 << 14
-# insertions whose radii are chosen together
+# insertions whose radii and cells are chosen together
 MAX_QUERIES = 256
 # the cells that set the smallest radius hold MIN_BLOCK * (k + 1) / 2
 # earlier nodes
@@ -215,7 +215,7 @@ class _Levels:
         return self.grids[level]
 
     def keep_used(self) -> None:
-        """Drop the levels the last chunk did not touch."""
+        """Drop the levels the last window did not touch."""
         self.grids = {level: g for level, g in self.grids.items() if level in self.used}
         self.used = set()
 
@@ -250,7 +250,7 @@ class _Levels:
         """Each query's ball radius R (see the module docstring)."""
         dim, top = self.dim, self.top
         # the finest level whose 2^dim cells hold `needs`, walked from the
-        # last chunk's typical level (at first, the level that would hold
+        # last window's typical level (at first, the level that would hold
         # them at even density); a level holding 2^dim times `needs` is
         # worth trying one finer
         if self.guess is None:
