@@ -17,24 +17,26 @@ up to `MAX_QUERIES` insertions at a time:
   nodes of a cell inserted before node n are one contiguous run, found by
   binary search. A level is built when a window first needs it and
   dropped when a window no longer does.
-- Radius. R trades ball size against tail proposals. The finest level at
-  which the 2^dim cells nearest x hold `MIN_BLOCK * (k + 1) / 2` earlier
-  nodes gives the local density and the smallest R, that level's cell
-  side. Above it, R minimizes the expected ball size plus `ARRIVAL_COST`
+- Radius. R trades ball size against tail proposals. A fine level at
+  which the 2^dim cells nearest x still hold `MIN_BLOCK * (k + 1) / 2`
+  earlier nodes (walked to from the last window's level) gives the local
+  density and the smallest R, that level's cell side. Above it, R minimizes the expected ball size plus `ARRIVAL_COST`
   times the expected proposals, `k * exp(-gamma * R) * A / W`, with the
   ratio of total weight to decayed weight A / W estimated as if the local
   density held everywhere.
 - Ball. B is gathered from the cells that meet the cube of half-width R
   around x, at the finest level where at most `GATHER_WIDTH` cells a side
-  do; every earlier node outside those cells is at least R from x.
+  do (3 above two dimensions); every earlier node outside those cells is
+  at least R from x.
 - Small runs. An insertion with no more earlier nodes than the cells
   should hold gets all of them as its ball, and no tail.
 
 None of this looks at the weights or at the draw, so none of it can bias
 the draw. A window's balls are gathered in pieces of at most
-`MAX_ENTRIES` nodes, so memory stays bounded whatever the run's length. Ball factors are relative to the
-nearest ball node, `exp(-gamma * (d_i - d_min))`, which keeps that node's
-factor at 1 where `exp(-gamma * d_i)` would underflow.
+`MAX_ENTRIES` nodes, so memory stays bounded whatever the run's length.
+Ball factors are relative to the nearest ball node,
+`exp(-gamma * (d_i - d_min))`, which keeps that node's factor at 1 where
+`exp(-gamma * d_i)` would underflow.
 """
 
 from __future__ import annotations
