@@ -28,8 +28,9 @@ up to `MAX_QUERIES` insertions at a time:
   around x, at the finest level where at most `GATHER_WIDTH` cells a side
   do (3 above two dimensions); every earlier node outside those cells is
   at least R from x.
-- Small runs. An insertion with no more earlier nodes than the cells
-  should hold gets all of them as its ball, and no tail.
+- Small runs and many dimensions. An insertion with no more earlier nodes
+  than the cells should hold gets all of them as its ball, and no tail;
+  so does every insertion with more than `GRID_DIMS` dimensions.
 
 None of this looks at the weights or at the draw, so none of it can bias
 the draw. A window's balls are gathered in pieces of at most
@@ -60,6 +61,9 @@ MAX_QUERIES = 256
 MIN_BLOCK = 16
 # cells a side a ball is gathered from, in one and two dimensions (3 above)
 GATHER_WIDTH = 5
+# most dimensions with a grid: beyond, the 3^dim cells around a node cost
+# more than the race over all earlier nodes that every insertion gets
+GRID_DIMS = 3
 # a tail proposal costs about this many ball nodes
 ARRIVAL_COST = 8.0
 # finest level; 2^30 cells a side is far below float resolution anyway
@@ -118,16 +122,20 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: GammaRegime,
     `locations` holds every node of the run and `degrees[j]` is the
     out-degree of node `first + j`.
     """
-    levels = _Levels(locations)
     queries = first + np.flatnonzero(degrees)
     degrees = degrees[queries - first]
     needs = MIN_BLOCK * (1 + degrees) // 2
     gammas = np.array([gamma_value(gamma, n) for n in queries.tolist()])
+    if locations.shape[1] > GRID_DIMS:
+        for n, g in zip(queries.tolist(), gammas.tolist()):
+            yield _all_earlier(locations, n, g)
+        return
+    levels = _Levels(locations)
     start = 0
     while start < len(queries):
         if queries[start] <= needs[start]:
             # too few earlier nodes for a grid to choose from: all of them
-            yield levels.everything(int(queries[start]), float(gammas[start]))
+            yield _all_earlier(locations, int(queries[start]), float(gammas[start]))
             start += 1
             continue
         part = slice(start, start + MAX_QUERIES)
@@ -146,8 +154,19 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: GammaRegime,
         start += len(q)
 
 
+def _all_earlier(locations: np.ndarray, node: int, gamma: float) -> Ball:
+    """A ball holding every node before `node`, and so no tail."""
+    ball = Ball(node, np.arange(node), None, 0.0, locations[node], gamma, np.inf,
+                locations, None)
+    ball.decay = ball.decay_everywhere()
+    return ball
+
+
 def _distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     diff = points - centers
+    # einsum is the faster reduction over long arrays, add.reduce over short
+    if len(diff) > 512:
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
@@ -239,14 +258,6 @@ class _Levels:
         corner = self.cells(levels, self.locations[queries] - side / 2)
         lo, hi = self.ranges(levels, queries, corner, self.pair)
         return (hi - lo).sum(axis=1)
-
-    def everything(self, node: int, gamma: float) -> Ball:
-        """A ball holding every node before `node`."""
-        loc = self.locations
-        ball = Ball(node, np.arange(node), None, 0.0, loc[node], gamma, np.inf, loc,
-                    self.marks)
-        ball.decay = ball.decay_everywhere()
-        return ball
 
     def radius(self, queries, gammas, degrees, needs) -> np.ndarray:
         """Each query's ball radius R (see the module docstring)."""

@@ -133,6 +133,15 @@ class TestSamplerCounters:
         assert s["race_handoffs"] <= s["race_draws"] or s["race_draws"] == 0
         assert s["seconds"] > 0
 
+    def test_many_dimensions_race_all_earlier_nodes(self):
+        seed = synthetic_seed(n_nodes=60, rng_seed=3)
+        schedule = corpus_like_schedule(n_nodes=300, start_year=1976, end_year=1985,
+                                        rng_seed=4)
+        g = grow(make_model("lbm", dim=spatial.GRID_DIMS + 1), seed, schedule)
+        s = g.sampler
+        assert s["tail_proposed"] == 0 and s["tail_draws"] == 0
+        assert s["ball_draws"] + s["race_draws"] == g.n_edges - seed.n_edges - g.fallback_fills
+
     def test_fills_are_not_draws(self):
         # an edgeless seed under "total" gives every node weight 0
         seed = SeedNetwork(nodes=((0, 1970), (1, 1971)), edges=())
