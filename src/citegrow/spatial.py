@@ -173,7 +173,7 @@ def _distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 class _Grid:
     """One level: cubic cells of side `side`, node ids sorted by (cell, id)."""
 
-    def __init__(self, points: np.ndarray, cells: np.ndarray, side: float, radix: int):
+    def __init__(self, cells: np.ndarray, side: float, radix: int):
         n, dim = cells.shape
         self.side = side
         self.n = n
@@ -182,11 +182,8 @@ class _Grid:
         self.powers = radix ** np.arange(dim, dtype=np.int64)
         self.keys, rank, sizes = np.unique((cells + 1) @ self.powers,
                                            return_inverse=True, return_counts=True)
-        # rank * n + id sorts by cell, then id
+        # rank * n + id sorts by cell, then id, and id = entry % n
         self.order = np.sort(rank * n + np.arange(n))
-        self.ids = self.order % n
-        # coordinates in (cell, id) order, one contiguous row per axis
-        self.axes = np.ascontiguousarray(points[self.ids].T)
         self.starts = np.cumsum(sizes) - sizes
 
     def ranges(self, cells: np.ndarray, bound: np.ndarray):
@@ -210,6 +207,8 @@ class _Levels:
         self.span = float((locations.max(axis=0) - self.origin).max()) or 1.0
         # (2^l + 3)^dim cell keys must fit in int64
         self.top = max(0, min(MAX_LEVEL, 62 // dim - 1))
+        # one contiguous row per axis, for gathering coordinates by node
+        self.axes = np.ascontiguousarray(locations.T)
         self.grids: dict[int, _Grid] = {}
         self.used: set[int] = set()
         self.guess: int | None = None
@@ -231,8 +230,8 @@ class _Levels:
     def grid(self, level: int) -> _Grid:
         self.used.add(level)
         if level not in self.grids:
-            self.grids[level] = _Grid(self.locations, self.cells(level, self.locations),
-                                      self.side(level), 2 ** level + 3)
+            self.grids[level] = _Grid(self.cells(level, self.locations), self.side(level),
+                                      2 ** level + 3)
         return self.grids[level]
 
     def keep_used(self) -> None:
@@ -338,12 +337,13 @@ class _Levels:
         entries = np.repeat(lo.ravel() - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
         owner = np.repeat(np.arange(len(queries)), (hi - lo).sum(axis=1))
         loc = self.locations
+        nodes = grid.order.take(entries) % grid.n
         centers = loc[queries].T
         d2 = np.zeros(entries.size)
         for axis in range(self.dim):
-            d2 += (grid.axes[axis].take(entries) - centers[axis].take(owner)) ** 2
+            d2 += (self.axes[axis].take(nodes) - centers[axis].take(owner)) ** 2
         inside = d2 < (radius * radius).take(owner)
-        nodes = grid.ids.take(entries[inside])
+        nodes = nodes[inside]
         owner, d = owner[inside], np.sqrt(d2[inside])
         bounds = np.searchsorted(owner, np.arange(len(queries) + 1))
         nearest = np.full(len(queries), np.inf)
