@@ -541,12 +541,24 @@ class TestLogGrowthStream:
     are."""
 
     @pytest.mark.parametrize("kind, degree_mode, digest", [
-        ("ba", "in-plus-one", "c1448378d378bf4dcb22e33f7ec22bc90b0341eeebc614ee48c3cb1bb994e7e9"),
-        ("ba", "total", "aa6ebf86fe2e872ed17138a8632bd205856ed21e3bc3c8ca1496772899e5d5d3"),
-        ("af", "in-plus-one", "e5efc32a75d03ba2583b1f7ea206d26deea24c7eb50151cf6e8849924403cafb"),
-        ("af", "total", "a90ac7f491245f01df104b111174d1027d16cabf92f151c85602def121628e0c"),
-        ("mf", "in-plus-one", "089cb49659af32a852c7b17a16cc68a736d3c771c388636fabe43cec8015e290"),
-        ("mf", "total", "b2234ecbdf294b5dc7dda1ad5d9fabb97c37cdab95eabda406bd41995dbb23a8"),
+        pytest.param("ba", "in-plus-one",
+                     "c1448378d378bf4dcb22e33f7ec22bc90b0341eeebc614ee48c3cb1bb994e7e9",
+                     id="ba-in-plus-one"),
+        pytest.param("ba", "total",
+                     "aa6ebf86fe2e872ed17138a8632bd205856ed21e3bc3c8ca1496772899e5d5d3",
+                     id="ba-total"),
+        pytest.param("af", "in-plus-one",
+                     "e5efc32a75d03ba2583b1f7ea206d26deea24c7eb50151cf6e8849924403cafb",
+                     id="af-in-plus-one"),
+        pytest.param("af", "total",
+                     "a90ac7f491245f01df104b111174d1027d16cabf92f151c85602def121628e0c",
+                     id="af-total"),
+        pytest.param("mf", "in-plus-one",
+                     "089cb49659af32a852c7b17a16cc68a736d3c771c388636fabe43cec8015e290",
+                     id="mf-in-plus-one"),
+        pytest.param("mf", "total",
+                     "b2234ecbdf294b5dc7dda1ad5d9fabb97c37cdab95eabda406bd41995dbb23a8",
+                     id="mf-total"),
     ])
     def test_digest_is_pinned(self, kind, degree_mode, digest):
         seed = synthetic_seed(n_nodes=100, rng_seed=3)
