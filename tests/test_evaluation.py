@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,20 @@ from citegrow import (
     SeedNetwork,
     ValidationError,
     YearSchedule,
+    corpus_like_schedule,
     derive_seed,
     evaluate_model,
+    init_from_seed,
     jsd2,
     make_model,
     model_grid,
+    run_simulation,
     sensitivity,
     sweep,
+    synthetic_seed,
 )
-from citegrow.evaluation import _run_sweep_point, _SweepTask
+from citegrow.evaluation import SensitivityRow, _run_sweep_point, _SweepTask
+from citegrow.trajectory import CATEGORY_ORDER, _classify_all, _history_matrix
 
 from conftest import graph_from_histories
 
@@ -228,3 +234,83 @@ class TestSensitivity:
         with pytest.raises(ValidationError):
             sensitivity(graph, cutoff, horizon, [5], [0.45, 0.6],
                         defaults=ClassifierParams(peak_threshold=0.75))
+
+
+def per_point_rows(graph, cutoff, horizon, activations, thresholds, defaults):
+    """Oracle: the sensitivity grid classified one point at a time."""
+    hist = _history_matrix(graph, horizon)
+
+    def distribution(params):
+        return _classify_all(graph, cutoff, horizon, params, hist=hist).distribution()
+
+    baseline = distribution(defaults)
+    rows = []
+    for a in activations:
+        for th in thresholds:
+            dist = distribution(replace(defaults, activation_period=a, peak_threshold=th))
+            for cat, x, y in zip(CATEGORY_ORDER, dist.proportions, baseline.proportions):
+                rows.append(SensitivityRow(a, th, cat.code,
+                                           float(x) / float(y) if y > 0 else None))
+    return rows
+
+
+def bits(rows):
+    """Rows with each ratio as its exact hex form, so equality is bitwise."""
+    return [(r.activation, r.threshold, r.category,
+             None if r.ratio is None else r.ratio.hex()) for r in rows]
+
+
+# every decision rule, counts at exactly a grid threshold (c / max equals
+# 0.45, 0.5, 0.75 and 0.9) and single peaks at offsets equal to an
+# activation value, so er and lr trade places across the activation axis
+RULE_HISTORIES = [
+    [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],     # ot by the mean rule
+    [0, 1, 1, 2, 2, 3, 3, 4, 4, 5],     # sr
+    [0, 8, 2, 1, 0, 0, 0, 0, 0, 0],     # er
+    [0, 6, 1, 1, 1, 6, 1, 1, 6, 1],     # fr
+    [0, 2, 1, 1, 1, 1, 1, 1, 1, 9],     # ot: single peak in the final year
+    [0, 20, 0, 9, 0, 0, 0, 0, 0, 0],    # second candidate at exactly 0.45
+    [0, 4, 0, 2, 0, 4, 0, 0, 0, 0],     # 0.5, then a full second peak
+    [0, 4, 0, 3, 0, 0, 0, 0, 1, 2],     # exactly 0.75
+    [0, 10, 1, 9, 0, 0, 0, 0, 0, 0],    # exactly 0.9
+    [0, 0, 0, 9, 1, 1, 1, 1, 1, 1],     # single peak at offset 3
+    [0, 0, 0, 0, 0, 9, 1, 1, 1, 1],     # at offset 5
+    [0, 1, 0, 0, 0, 0, 0, 9, 1, 1],     # at offset 7
+    [0, 0, 0, 0, 0, 0, 9, 2, 1, 1],     # lr at the defaults
+]
+ACTIVATIONS = [3, 4, 5, 6, 7]
+THRESHOLDS = [round(0.45 + 0.05 * k, 2) for k in range(11)]
+
+
+class TestSensitivityGrid:
+    """`sensitivity` against the per-point loop, bit for bit."""
+
+    @pytest.mark.parametrize("histories", [
+        RULE_HISTORIES,
+        # no late riser at the defaults, so every lr ratio is undefined
+        [h for h in RULE_HISTORIES if h not in RULE_HISTORIES[9:]],
+    ], ids=["all-rules", "undefined-lr"])
+    @pytest.mark.parametrize("activations, thresholds, defaults", [
+        (ACTIVATIONS, THRESHOLDS, ClassifierParams()),
+        # defaults off the grid, repeated and unsorted values
+        ([7, 3, 4, 4], [0.9, 0.45, 0.6, 0.45], ClassifierParams(6, 0.8)),
+    ], ids=["check-9-grid", "off-grid-defaults"])
+    def test_matches_per_point_loop(self, histories, activations, thresholds, defaults):
+        graph, cutoff, horizon = graph_from_histories(histories)
+        result = sensitivity(graph, cutoff, horizon, activations, thresholds, defaults)
+        want = per_point_rows(graph, cutoff, horizon, activations, thresholds, defaults)
+        assert bits(result.rows) == bits(want)
+        assert len(result.rows) == len(activations) * len(thresholds) * 5
+
+    @pytest.mark.parametrize("rng_seed", [1, 77])
+    def test_matches_per_point_loop_on_grown_graph(self, rng_seed):
+        model = make_model("lbm-g", sigma=1.5, shift_every=12)
+        net = synthetic_seed(150, rng_seed=rng_seed)
+        graph = run_simulation(
+            init_from_seed(net.nodes, net.edges, model, rng_seed),
+            corpus_like_schedule(2500, rng_seed=rng_seed), model, rng_seed + 100)
+        result = sensitivity(graph, 1991, 2000, ACTIVATIONS, THRESHOLDS)
+        want = per_point_rows(graph, 1991, 2000, ACTIVATIONS, THRESHOLDS,
+                              ClassifierParams())
+        assert bits(result.rows) == bits(want)
+        assert sum(r.ratio is not None for r in result.rows) > 100

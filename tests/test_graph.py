@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from citegrow import (
+    GrowthGraph,
     SeedNetwork,
     ValidationError,
     YearSchedule,
@@ -116,6 +117,91 @@ class TestGrowthGraphSerialization:
         text = "N 0 1990 0.0 1.0\nN 1 1995 0.0 1.0\nN 2 1993 0.0 1.0\n" + edges + "\n"
         with pytest.raises(ValidationError, match=reason):
             loads_graph(text)
+
+
+# floats whose repr is easy to get wrong: a signed zero, the smallest
+# subnormal, exponent forms on both sides and an inexact sum
+AWKWARD = [-0.0, 5e-324, 1e-05, 1e+16, 0.1 + 0.2, -2.5, 1.0, 123456.789]
+
+
+def fixed_graph(dim):
+    """Five nodes, two of them seed, whose float columns cycle through
+    AWKWARD; `dim` location coordinates per node."""
+    n = 5
+    return GrowthGraph(
+        years=[1970, 1970, 1971, 1973, 1973],
+        sub_years=[AWKWARD[i % 8] for i in range(n)],
+        fitness=[AWKWARD[(i + 3) % 8] for i in range(n)],
+        locations=np.array([[AWKWARD[(i + 2 * j + 5) % 8] for j in range(dim)]
+                            for i in range(n)]).reshape(n, dim),
+        out_degrees=[0, 0, 2, 1, 2],
+        edges=[(2, 0), (2, 1), (3, 2), (4, 0), (4, 3)],
+        n_seed=2,
+    )
+
+
+class TestDumpBytes:
+    """Exact dump text of fixed graphs, and loads_graph's exact messages."""
+
+    EDGES = "E 2 0\nE 2 1\nE 3 2\nE 4 0\nE 4 3\n"
+    GOLDEN = {
+        0: ("N 0 1970 -0.0 1e+16\n"
+            "N 1 1970 5e-324 0.30000000000000004\n"
+            "N 2 1971 1e-05 -2.5\n"
+            "N 3 1973 1e+16 1.0\n"
+            "N 4 1973 0.30000000000000004 123456.789\n"),
+        1: ("N 0 1970 -0.0 1e+16 -2.5\n"
+            "N 1 1970 5e-324 0.30000000000000004 1.0\n"
+            "N 2 1971 1e-05 -2.5 123456.789\n"
+            "N 3 1973 1e+16 1.0 -0.0\n"
+            "N 4 1973 0.30000000000000004 123456.789 5e-324\n"),
+        3: ("N 0 1970 -0.0 1e+16 -2.5,123456.789,5e-324\n"
+            "N 1 1970 5e-324 0.30000000000000004 1.0,-0.0,1e-05\n"
+            "N 2 1971 1e-05 -2.5 123456.789,5e-324,1e+16\n"
+            "N 3 1973 1e+16 1.0 -0.0,1e-05,0.30000000000000004\n"
+            "N 4 1973 0.30000000000000004 123456.789 5e-324,1e+16,-2.5\n"),
+    }
+
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_golden_text(self, dim):
+        assert fixed_graph(dim).dumps() == self.GOLDEN[dim] + self.EDGES
+
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_round_trip_digest(self, dim):
+        g = fixed_graph(dim)
+        back = loads_graph(g.dumps(), seed_end=1970)
+        assert back.digest() == g.digest()
+        # the digest sees bits, so -0.0 and 5e-324 came back exactly
+        assert np.signbit(back.sub_years[0]) and back.sub_years[1] == 5e-324
+
+    HEAD = "N 0 1970 0.0 1.0\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (HEAD + "X 0 1\n", "line 2: unknown record type 'X'"),
+        ("N 0 1970 0.0 1.0 0.5 0.5\n", "line 1: malformed N record"),
+        ("N 0 1970 0.0\n", "line 1: malformed record (list index out of range)"),
+        ("N 0 1970 0.0 1.0 0.5\nN 1 1971 0.0 1.0 0.5,0.5\n",
+         "line 2: inconsistent location dimension"),
+        ("N 0 19x0 0.0 1.0\n",
+         "line 1: malformed record (invalid literal for int() with base 10: '19x0')"),
+        ("N 0 1970 abc 1.0\n",
+         "line 1: malformed record (could not convert string to float: 'abc')"),
+        ("N 0 1970 0.0 1.0 0.5,\n",
+         "line 1: malformed record (could not convert string to float: '')"),
+        (HEAD + "N 1 1971 0.0 1.0\nE 1 x\n",
+         "line 3: malformed record (invalid literal for int() with base 10: 'x')"),
+        (HEAD + "N 1 1971 0.0 1.0\nE 1\n",
+         "line 3: malformed record (list index out of range)"),
+        (HEAD + "N 2 1971 0.0 1.0\n", "line 2: node id 2 out of order (expected 1)"),
+        ("", "graph dump contains no nodes"),
+        ("E 1 0\n", "graph dump contains no nodes"),
+    ], ids=["unknown-record", "malformed-n", "short-n", "dimension", "int-field",
+            "float-field", "empty-coordinate", "edge-field", "short-e", "id-order",
+            "empty", "edges-only"])
+    def test_rejection_messages(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            loads_graph(text)
+        assert str(err.value) == message
 
 
 def edge_walk_history(g, node, horizon):
