@@ -211,10 +211,8 @@ def _load_sim_inputs(args) -> tuple[SeedNetwork, YearSchedule, list]:
             raise ValidationError("pass either --seed-graph/--schedule or --papers/--citations")
         gpath, spath = _existing(args.seed_graph, "input"), _existing(args.schedule, "input")
         g = load_graph(gpath)
-        seed = SeedNetwork(
-            nodes=tuple((i, int(g.years[i])) for i in range(g.n_nodes)),
-            edges=tuple((int(u), int(v)) for u, v in g.edges),
-        )
+        seed = SeedNetwork(nodes=tuple(enumerate(g.years.tolist())),
+                           edges=tuple(map(tuple, g.edges.tolist())))
         return seed, YearSchedule.from_tsv(spath), [gpath, spath]
     if not (args.papers and args.citations):
         raise ValidationError("pass --papers with --citations, or --seed-graph with --schedule")
@@ -411,7 +409,8 @@ def _cmd_sensitivity(args, out_dir: Path):
               "activation_values": activations, "threshold_values": thresholds,
               "default_activation": args.default_activation,
               "default_threshold": args.default_threshold,
-              "min_history": args.min_history, "seed_end": args.seed_end}
+              "min_history": args.min_history, "seed_end": args.seed_end,
+              "decision_rules": result.decision_rules}
     return ["sensitivity.csv"], params, [gpath]
 
 

@@ -26,7 +26,6 @@ from .trajectory import (
     CategoryDistribution,
     ClassifierParams,
     _classify_all,
-    _history_matrix,
     category_distribution,
 )
 
@@ -295,9 +294,13 @@ class SensitivityRow:
 
 @dataclass(frozen=True)
 class SensitivityResult:
+    """The grid's rows, the distribution under the defaults and how many
+    nodes each decision rule settled under the defaults."""
+
     rows: tuple
     baseline: CategoryDistribution
     defaults: ClassifierParams
+    decision_rules: dict
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -317,7 +320,8 @@ def sensitivity(graph, cutoff_year: int, horizon_year: int,
     Re-classifies the graph at every (activation, threshold) combination
     and reports each category's proportion as a ratio against the
     proportion under `defaults`. The default values must lie inside the
-    swept ranges.
+    swept ranges. One classification scores the whole grid, defaults
+    included: one peak pass per threshold serves every activation period.
     """
     activations = [int(a) for a in activation_values]
     thresholds = [float(t) for t in threshold_values]
@@ -332,18 +336,23 @@ def sensitivity(graph, cutoff_year: int, horizon_year: int,
             f"default threshold {defaults.peak_threshold} lies outside the swept "
             f"range {min(thresholds)}..{max(thresholds)}")
 
-    hist = _history_matrix(graph, horizon_year)
-
-    def _distribution(params: ClassifierParams) -> CategoryDistribution:
-        return _classify_all(graph, cutoff_year, horizon_year, params, hist=hist).distribution()
-
-    baseline = _distribution(defaults)
+    # grid positions of each distinct value, the defaults' included
+    t_index = {t: i for i, t in enumerate(dict.fromkeys(
+        [*thresholds, defaults.peak_threshold]))}
+    a_index = {a: i for i, a in enumerate(dict.fromkeys(
+        [*activations, defaults.activation_period]))}
+    grid = _classify_all(graph, cutoff_year, horizon_year, defaults,
+                         thresholds=list(t_index), activations=list(a_index))
+    base = grid.at(t_index[defaults.peak_threshold], a_index[defaults.activation_period])
+    baseline = base.distribution()
     rows = []
     for a in activations:
         for th in thresholds:
-            dist = _distribution(replace(defaults, activation_period=a, peak_threshold=th))
+            replace(defaults, activation_period=a, peak_threshold=th)  # validates the pair
+            dist = grid.at(t_index[th], a_index[a]).distribution()
             for cat, x, y in zip(CATEGORY_ORDER, dist.proportions, baseline.proportions):
                 ratio = float(x) / float(y) if y > 0 else None
                 rows.append(SensitivityRow(activation=a, threshold=th,
                                            category=cat.code, ratio=ratio))
-    return SensitivityResult(rows=tuple(rows), baseline=baseline, defaults=defaults)
+    return SensitivityResult(rows=tuple(rows), baseline=baseline, defaults=defaults,
+                             decision_rules=base.rule_counts())

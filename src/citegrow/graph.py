@@ -11,6 +11,7 @@ construction.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,20 +206,15 @@ class GrowthGraph:
 
     def dumps(self) -> str:
         """Text dump: one N line per node (id order), one E line per edge
-        (creation order). Floats use repr, so a dump round-trips exactly."""
-        out = []
+        (creation order). Floats use repr, so a dump round-trips exactly;
+        the repr of a float from `tolist()` is that of `float(x)`."""
         d = self.dim
-        for i in range(self.n_nodes):
-            head = (f"N {i} {self.years[i]} {float(self.sub_years[i])!r} "
-                    f"{float(self.fitness[i])!r}")
-            if d:
-                locs = ",".join(repr(float(v)) for v in self.locations[i])
-                out.append(f"{head} {locs}")
-            else:
-                out.append(head)
-        for u, v in self.edges:
-            out.append(f"E {u} {v}")
-        return "\n".join(out) + "\n"
+        node = "N {} {} {!r} {!r}" + (" " + ",".join(["{!r}"] * d) if d else "")
+        nodes = map(node.format, range(self.n_nodes), self.years.tolist(),
+                    self.sub_years.tolist(), self.fitness.tolist(), *self.locations.T.tolist())
+        edges = map("E {} {}".format, *self.edges.T.tolist())
+        # a graph without nodes or edges dumps as one empty line
+        return "\n".join([*nodes, *edges, ""]) or "\n"
 
     def dump(self, path) -> None:
         Path(path).write_text(self.dumps(), encoding="utf-8")
@@ -268,30 +264,145 @@ def check_citations(edges: np.ndarray, years: np.ndarray, label: str = "edge") -
     reject(repeat, lambda i: "appears twice")
 
 
-def loads_graph(text: str, seed_end: int | None = None) -> GrowthGraph:
-    """Parse a text dump produced by :meth:`GrowthGraph.dumps`.
+# The dump grammar loads_graph accepts. Every line ends in "\n" (the last
+# one may end the text instead), fields are separated by single spaces,
+# and all N lines come before all E lines:
+#
+#   N <id> <year> <sub_year> <fitness>[ <loc>,<loc>,...]
+#   E <citing> <cited>
+#
+# Ids, years and edge ends are integers: digits with an optional leading
+# "-", at most _WIDTH characters, so they are exact as float64. The other
+# fields are floats as numpy's text parser reads them, without a capital
+# N; every float repr is one. Ids run 0, 1, 2, ... and every N line has
+# as many coordinates as the first. The text is checked and parsed in
+# pieces of about _PIECE characters, each ending on a line end, so no
+# byte array spans more than one piece.
+_PIECE = 1 << 16
+_WIDTH = 15
+_INTEGER = re.compile(r"-?[0-9]+")
+_NODE_SEPARATORS = bytes.maketrans(b"N,", b"  ")
+_EDGE_SEPARATORS = bytes.maketrans(b"E", b" ")
 
-    The dump format carries no seed marker, so `seed_end` (last seed year,
-    inclusive) is needed to restore the seed/grown split; without it every
-    node counts as grown.
-    """
-    years, subs, fits, locs = [], [], [], []
-    edges = []
-    dim: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+
+def _pieces(text: str, start: int, end: int):
+    """(offset, piece) for text[start:end] cut into pieces of about _PIECE
+    characters, each ending with a line end."""
+    while start < end:
+        stop = text.rfind("\n", start, min(start + _PIECE, end)) + 1
+        if stop <= start:  # a line longer than a piece
+            stop = text.find("\n", start + _PIECE, end) + 1 or end
+        piece = text[start:stop]
+        yield start, piece if piece.endswith("\n") else piece + "\n"
+        start = stop
+
+
+def _digits(b: np.ndarray) -> np.ndarray:
+    return (b >= 48) & (b <= 57)
+
+
+def _lines(piece: str, kind: int, n_spaces: int):
+    """The bytes of a piece, its line ends and the (lines, n_spaces) space
+    positions, or None unless the piece is ASCII without control bytes
+    other than line ends, every line starts with the record letter `kind`
+    and a space and has exactly n_spaces spaces with a non-empty field
+    after each, and the letter appears nowhere else."""
+    try:
+        b = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    ends = np.flatnonzero(b == 10)
+    spaces = np.flatnonzero(b == 32)
+    if (spaces.size != ends.size * n_spaces or np.count_nonzero(b < 32) != ends.size
+            or np.count_nonzero(b == kind) != ends.size):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    sp = spaces.reshape(ends.size, n_spaces)
+    if not ((b[starts] == kind).all() and (sp[:, 0] == starts + 1).all()
+            and (np.diff(sp, axis=1) > 1).all() and (ends - sp[:, -1] > 1).all()):
+        return None
+    return b, ends, sp
+
+
+def _node_piece(piece: str, first_id: int, dim: int) -> np.ndarray | None:
+    """(lines, 4 + dim) values of a piece of N lines, or None if it breaks
+    the grammar: id order and the integer form of ids and years included."""
+    lines = _lines(piece, ord("N"), 5 if dim else 4)
+    if lines is None:
+        return None
+    b, ends, sp = lines
+    commas = np.flatnonzero(b == 44)
+    if commas.size != ends.size * max(dim - 1, 0):
+        return None
+    if commas.size:
+        cm = commas.reshape(ends.size, dim - 1)
+        if not ((cm[:, 0] - sp[:, -1] > 1).all() and (np.diff(cm, axis=1) > 1).all()
+                and (ends - cm[:, -1] > 1).all()):
+            return None
+    # ids and years, the bytes from the first space to the third, hold
+    # only digits, minus signs and the space between them
+    region = np.zeros(b.size + 1, dtype=np.int8)
+    region[sp[:, 0]] = 1
+    region[sp[:, 2]] = -1
+    inside = np.cumsum(region[:-1], dtype=np.int8).view(bool)
+    if (inside & ~(_digits(b) | (b == 45) | (b == 32))).any():
+        return None
+    try:
+        values = np.fromstring(b.tobytes().translate(_NODE_SEPARATORS), sep=" ")
+    except ValueError:
+        return None
+    if values.size != ends.size * (4 + dim):
+        return None
+    values = values.reshape(ends.size, 4 + dim)
+    if not ((values[:, 0] == np.arange(first_id, first_id + ends.size)).all()
+            and (sp[:, 2] - sp[:, 1] <= _WIDTH + 1).all()):
+        return None
+    return values
+
+
+def _edge_piece(piece: str) -> np.ndarray | None:
+    """(lines, 2) ends of a piece of E lines, or None if it breaks the
+    grammar."""
+    lines = _lines(piece, ord("E"), 2)
+    if lines is None:
+        return None
+    b, ends, sp = lines
+    # digits with an optional leading minus sign, _WIDTH characters at most
+    minus = np.flatnonzero(b == 45)
+    if (np.count_nonzero(_digits(b)) + minus.size + 4 * ends.size != b.size
+            or not ((b[minus - 1] == 32).all() and _digits(b[minus + 1]).all())
+            or (sp[:, 1] - sp[:, 0] > _WIDTH + 1).any() or (ends - sp[:, 1] > _WIDTH + 1).any()):
+        return None
+    try:
+        values = np.fromstring(b.tobytes().translate(_EDGE_SEPARATORS),
+                               dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    if values.size != 2 * ends.size:
+        return None
+    return values.reshape(ends.size, 2)
+
+
+def _reject(piece: str, lineno: int, next_id: int, dim: int | None, edges_seen: bool):
+    """Raise the ValidationError that names the first line of a piece that
+    breaks the dump grammar. Faults a looser line-by-line reading would
+    also reject come first, with its messages; `next_id`, `dim` and
+    `edges_seen` are the state before the piece."""
+    for line in piece[:-1].split("\n"):
         fields = line.split()
+        if not fields:
+            raise ValidationError(f"line {lineno}: blank line")
         try:
             if fields[0] == "N":
                 nid = int(fields[1])
-                if nid != len(years):
+                if nid != next_id:
                     raise ValidationError(
-                        f"line {lineno}: node id {nid} out of order (expected {len(years)})")
-                years.append(int(fields[2]))
-                subs.append(float(fields[3]))
-                fits.append(float(fields[4]))
+                        f"line {lineno}: node id {nid} out of order (expected {next_id})")
+                int(fields[2])
+                float(fields[3])
+                float(fields[4])
                 if len(fields) == 6:
                     row = [float(v) for v in fields[5].split(",")]
                 elif len(fields) == 5:
@@ -302,28 +413,78 @@ def loads_graph(text: str, seed_end: int | None = None) -> GrowthGraph:
                     dim = len(row)
                 elif len(row) != dim:
                     raise ValidationError(f"line {lineno}: inconsistent location dimension")
-                locs.append(row)
+                integers = fields[1:3]
+                floats = fields[3:5] + (fields[5].split(",") if row else [])
             elif fields[0] == "E":
-                edges.append((int(fields[1]), int(fields[2])))
+                int(fields[1])
+                int(fields[2])
+                integers, floats = fields[1:], []
             else:
                 raise ValidationError(f"line {lineno}: unknown record type {fields[0]!r}")
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"line {lineno}: malformed record ({exc})") from None
-    n = len(years)
+        if line != " ".join(fields):
+            raise ValidationError(
+                f"line {lineno}: fields must be separated by single spaces")
+        if fields[0] == "N" and edges_seen:
+            raise ValidationError(f"line {lineno}: N record after the first E record")
+        if fields[0] == "E" and len(fields) != 3:
+            raise ValidationError(f"line {lineno}: malformed E record")
+        for value in integers:
+            if len(value) > _WIDTH or not (value.isascii() and _INTEGER.fullmatch(value)):
+                raise ValidationError(f"line {lineno}: malformed integer {value!r}")
+        for value in floats:
+            try:
+                ok = (value.isascii() and "N" not in value
+                      and np.fromstring(value, sep=" ").size == 1)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValidationError(f"line {lineno}: malformed float {value!r}")
+        next_id += fields[0] == "N"
+        edges_seen |= fields[0] == "E"
+        lineno += 1
+    raise ValidationError(f"line {lineno - 1}: malformed graph dump")
+
+
+def loads_graph(text: str, seed_end: int | None = None) -> GrowthGraph:
+    """Parse a text dump produced by :meth:`GrowthGraph.dumps`; see the
+    grammar above.
+
+    The dump format carries no seed marker, so `seed_end` (last seed year,
+    inclusive) is needed to restore the seed/grown split; without it every
+    node counts as grown.
+    """
+    split = 0 if text.startswith("E") else text.find("\nE") + 1 or len(text)
+    eol = text.find("\n", 0, split)
+    first = text[:eol if eol >= 0 else split]
+    dim = first.count(",") + 1 if first.count(" ") > 4 else 0
+    nodes, edges = [], []
+    n = 0
+    for start, piece in _pieces(text, 0, split):
+        values = _node_piece(piece, n, dim)
+        if values is None:
+            _reject(piece, text.count("\n", 0, start) + 1, n, dim if n else None, False)
+        nodes.append(values)
+        n += values.shape[0]
+    for start, piece in _pieces(text, split, len(text)):
+        values = _edge_piece(piece)
+        if values is None:
+            _reject(piece, text.count("\n", 0, start) + 1, n, dim if n else None, True)
+        edges.append(values)
     if n == 0:
         raise ValidationError("graph dump contains no nodes")
-    dim = dim or 0
-    years_arr = np.array(years, dtype=np.int64)
-    edges_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    out_deg = np.bincount(edges_arr[:, 0], minlength=n) if edges else np.zeros(n, dtype=np.int64)
-    check_citations(edges_arr, years_arr)
-    n_seed = int(np.count_nonzero(years_arr <= seed_end)) if seed_end is not None else 0
+    values = np.concatenate(nodes)
+    edges_arr = np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64)
+    years = values[:, 1].astype(np.int64)
+    check_citations(edges_arr, years)
+    n_seed = int(np.count_nonzero(years <= seed_end)) if seed_end is not None else 0
     return GrowthGraph(
-        years=years_arr,
-        sub_years=np.array(subs, dtype=np.float64),
-        fitness=np.array(fits, dtype=np.float64),
-        locations=np.array(locs, dtype=np.float64).reshape(n, dim),
-        out_degrees=out_deg,
+        years=years,
+        sub_years=values[:, 2],
+        fitness=values[:, 3],
+        locations=values[:, 4:],
+        out_degrees=np.bincount(edges_arr[:, 0], minlength=n),
         edges=edges_arr,
         n_seed=n_seed,
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -294,7 +294,8 @@ _RULE_CATEGORY = np.array([0, 1, 2, 3, 4, 4])
 _ER, _FR, _LR, _SR, _OT_PEAK_AT_HORIZON, _OT_LOW_MEAN = range(len(_DECISION_RULES))
 
 
-def _classify_rows(counts, lengths, params: ClassifierParams) -> np.ndarray:
+def _classify_rows(counts, lengths, params: ClassifierParams,
+                   thresholds=None, activations=None) -> np.ndarray:
     """Decision-rule code (an index into `_DECISION_RULES`) of each row of
     a history matrix. Row r holds a trajectory of lengths[r] years, and its
     columns from lengths[r] on must be zero. The code's category is the
@@ -310,13 +311,25 @@ def _classify_rows(counts, lengths, params: ClassifierParams) -> np.ndarray:
     peaks      a candidate is kept if it is its row's first, or if a
                running count of below-threshold offsets grew since the
                previous candidate
+
+    Given lists of `thresholds` and `activations` (used in place of the
+    two values in `params`), the codes come back with shape
+    (len(thresholds), len(activations), rows), one for every pair. The
+    mean and monotone rules depend on neither value and run once; the
+    peak rules run once per threshold; and the activation period only
+    decides whether a row with a single peak before its last offset is
+    er or lr.
     """
+    grid = thresholds is not None
+    if not grid:
+        thresholds, activations = [params.peak_threshold], [params.activation_period]
     counts = np.asarray(counts)
     lengths = np.asarray(lengths, dtype=np.int64)
-    codes = np.full(lengths.size, _OT_LOW_MEAN, dtype=np.int8)
+    codes = np.full((len(thresholds), len(activations), lengths.size), _OT_LOW_MEAN,
+                    dtype=np.int8)
     live = np.nonzero(counts.sum(axis=1) >= lengths)[0]
     if live.size == 0:
-        return codes
+        return codes if grid else codes[0, 0]
     c = counts[live]
     n = lengths[live]
     last = n - 1
@@ -327,36 +340,43 @@ def _classify_rows(counts, lengths, params: ClassifierParams) -> np.ndarray:
     steady = (np.all(rising | ~inside[:, 1:], axis=1)
               & (c[np.arange(c.shape[0]), last] > c[:, 0]))
 
-    above = c / c.max(axis=1, keepdims=True) >= params.peak_threshold
-    left = np.ones_like(above)
+    normalized = c / c.max(axis=1, keepdims=True)
+    left = np.ones(c.shape, dtype=bool)
     left[:, 1:] = c[:, 1:] > c[:, :-1]
     right = cols == last[:, None]
     right[:, :-1] |= c[:, :-1] >= c[:, 1:]
-    rows, offsets = np.nonzero(above & left & right & inside)
-    dips = np.cumsum(~above, axis=1)[rows, offsets]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    kept = first.copy()
-    kept[1:] |= dips[1:] > dips[:-1]
-    n_peaks = np.bincount(rows[kept], minlength=c.shape[0])
-    peak = offsets[first]  # each row's first maximum is a candidate
-
-    live_codes = np.where(
-        n_peaks >= 2, _FR,
-        np.where(peak < params.activation_period, _ER,
-                 np.where(peak != last, _LR, _OT_PEAK_AT_HORIZON)))
-    live_codes[steady] = _SR
-    codes[live] = live_codes
-    return codes
+    maxima = left & right & inside  # candidates, but for the threshold
+    for t, threshold in enumerate(thresholds):
+        above = normalized >= threshold
+        rows, offsets = np.nonzero(above & maxima)
+        dips = np.cumsum(~above, axis=1)[rows, offsets]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        kept = first.copy()
+        kept[1:] |= dips[1:] > dips[:-1]
+        n_peaks = np.bincount(rows[kept], minlength=c.shape[0])
+        peak = offsets[first]  # each row's first maximum is a candidate
+        single = np.where(peak != last, _LR, _OT_PEAK_AT_HORIZON)
+        for a, activation in enumerate(activations):
+            live_codes = np.where(n_peaks >= 2, _FR,
+                                  np.where(peak < activation, _ER, single))
+            live_codes[steady] = _SR
+            codes[t, a, live] = live_codes
+    return codes if grid else codes[0, 0]
 
 
 @dataclass(frozen=True)
 class _Classification:
-    """Classified nodes: ids, publication years and decision-rule codes."""
+    """Classified nodes: ids, publication years and decision-rule codes.
+    The codes of a grid classification have shape (thresholds,
+    activations, nodes), and `at` picks one point of the grid."""
 
     ids: np.ndarray
     years: np.ndarray
     codes: np.ndarray
+
+    def at(self, threshold_index: int, activation_index: int) -> "_Classification":
+        return replace(self, codes=self.codes[threshold_index, activation_index])
 
     def rows(self) -> list:
         cats = [CATEGORY_ORDER[i] for i in _RULE_CATEGORY[self.codes].tolist()]
@@ -373,9 +393,11 @@ class _Classification:
 
 
 def _classify_all(graph: GrowthGraph, cutoff_year: int, horizon_year: int,
-                  params: ClassifierParams,
-                  hist: np.ndarray | None = None) -> _Classification:
-    """Classify every non-seed node published up to the cutoff."""
+                  params: ClassifierParams, hist: np.ndarray | None = None,
+                  thresholds=None, activations=None) -> _Classification:
+    """Classify every non-seed node published up to the cutoff, under
+    `params` or, given `thresholds` and `activations`, at every pair of
+    them (see `_classify_rows`)."""
     cutoff = int(cutoff_year)
     horizon = int(horizon_year)
     if horizon - cutoff < params.min_history_years - 1:
@@ -396,7 +418,8 @@ def _classify_all(graph: GrowthGraph, cutoff_year: int, horizon_year: int,
         counts = hist[ids[0]:ids[-1] + 1]
     else:
         counts = hist[ids]
-    return _Classification(ids, years, _classify_rows(counts, horizon - years + 1, params))
+    return _Classification(ids, years, _classify_rows(counts, horizon - years + 1, params,
+                                                      thresholds, activations))
 
 
 def classify_graph(graph: GrowthGraph, cutoff_year: int, horizon_year: int,

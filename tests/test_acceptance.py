@@ -48,6 +48,7 @@ import pytest
 from scipy.spatial.distance import jensenshannon
 from scipy.stats import spearmanr
 
+import citegrow
 from citegrow import (
     CategoryDistribution,
     ClassifierParams,
@@ -346,13 +347,17 @@ def test_10_cli_determinism(tmp_path):
                         ((2, 0), (3, 1)), model, 0)
     g0.dump(seed_graph)
     schedule.write_text("1976\t1,2\n1977\t2\n")
+    # the child imports the same citegrow sources as this process
+    src = str(Path(citegrow.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     digests = []
     for sub in ("a", "b"):
         out = tmp_path / sub
         cmd = [sys.executable, "-m", "citegrow.cli", "simulate",
                "--seed-graph", str(seed_graph), "--schedule", str(schedule),
                "--model", "ba", "--seed", "5", "--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         manifest = json.loads((out / "manifest.json").read_text())
         digests.append(manifest["outputs"])

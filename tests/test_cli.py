@@ -315,3 +315,33 @@ class TestPinnedOutputs:
                     produced[f"{out}/{path.name}"] = hashlib.sha256(
                         path.read_bytes()).hexdigest()
         assert produced == self.PINNED
+
+    def test_seed_graph_input_grows_the_pinned_graph(self, tmp_path, corpus):
+        # the ingested seed network read back from its dump is the one
+        # --papers/--citations build, so growth gives the pinned graph
+        ppath, cpath = corpus
+        assert run(["ingest", "--papers", ppath, "--citations", cpath,
+                    "--out", tmp_path / "ing"]) == 0
+        assert run(["simulate", "--seed-graph", tmp_path / "ing" / "seed.graph",
+                    "--schedule", tmp_path / "ing" / "schedule.tsv",
+                    "--model", "lbm-g", "--sigma", "0.5", "--shift-unit", "nodes",
+                    "--shift-every", "3", "--seed", "5", "--out", tmp_path / "sim"]) == 0
+        graph = (tmp_path / "sim" / "graph.txt").read_bytes()
+        assert hashlib.sha256(graph).hexdigest() == self.PINNED["sim/graph.txt"]
+
+    def test_sensitivity_manifest_counts_decision_rules(self, tmp_path, corpus):
+        ppath, cpath = corpus
+        window = ["--cutoff", "1978", "--horizon", "1987"]
+        assert run(["simulate", "--papers", ppath, "--citations", cpath,
+                    "--model", "lbm-g", "--seed", "2", "--out", tmp_path / "sim"]) == 0
+        assert run(["classify", "--graph", tmp_path / "sim" / "graph.txt", *window,
+                    "--out", tmp_path / "cls"]) == 0
+        assert run(["sensitivity", "--graph", tmp_path / "sim" / "graph.txt", *window,
+                    "--activation", "4:6", "--peak-threshold", "0.65,0.75",
+                    "--out", tmp_path / "sens"]) == 0
+        rules = {out: json.loads((tmp_path / out / "manifest.json").read_text())
+                 ["parameters"]["decision_rules"] for out in ("cls", "sens")}
+        rows = (tmp_path / "cls" / "classification.csv").read_text().splitlines()[1:]
+        # the defaults are classify's own settings, so the counts agree
+        assert rules["sens"] == rules["cls"]
+        assert sum(rules["sens"].values()) == len(rows)

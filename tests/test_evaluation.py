@@ -302,6 +302,15 @@ class TestSensitivityGrid:
         assert bits(result.rows) == bits(want)
         assert len(result.rows) == len(activations) * len(thresholds) * 5
 
+    def test_decision_rules_sum_to_the_classified_nodes(self):
+        graph, cutoff, horizon = graph_from_histories(RULE_HISTORIES)
+        result = sensitivity(graph, cutoff, horizon, ACTIVATIONS, THRESHOLDS)
+        rules = result.decision_rules
+        assert rules == _classify_all(graph, cutoff, horizon,
+                                      ClassifierParams()).rule_counts()
+        assert sum(rules.values()) == int(result.baseline.counts.sum()) == len(RULE_HISTORIES)
+        assert min(rules.values()) > 0
+
     @pytest.mark.parametrize("rng_seed", [1, 77])
     def test_matches_per_point_loop_on_grown_graph(self, rng_seed):
         model = make_model("lbm-g", sigma=1.5, shift_every=12)

@@ -12,6 +12,7 @@ from citegrow import (
     make_model,
     run_simulation,
 )
+from citegrow import graph as graph_module
 from citegrow.trajectory import _history_matrix
 
 
@@ -166,7 +167,7 @@ class TestDumpBytes:
     def test_golden_text(self, dim):
         assert fixed_graph(dim).dumps() == self.GOLDEN[dim] + self.EDGES
 
-    @pytest.mark.parametrize("dim", [0, 1, 3])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3])
     def test_round_trip_digest(self, dim):
         g = fixed_graph(dim)
         back = loads_graph(g.dumps(), seed_end=1970)
@@ -199,6 +200,58 @@ class TestDumpBytes:
             "float-field", "empty-coordinate", "edge-field", "short-e", "id-order",
             "empty", "edges-only"])
     def test_rejection_messages(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            loads_graph(text)
+        assert str(err.value) == message
+
+
+class TestLoaderGrammar:
+    """loads_graph reads the grammar in graph.py and nothing looser."""
+
+    HEAD = "N 0 1970 0.0 1.0\nN 1 1971 0.0 1.0\n"
+
+    def test_pieces_join_up(self, monkeypatch):
+        # pieces far shorter than a line, and pieces of a few lines
+        g = grown_example()
+        text = g.dumps()
+        for piece in (1, 7, 100):
+            monkeypatch.setattr(graph_module, "_PIECE", piece)
+            assert loads_graph(text, seed_end=1975).digest() == g.digest()
+
+    def test_fault_in_a_later_piece_names_its_line(self, monkeypatch):
+        g = grown_example(kind="ba")
+        lines = g.dumps().splitlines()
+        at = len(lines) - 2
+        lines[at] = lines[at].replace("E ", "E x", 1)
+        monkeypatch.setattr(graph_module, "_PIECE", 20)
+        with pytest.raises(ValidationError, match=rf"^line {at + 1}: malformed record"):
+            loads_graph("\n".join(lines) + "\n")
+
+    def test_last_line_may_end_the_text(self):
+        text = fixed_graph(2).dumps()
+        assert loads_graph(text[:-1]).digest() == loads_graph(text).digest()
+
+    @pytest.mark.parametrize("text, message", [
+        (HEAD.replace("\n", "\r\n"), "line 1: fields must be separated by single spaces"),
+        (HEAD.replace(" 1971", "\t1971"), "line 2: fields must be separated by single spaces"),
+        (HEAD.replace("1.0\n", "1.0 \n", 1),
+         "line 1: fields must be separated by single spaces"),
+        (HEAD + "\nE 1 0\n", "line 3: blank line"),
+        (HEAD + "E 1 0\nN 2 1972 0.0 1.0\n", "line 4: N record after the first E record"),
+        (HEAD + "E 1 0 7\n", "line 3: malformed E record"),
+        (HEAD + "E +1 0\n", "line 3: malformed integer '+1'"),
+        (HEAD + "E 1000000000000001 0\n", "line 3: malformed integer '1000000000000001'"),
+        (HEAD.replace("1971", "01971.0"), "line 2: malformed record (invalid literal for "
+                                          "int() with base 10: '01971.0')"),
+        (HEAD.replace("1971", "1_971"), "line 2: malformed integer '1_971'"),
+        (HEAD.replace("0.0 1.0\nN 1", "NaN 1.0\nN 1"), "line 1: malformed float 'NaN'"),
+        (HEAD.replace("1.0\nN 1", "1_0.5\nN 1"), "line 1: malformed float '1_0.5'"),
+        (HEAD.replace("1971", "\u0661\u0669\u0667\u0661"),
+         "line 2: malformed integer '\u0661\u0669\u0667\u0661'"),
+    ], ids=["crlf", "tab", "trailing-space", "blank-line", "interleaved", "extra-e-field",
+            "plus-sign", "wide-integer", "decimal-year", "underscore-integer",
+            "capital-nan", "underscore-float", "non-ascii-digits"])
+    def test_rejects_what_the_grammar_leaves_out(self, text, message):
         with pytest.raises(ValidationError) as err:
             loads_graph(text)
         assert str(err.value) == message

@@ -387,6 +387,23 @@ class TestArrayClassifier:
                                         min_history_years=3)):
             assert scalar_mismatches(counts, lengths, params) == []
 
+    def test_grid_matches_one_point_at_a_time(self):
+        rng = np.random.default_rng(6)
+        width = 12
+        lengths = rng.integers(3, width + 1, size=3000)
+        shape = (lengths.size, width)
+        counts = rng.integers(0, 6, size=shape) * (rng.random(shape) < 0.6)
+        counts[np.arange(width) >= lengths[:, None]] = 0
+        params = ClassifierParams(min_history_years=3)
+        thresholds, activations = [0.45, 0.75, 0.9, 1.0], [1, 3, 4, 7]
+        grid = _classify_rows(counts, lengths, params, thresholds, activations)
+        assert grid.shape == (4, 4, lengths.size)
+        for t, threshold in enumerate(thresholds):
+            for a, activation in enumerate(activations):
+                point = ClassifierParams(activation, threshold, 3)
+                np.testing.assert_array_equal(grid[t, a],
+                                              _classify_rows(counts, lengths, point))
+
     @pytest.mark.parametrize("kind,options", [
         ("ba", {}), ("af", {}), ("mf", {}), ("lbm", {}),
         ("lbm-g", {"sigma": 1.5, "shift_every": 12}),
