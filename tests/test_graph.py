@@ -97,13 +97,13 @@ class TestGrowthGraphSerialization:
         assert grown_example(rng_seed=9).digest() == grown_example(rng_seed=9).digest()
 
     def test_loads_rejects_sparse_ids(self):
-        text = "N 0 1970 0.0 1.0 \nN 2 1971 0.0 1.0 \n"
-        with pytest.raises(ValidationError):
+        text = "N 0 1970 0.0 1.0\nN 2 1971 0.0 1.0\n"
+        with pytest.raises(ValidationError, match="node id 2 out of order"):
             loads_graph(text)
 
     def test_loads_rejects_edge_out_of_range(self):
-        text = "N 0 1970 0.0 1.0 \nE 0 5\n"
-        with pytest.raises(ValidationError):
+        text = "N 0 1970 0.0 1.0\nE 0 5\n"
+        with pytest.raises(ValidationError, match=r"edge \(0, 5\) references a missing node"):
             loads_graph(text)
 
     @pytest.mark.parametrize("edges, reason", [
