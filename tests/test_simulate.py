@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,40 @@ class TestSelectionMechanics:
         schedule = YearSchedule({1976: [5]})
         with pytest.raises(SimulationError, match="5"):
             grow(make_model("ba"), tiny_seed, schedule)
+
+
+def count_races(monkeypatch) -> list:
+    """Record the k of every exponential race the sampler runs."""
+    race = citegrow.sampling.sample_without_replacement
+    calls = []
+
+    def counted(weights, k, rng):
+        calls.append(k)
+        return race(weights, k, rng)
+
+    monkeypatch.setattr(citegrow.sampling, "sample_without_replacement", counted)
+    return calls
+
+
+def dominant_fitness_run() -> GrowthGraph:
+    """An mf run whose seed node 0 holds almost all of the weight and gains
+    10000 per citation, so insertions that draw it first finish with the
+    dense-share race."""
+    n = 5
+    g0 = GrowthGraph(years=np.full(n, 1970), sub_years=np.zeros(n),
+                     fitness=np.array([10000.0, 1.0, 2.0, 3.0, 1.5]),
+                     locations=np.zeros((n, 0)), out_degrees=np.zeros(n, dtype=np.int64),
+                     edges=np.zeros((0, 2), dtype=np.int64), n_seed=n)
+    schedule = YearSchedule({1976: [2, 3, 1, 2], 1977: [3, 2, 2, 4], 1978: [2, 3, 3, 2]})
+    return run_simulation(g0, schedule, make_model("mf"), 8)
+
+
+def edgeless_total_run() -> GrowthGraph:
+    """A ba run under "total" degrees on an edgeless seed: every seed node
+    starts at weight 0, so early insertions need uniform fills."""
+    seed = SeedNetwork(nodes=tuple((i, 1970 + i) for i in range(6)), edges=())
+    schedule = YearSchedule({1976: [2, 3, 1], 1977: [3, 2, 4, 2], 1978: [5, 1, 3]})
+    return grow(make_model("ba", degree_mode="total"), seed, schedule, rng_seed=9)
 
 
 def insertion_weights(graph, model, node):
@@ -568,6 +603,17 @@ class TestLogGrowthStream:
         g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
         assert run_simulation(g0, schedule, model, 6).digest() == digest
 
+    def test_dense_share_finish_is_pinned(self, monkeypatch):
+        calls = count_races(monkeypatch)
+        g = dominant_fitness_run()
+        assert g.digest() == "72a8fc811b5c95c91b58870b2e2c0ff2ced3e3e6088726aea04b5afc3b90655e"
+        assert len(calls) > 0
+
+    def test_uniform_fills_are_pinned(self):
+        g = edgeless_total_run()
+        assert g.fallback_fills > 0
+        assert g.digest() == "497618a0170ee5c8312d07a542287bee397d9b6d2d80c5d2ef97f905b23ed7d6"
+
 
 class TestSpatialGrowthStream:
     """lbm and lbm-g draw every fitness value and location before the first
@@ -631,6 +677,13 @@ class TestScheduleValidation:
     def test_empty_schedule_returns_seed(self, tiny_seed):
         g = grow(make_model("ba"), tiny_seed, YearSchedule({}))
         assert g.n_nodes == tiny_seed.n_nodes
+
+    def test_later_out_degree_beyond_the_network(self, tiny_seed):
+        # the fourth scheduled node meets 7 nodes but asks for 8
+        schedule = YearSchedule({1976: [1, 1], 1977: [2, 8]})
+        with pytest.raises(SimulationError, match=re.escape(
+                "year 1977: scheduled out-degree 8 exceeds the 7 existing nodes")):
+            grow(make_model("ba"), tiny_seed, schedule)
 
     def test_dim_mismatch_between_seed_and_model(self, tiny_seed, tiny_schedule):
         g0 = init_from_seed(tiny_seed.nodes, tiny_seed.edges,
