@@ -389,7 +389,10 @@ def _cmd_sweep(args, out_dir: Path):
     print(f"sweep: {len(result.rows)} points, best {best.params} jsd2={best.jsd2:.6f}")
     params = {"model": kind, "axes": {k: list(map(str, v)) for k, v in axes.items()},
               "runs_per_point": args.runs, "rng_seed": args.seed,
-              "cutoff": args.cutoff, "horizon": args.horizon}
+              "cutoff": args.cutoff, "horizon": args.horizon,
+              # one entry per sweep.csv row, in its order
+              "decision_rules": [{"params": {k: str(v) for k, v in row.params.items()},
+                                  "rules": row.decision_rules} for row in result.rows]}
     return (["sweep.csv", "sweep_summary.json"], params,
             data_inputs + cfg_inputs + [rpath])
 

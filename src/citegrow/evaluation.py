@@ -26,7 +26,6 @@ from .trajectory import (
     CategoryDistribution,
     ClassifierParams,
     _classify_all,
-    category_distribution,
 )
 
 __all__ = [
@@ -127,9 +126,13 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One scored grid point: its mean category mix over its runs, and how
+    many nodes each decision rule settled, summed over its runs."""
+
     params: dict
     distribution: CategoryDistribution
     jsd2: float
+    decision_rules: dict
     best: bool = False
 
 
@@ -217,17 +220,22 @@ class _SweepTask:
     root_seed: int
 
 
-def _run_sweep_point(task: _SweepTask) -> tuple[int, np.ndarray]:
+def _run_sweep_point(task: _SweepTask) -> tuple[int, np.ndarray, dict]:
+    """The point's index, its mean category proportions over its runs and
+    its decision-rule counts summed over them."""
     schedule = YearSchedule(task.schedule_entries)
     prop_sum = np.zeros(5, dtype=np.float64)
+    rules: dict[str, int] = {}
     for r in range(task.runs):
         seed_graph = init_from_seed(task.seed_nodes, task.seed_edges, task.model,
                                     derive_seed(task.root_seed, task.index, r, 0))
         grown = run_simulation(seed_graph, schedule, task.model,
                                derive_seed(task.root_seed, task.index, r, 1))
-        dist = category_distribution(grown, task.cutoff, task.horizon, task.params)
-        prop_sum += dist.proportions
-    return task.index, prop_sum / task.runs
+        result = _classify_all(grown, task.cutoff, task.horizon, task.params)
+        prop_sum += result.distribution().proportions
+        for rule, count in result.rule_counts().items():
+            rules[rule] = rules.get(rule, 0) + count
+    return task.index, prop_sum / task.runs, rules
 
 
 def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
@@ -264,16 +272,18 @@ def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
     else:
         results = [_run_sweep_point(t) for t in tasks]
 
-    mean_props = dict(results)
+    by_index = {i: (props, rules) for i, props, rules in results}
     ref = reference.proportions
     scored = []
     for i, pt in enumerate(points):
-        dist = CategoryDistribution.from_proportions(mean_props[i], normalize=True)
-        scored.append((jsd2(dist.proportions, ref), i, pt, dist))
+        props, rules = by_index[i]
+        dist = CategoryDistribution.from_proportions(props, normalize=True)
+        scored.append((jsd2(dist.proportions, ref), i, pt, dist, rules))
     scored.sort(key=lambda item: (item[0], item[1]))
     rows = tuple(
-        SweepRow(params=pt.params, distribution=dist, jsd2=score, best=(rank == 0))
-        for rank, (score, _, pt, dist) in enumerate(scored)
+        SweepRow(params=pt.params, distribution=dist, jsd2=score, decision_rules=rules,
+                 best=(rank == 0))
+        for rank, (score, _, pt, dist, rules) in enumerate(scored)
     )
     return SweepResult(rows=rows, param_names=tuple(param_names))
 

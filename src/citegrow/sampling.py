@@ -45,7 +45,7 @@ bias it.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 
 import numpy as np
 
@@ -65,9 +65,10 @@ SEGMENT = 64.0
 _EMPTY = np.empty(0, dtype=np.int64)
 
 # what `IncrementLog.counts` tallies: targets by the way they were drawn,
-# tail arrivals proposed and accepted, and hand-offs to the race
-COUNTERS = ("log_draws", "ball_draws", "tail_draws", "race_draws",
-            "tail_proposed", "tail_accepted", "race_handoffs")
+# log draws rejected as repeats, tail arrivals proposed and accepted, and
+# insertions handed to the race (lbm/lbm-g) or finished by it (ba/af/mf)
+COUNTERS = ("log_draws", "ball_draws", "tail_draws", "race_draws", "log_rejects",
+            "tail_proposed", "tail_accepted", "race_handoffs", "dense_handoffs")
 
 
 def sample_without_replacement(weights, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,6 +132,12 @@ class IncrementLog:
     entries with probability weight / total. A zero increment has zero
     width and is never hit.
 
+    The arrays are allocated once at capacity and never resized. The ba,
+    af and mf draw and `add_node` touch a handful of entries per
+    insertion, so they read and write them one at a time through
+    memoryviews of the same arrays, as Python floats and ints; the lbm and
+    lbm-g draws read the arrays whole, with numpy.
+
     Parameters
     ----------
     weights:
@@ -148,63 +155,72 @@ class IncrementLog:
         self.owner[:n] = np.arange(n)
         np.cumsum(w, out=self.cum[:n])
         self.weights[:n] = w
+        self._owner = memoryview(self.owner)
+        self._cum = memoryview(self.cum)
+        self._weights = memoryview(self.weights)
         self.n_nodes = n
         self.size = n
         self.counts = dict.fromkeys(COUNTERS, 0)
 
-    def add_node(self, cited: np.ndarray, gains: np.ndarray, weight: float) -> None:
-        """Credit each distinct node in `cited` with its gain, then append
-        one new node (id `n_nodes`) of initial weight `weight`."""
+    def add_node(self, cited, gains, weight: float) -> None:
+        """Credit each distinct node in `cited` with its gain (`gains`, in
+        the same order), then append one new node (id `n_nodes`) of initial
+        weight `weight`."""
+        owner, cum, weights = self._owner, self._cum, self._weights
         t = self.size
-        end = t + len(cited) + 1
-        base = float(self.cum[t - 1]) if t else 0.0
-        self.owner[t:end - 1] = cited
-        self.owner[end - 1] = self.n_nodes
+        base = cum[t - 1] if t else 0.0
         # running sums of the new entries, each then added to the base: the
         # additions, in order, of a cumsum over the block plus base
         running = 0.0
-        totals = []
-        for gain in gains.tolist():
+        for node, gain in zip(cited, gains):
             running += gain
-            totals.append(base + running)
-        totals.append(base + (running + weight))
-        self.cum[t:end] = totals
-        self.weights[cited] += gains
-        self.weights[self.n_nodes] = weight
+            owner[t] = node
+            cum[t] = base + running
+            weights[node] += gain
+            t += 1
+        owner[t] = self.n_nodes
+        cum[t] = base + (running + weight)
+        weights[self.n_nodes] = weight
         self.n_nodes += 1
-        self.size = end
+        self.size = t + 1
 
-    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, k: int, rng: np.random.Generator) -> list:
         """Select k distinct nodes with probability proportional to weight,
         under the sequential law of `sample_without_replacement`.
 
-        Returns a sorted int64 array. When fewer than k nodes have positive
-        weight, all of them are returned and the caller fills the gap.
+        Returns a sorted list of node ids. When fewer than k nodes have
+        positive weight, all of them are returned and the caller fills the
+        gap.
         """
-        weights = self.weights[:self.n_nodes]
-        cum = self.cum[:self.size]
-        total = float(cum[-1])
+        owner, cum, weights = self._owner, self._cum, self._weights
+        size = self.size
+        total = cum[size - 1]
         chosen: set[int] = set()
         chosen_w = 0.0
+        rejects = 0
         while len(chosen) < k:
             if chosen_w >= DENSE_SHARE * total:
-                w = weights.copy()
+                w = self.weights[:self.n_nodes].copy()
                 w[list(chosen)] = 0.0
                 chosen.update(_race_positive(w, k - len(chosen), rng).tolist())
+                self.counts["dense_handoffs"] += 1
                 break
             need = k - len(chosen)
             # expected draws for `need` acceptances at the current rejection rate
             batch = min(int(need * total / (total - chosen_w)) + 2, self.n_nodes)
             # u < 1 makes u * total < total, so the search stays inside the log
-            hits = cum.searchsorted(rng.random(batch) * total, side="right")
-            for node in self.owner[hits].tolist():
-                if node not in chosen:
+            for u in rng.random(batch).tolist():
+                node = owner[bisect_right(cum, u * total, 0, size)]
+                if node in chosen:
+                    rejects += 1
+                else:
                     chosen.add(node)
                     chosen_w += weights[node]
                     if len(chosen) == k:
                         break
         self.counts["log_draws"] += len(chosen)
-        return np.array(sorted(chosen), dtype=np.int64)
+        self.counts["log_rejects"] += rejects
+        return sorted(chosen)
 
     def sample_near(self, k: int, rng: np.random.Generator, ball) -> np.ndarray:
         """Select k distinct nodes with probability proportional to weight

@@ -53,8 +53,6 @@ from .spatial import balls
 
 __all__ = ["init_from_seed", "run_simulation"]
 
-_NO_TARGETS = np.empty(0, dtype=np.int64)
-
 
 def init_from_seed(seed_nodes, seed_edges, model: ModelSpec,
                    rng_seed: int) -> GrowthGraph:
@@ -128,8 +126,12 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
             f"last seed year {int(seed.years.max())}")
 
     n_seed = seed.n_nodes
-    n_total = n_seed + schedule.total_nodes
-    m_total = seed.n_edges + schedule.total_edges
+    sizes = [len(schedule.entries[year]) for year in years_plan]
+    degrees = np.array([k for year in years_plan for k in schedule.entries[year]],
+                       dtype=np.int64)
+    n_total = n_seed + len(degrees)
+    m_seed = seed.n_edges
+    m_total = m_seed + int(degrees.sum())
 
     years = np.empty(n_total, dtype=np.int64)
     sub_years = np.empty(n_total, dtype=np.float64)
@@ -144,11 +146,23 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     fitness[:n_seed] = seed.fitness
     locations[:n_seed] = seed.locations
     out_deg[:n_seed] = seed.out_degrees
-    edges[:seed.n_edges] = seed.edges
+    edges[:m_seed] = seed.edges
+    # the schedule alone fixes each new node's year, its position j/m among
+    # the m nodes of its year, its out-degree and its side of its citations
+    years[n_seed:] = np.repeat(years_plan, sizes)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    sub_years[n_seed:] = (np.arange(len(degrees)) - first) / np.repeat(sizes, sizes)
+    out_deg[n_seed:] = degrees
+    edges[m_seed:, 0] = np.repeat(np.arange(n_seed, n_total), degrees)
+
+    # node n meets the n nodes before it
+    short = np.flatnonzero(degrees > np.arange(n_seed, n_total)) + n_seed
+    if short.size:
+        n = int(short[0])
+        raise SimulationError(
+            f"year {years[n]}: scheduled out-degree {out_deg[n]} exceeds the {n} existing nodes")
 
     rng = np.random.default_rng(rng_seed)
-    degrees = np.array([k for year in years_plan for k in schedule.entries[year]],
-                       dtype=np.int64)
     log, gains, entry = _increment_log(seed, degrees, model, fitness, rng)
     shifts = 0
     near = None
@@ -158,36 +172,26 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     fallback_fills = 0
     sampler_s = 0.0
 
-    n = n_seed
-    e = seed.n_edges
-    for year in years_plan:
-        degs = schedule.entries[year]
-        m = len(degs)
-        for j, k in enumerate(degs):
-            if k > n:
-                raise SimulationError(
-                    f"year {year}: scheduled out-degree {k} exceeds the {n} existing nodes")
-            targets = _NO_TARGETS
-            if k:
-                t0 = perf_counter()
-                targets = (log.sample(k, rng) if near is None
-                           else log.sample_near(k, rng, next(near)))
-                sampler_s += perf_counter() - t0
-            if len(targets) < k:
-                pool = np.setdiff1d(np.arange(n, dtype=np.int64), targets,
-                                    assume_unique=True)
-                extra = rng.choice(pool, size=k - len(targets), replace=False)
-                fallback_fills += k - len(targets)
-                targets = np.sort(np.concatenate([targets, extra]))
-
-            years[n] = year
-            sub_years[n] = j / m
-            out_deg[n] = k
-            edges[e:e + k, 0] = n
-            edges[e:e + k, 1] = targets
-            log.add_node(targets, gains[targets], entry[n])
-            e += k
-            n += 1
+    gain = gains.tolist()
+    cited = memoryview(edges[:, 1])
+    e = m_seed
+    for n, (k, weight) in enumerate(zip(degrees.tolist(), entry[n_seed:].tolist()), n_seed):
+        targets = []
+        if k:
+            t0 = perf_counter()
+            targets = (log.sample(k, rng) if near is None
+                       else log.sample_near(k, rng, next(near)).tolist())
+            sampler_s += perf_counter() - t0
+        if len(targets) < k:
+            pool = np.setdiff1d(np.arange(n, dtype=np.int64),
+                                np.array(targets, dtype=np.int64), assume_unique=True)
+            extra = rng.choice(pool, size=k - len(targets), replace=False)
+            fallback_fills += k - len(targets)
+            targets = sorted(targets + extra.tolist())
+        for target in targets:
+            cited[e] = target
+            e += 1
+        log.add_node(targets, [gain[t] for t in targets], weight)
 
     return GrowthGraph(
         years=years, sub_years=sub_years, fitness=fitness, locations=locations,

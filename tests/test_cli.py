@@ -174,6 +174,11 @@ class TestPipeline:
         assert len(lines) == 3
         summary = json.loads((sw / "sweep_summary.json").read_text())
         assert "best" in summary
+        # one entry per sweep.csv row; each run classifies the same nodes
+        rules = json.loads((sw / "manifest.json").read_text())["parameters"]["decision_rules"]
+        assert [r["params"]["gamma_regime"] for r in rules] == [
+            line.split(",")[0] for line in lines[1:]]
+        assert len({sum(r["rules"].values()) for r in rules}) == 1
 
         sim = tmp_path / "sim2"
         run(["simulate", "--papers", ppath, "--citations", cpath,

@@ -24,7 +24,12 @@ from citegrow import (
     synthetic_seed,
 )
 from citegrow.evaluation import SensitivityRow, _run_sweep_point, _SweepTask
-from citegrow.trajectory import CATEGORY_ORDER, _classify_all, _history_matrix
+from citegrow.trajectory import (
+    CATEGORY_ORDER,
+    _DECISION_RULES,
+    _classify_all,
+    _history_matrix,
+)
 
 from conftest import graph_from_histories
 
@@ -145,7 +150,7 @@ class TestSweep:
 
         task = _SweepTask(0, points[0].model, tuple(seed.nodes), tuple(seed.edges),
                           schedule.entries, 1977, 1980, params, 2, 5)
-        _, proportions = _run_sweep_point(task)
+        _, proportions, _ = _run_sweep_point(task)
         np.testing.assert_allclose(row.distribution.proportions, proportions, atol=1e-12)
         assert row.jsd2 == pytest.approx(jsd2(proportions, ref.proportions))
         assert row.best
@@ -173,6 +178,21 @@ class TestSweep:
         for a, b in zip(serial.rows, parallel.rows):
             assert a.params == b.params
             assert a.jsd2 == pytest.approx(b.jsd2, abs=1e-15)
+            assert a.decision_rules == b.decision_rules
+
+    def test_decision_rules_sum_to_the_classified_nodes(self):
+        # the nodes classified in each run are the scheduled nodes up to
+        # the cutoff: three per run here
+        seed, schedule, ref, params = two_year_setup()
+        points = model_grid("lbm", {"gamma_regime": ["const", "log"]}, {"gamma_const": 0.5})
+        result = sweep(points, seed, schedule, ref, cutoff_year=1977,
+                       horizon_year=1980, classifier_params=params,
+                       runs_per_point=3, rng_seed=4)
+        for row in result.rows:
+            assert set(row.decision_rules) == set(_DECISION_RULES)
+            assert sum(row.decision_rules.values()) == 3 * 3
+            counts = row.distribution.proportions * 9
+            assert row.decision_rules["er"] == pytest.approx(counts[0])
 
     def test_csv_fixed_decimals(self, tmp_path):
         seed, schedule, ref, params = two_year_setup()

@@ -130,6 +130,8 @@ class TestSamplerCounters:
         drawn = s["log_draws"] + s["ball_draws"] + s["tail_draws"] + s["race_draws"]
         assert drawn == g.n_edges - seed.n_edges - g.fallback_fills
         assert (s["log_draws"] == 0) == (kind in ("lbm", "lbm-g"))
+        if kind in ("lbm", "lbm-g"):
+            assert s["log_rejects"] == 0 and s["dense_handoffs"] == 0
         assert s["tail_accepted"] <= s["tail_proposed"]
         assert s["race_handoffs"] <= s["race_draws"] or s["race_draws"] == 0
         assert s["seconds"] > 0
@@ -149,6 +151,23 @@ class TestSamplerCounters:
         g = grow(make_model("lbm", degree_mode="total"), seed, YearSchedule({1976: [2]}))
         assert g.fallback_fills == 2
         assert g.sampler["race_handoffs"] == 1 and g.sampler["race_draws"] == 0
+
+    def test_dense_handoffs_finish_with_the_race(self, monkeypatch):
+        calls = count_races(monkeypatch)
+        s = dominant_fitness_run().sampler
+        assert s["dense_handoffs"] == len(calls) > 0
+        assert s["race_handoffs"] == s["race_draws"] == 0
+
+    def test_log_rejects_are_repeats(self):
+        # a k = 2 draw from weights 2 and 1 repeats its first node until it
+        # draws the other: 2/3 * (2/3) / (1/3) + 1/3 * (1/3) / (2/3) = 1.5
+        # repeats on average
+        log = IncrementLog([2.0, 1.0], max_nodes=2, max_entries=2)
+        rng = np.random.default_rng(0)
+        for _ in range(4000):
+            assert log.sample(2, rng) == [0, 1]
+        assert log.counts["log_draws"] == 8000 and log.counts["dense_handoffs"] == 0
+        assert log.counts["log_rejects"] / 4000 == pytest.approx(1.5, rel=0.1)
 
     def test_counters_stay_out_of_the_digest(self, tiny_seed, tiny_schedule):
         g = grow(make_model("lbm"), tiny_seed, tiny_schedule)
@@ -678,8 +697,13 @@ class TestScheduleValidation:
         g = grow(make_model("ba"), tiny_seed, YearSchedule({}))
         assert g.n_nodes == tiny_seed.n_nodes
 
-    def test_later_out_degree_beyond_the_network(self, tiny_seed):
-        # the fourth scheduled node meets 7 nodes but asks for 8
+    def test_later_out_degree_beyond_the_network(self, tiny_seed, monkeypatch):
+        # the fourth scheduled node meets 7 nodes but asks for 8; the run
+        # stops before its first draw
+        def no_draw(*args):
+            raise AssertionError("drew before rejecting the schedule")
+
+        monkeypatch.setattr(IncrementLog, "sample", no_draw)
         schedule = YearSchedule({1976: [1, 1], 1977: [2, 8]})
         with pytest.raises(SimulationError, match=re.escape(
                 "year 1977: scheduled out-degree 8 exceeds the 7 existing nodes")):
