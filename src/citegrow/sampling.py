@@ -163,16 +163,16 @@ class IncrementLog:
         self.counts = dict.fromkeys(COUNTERS, 0)
 
     def add_node(self, cited, gains, weight: float) -> None:
-        """Credit each distinct node in `cited` with its gain (`gains`, in
-        the same order), then append one new node (id `n_nodes`) of initial
-        weight `weight`."""
+        """Credit each distinct node i in `cited` with `gains[i]`, then
+        append one new node (id `n_nodes`) of initial weight `weight`."""
         owner, cum, weights = self._owner, self._cum, self._weights
         t = self.size
         base = cum[t - 1] if t else 0.0
         # running sums of the new entries, each then added to the base: the
         # additions, in order, of a cumsum over the block plus base
         running = 0.0
-        for node, gain in zip(cited, gains):
+        for node in cited:
+            gain = gains[node]
             running += gain
             owner[t] = node
             cum[t] = base + running
@@ -198,14 +198,14 @@ class IncrementLog:
         chosen: set[int] = set()
         chosen_w = 0.0
         rejects = 0
-        while len(chosen) < k:
+        need = k
+        while need:
             if chosen_w >= DENSE_SHARE * total:
                 w = self.weights[:self.n_nodes].copy()
                 w[list(chosen)] = 0.0
-                chosen.update(_race_positive(w, k - len(chosen), rng).tolist())
+                chosen.update(_race_positive(w, need, rng).tolist())
                 self.counts["dense_handoffs"] += 1
                 break
-            need = k - len(chosen)
             # expected draws for `need` acceptances at the current rejection rate
             batch = min(int(need * total / (total - chosen_w)) + 2, self.n_nodes)
             # u < 1 makes u * total < total, so the search stays inside the log
@@ -216,7 +216,8 @@ class IncrementLog:
                 else:
                     chosen.add(node)
                     chosen_w += weights[node]
-                    if len(chosen) == k:
+                    need -= 1
+                    if not need:
                         break
         self.counts["log_draws"] += len(chosen)
         self.counts["log_rejects"] += rejects

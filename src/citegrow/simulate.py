@@ -191,7 +191,7 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
         for target in targets:
             cited[e] = target
             e += 1
-        log.add_node(targets, [gain[t] for t in targets], weight)
+        log.add_node(targets, gain, weight)
 
     return GrowthGraph(
         years=years, sub_years=sub_years, fitness=fitness, locations=locations,
