@@ -113,6 +113,9 @@ class TestConservation:
         schedule = YearSchedule({1976: [0, 0, 0, 0]})
         g = grow(make_model("ba"), tiny_seed, schedule)
         np.testing.assert_allclose(g.sub_years[4:], [0.0, 0.25, 0.5, 0.75])
+        # the positions are the floats of Python's j / m, bit for bit
+        g = grow(make_model("ba"), tiny_seed, YearSchedule({1976: [0] * 7, 1977: [0] * 3}))
+        assert g.sub_years[4:].tolist() == [j / 7 for j in range(7)] + [j / 3 for j in range(3)]
 
 
 class TestSamplerCounters:
