@@ -643,18 +643,44 @@ class TestSpatialGrowthStream:
     k = 0 insertions consume no random numbers. The digests pin that random
     stream; a change to it changes them."""
 
-    @pytest.mark.parametrize("kind, digest", [
-        pytest.param("lbm", "78372b2b662da68fe3060860657c9496bd63ab672668b74a2ab5c921ef92bef4",
+    @pytest.mark.parametrize("kind, options, digest", [
+        pytest.param("lbm", {},
+                     "78372b2b662da68fe3060860657c9496bd63ab672668b74a2ab5c921ef92bef4",
                      id="lbm"),
-        pytest.param("lbm-g", "61866bc308c7dc2422e78d139881c727a483d38be0676bd70bd665b1d52c492a",
+        pytest.param("lbm-g", {},
+                     "61866bc308c7dc2422e78d139881c727a483d38be0676bd70bd665b1d52c492a",
                      id="lbm-g"),
+        pytest.param("lbm", {"gamma_regime": "const"},
+                     "db3e0b97a369572166ba1504e04f53847fbd5965238fc0d4fd843f89db490dc4",
+                     id="lbm-const"),
+        pytest.param("lbm", {"gamma_regime": "linear"},
+                     "b874efbe04491c6db14d812ebae4d6ee1b875a54c347ba2e6f490ac397566af3",
+                     id="lbm-linear"),
+        pytest.param("lbm", {"gamma_regime": "sqrt"},
+                     "79f0718984c494c266034fa889cc84b5e9bf9380b6770b597b9c54a96f08f6c2",
+                     id="lbm-sqrt"),
+        pytest.param("lbm", {"dim": 1},
+                     "5d646327647ff85f02b2dd07052f4d372a21639ef4eee1833565bba199023a49",
+                     id="lbm-dim1"),
+        pytest.param("lbm", {"dim": 4},
+                     "1097dc4fc2c2691c2ec3941cc5e3739907851c2ab7cf044bf234d61290b15004",
+                     id="lbm-dim4"),
+        pytest.param("lbm-g", {"sigma": 0.0},
+                     "c9efacd64f7fc73b3968efb6be58b464a138aedf8729b04c3eee7287f0819c26",
+                     id="lbm-g-sigma0"),
+        pytest.param("lbm-g", {"rho": 0.0},
+                     "57c2e8838e93048bdee06e974c36929be28a655a410946b822bcf6e78d0ec414",
+                     id="lbm-g-rho0"),
+        pytest.param("lbm-g", {"shift_unit": "nodes", "shift_every": 5},
+                     "bb5d88c666e55abb4cb69862ec33478adaa50e6e633995ae740d880d925c1d52",
+                     id="lbm-g-nodes"),
     ])
-    def test_digest_is_pinned(self, kind, digest):
+    def test_digest_is_pinned(self, kind, options, digest):
         seed = synthetic_seed(n_nodes=50, rng_seed=3)
         schedule = corpus_like_schedule(n_nodes=400, start_year=1976, end_year=1985,
                                         rng_seed=4)
         assert any(k == 0 for y in schedule.years for k in schedule.entries[y])
-        model = make_model(kind)
+        model = make_model(kind, **options)
         g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
         assert run_simulation(g0, schedule, model, 6).digest() == digest
 
@@ -674,6 +700,11 @@ class TestSubspaceShifts:
     def test_yearly_across_two_years(self):
         schedule = YearSchedule({1976: [1] * 4, 1977: [1] * 4})
         assert self.run_shifts(schedule, shift_every=12) == 2
+
+    def test_zero_rho_still_counts(self):
+        # a walk step of scale 0 keeps the mean where it is but is still a shift
+        schedule = YearSchedule({1976: [1] * 120})
+        assert self.run_shifts(schedule, shift_every=1, rho=0.0) == 12
 
     def test_every_node(self):
         schedule = YearSchedule({1976: [1, 1, 1], 1978: [1, 1]})
