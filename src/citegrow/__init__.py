@@ -16,13 +16,9 @@ from .graph import (
     loads_graph,
 )
 from .models import (
-    ActiveSubspace,
-    GammaRegime,
     ModelKind,
     ModelSpec,
-    ShiftPolicy,
     attachment_weights,
-    gamma_value,
     make_model,
     parse_config_options,
     sample_fitness,
@@ -78,13 +74,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "APS_CATEGORY_PERCENT",
-    "ActiveSubspace",
     "CATEGORY_ORDER",
     "CategoryDistribution",
     "CitegrowError",
     "ClassifierParams",
     "EvalReport",
-    "GammaRegime",
     "GrowthGraph",
     "IngestConfig",
     "IngestError",
@@ -94,7 +88,6 @@ __all__ = [
     "ModelSpec",
     "SeedNetwork",
     "SensitivityResult",
-    "ShiftPolicy",
     "SimulationError",
     "SweepPoint",
     "SweepResult",
@@ -112,7 +105,6 @@ __all__ = [
     "derive_seed",
     "evaluate_model",
     "exact_expected_change",
-    "gamma_value",
     "init_from_seed",
     "jsd2",
     "load_graph",

@@ -152,9 +152,10 @@ class GrowthGraph:
     sampler:
         Counters of the growth run's sampler: targets by the way they were
         drawn (`log_draws` for ba/af/mf; `ball_draws`, `tail_draws` and
-        `race_draws` for lbm/lbm-g), the tail arrivals proposed and
-        accepted, the hand-offs to the exponential race, and the seconds
-        spent drawing. Like the two counts above, it is not part of the
+        `race_draws` for lbm/lbm-g), the log draws that hit an
+        already-chosen node (`log_rejects`), the tail arrivals proposed and
+        accepted, the hand-offs to the exponential race (`race_handoffs`,
+        `dense_handoffs`), and the seconds spent drawing. Like the two counts above, it is not part of the
         canonical bytes or the digest.
 
     Arrays are frozen after construction; a finished graph is read-only.

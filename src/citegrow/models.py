@@ -17,7 +17,7 @@ that localizes a node's influence around its location.
 `attachment_weights` evaluates the degree/fitness part of every rule (the
 mf rule for lbm and lbm-g) and `distance_decay` the factor.
 The decay gamma may depend on the current network size n: constant,
-n, sqrt(n), or log(n). Effective degree defaults to in-degree + 1 so that
+n, sqrt(n), or log(n) (`ModelSpec.gamma_at`). Effective degree defaults to in-degree + 1 so that
 never-cited nodes stay reachable; "total" switches to in + out degree.
 
 The models differ only in which of ten flat options they read. Each option
@@ -38,19 +38,13 @@ from .errors import ValidationError
 
 __all__ = [
     "ModelKind",
-    "GammaRegime",
-    "ShiftPolicy",
-    "ActiveSubspace",
     "MODEL_OPTIONS",
     "ModelSpec",
     "make_model",
     "parse_config_options",
-    "gamma_value",
     "sample_fitness",
     "sample_location_uniform",
     "sample_location_active",
-    "shift_subspace",
-    "shift_due",
 ]
 
 DEGREE_MODES = ("in-plus-one", "total")
@@ -87,14 +81,29 @@ class ModelOption:
     bound: tuple | None = None
     choices: tuple | None = None
 
-    def check(self, kind: ModelKind, value) -> None:
-        if self.choices is not None and value not in self.choices:
+    def convert(self, kind: ModelKind, value):
+        """`value` as the option's type. Rejects a value that does not
+        convert, a non-finite float, an int given as a fraction, and a
+        value outside the bound or choices."""
+        try:
+            converted = self.type(value)
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
-                f"{kind.value}: {self.name} must be one of {self.choices}, got {value!r}")
-        if self.bound is not None and not _BOUNDS[self.bound[0]](value, self.bound[1]):
+                f"{kind.value}: {self.name} needs a {self.type.__name__}, "
+                f"got {value!r}") from None
+        if self.type is int and not isinstance(value, str) and converted != value:
+            raise ValidationError(
+                f"{kind.value}: {self.name} must be a whole number, got {value!r}")
+        if self.type is float and not math.isfinite(converted):
+            raise ValidationError(f"{kind.value}: {self.name} must be finite, got {value!r}")
+        if self.choices is not None and converted not in self.choices:
+            raise ValidationError(
+                f"{kind.value}: {self.name} must be one of {self.choices}, got {converted!r}")
+        if self.bound is not None and not _BOUNDS[self.bound[0]](converted, self.bound[1]):
             raise ValidationError(
                 f"{kind.value}: {self.name} must be {self.bound[0]} {self.bound[1]}, "
-                f"got {value!r}")
+                f"got {converted!r}")
+        return converted
 
 
 # The option table, in config-file order. Two rules tie options together
@@ -116,97 +125,14 @@ MODEL_OPTIONS = (
 
 
 @dataclass(frozen=True)
-class GammaRegime:
-    """Distance-decay strength as a function of network size n."""
-
-    kind: str
-    const: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in GAMMA_REGIMES:
-            raise ValidationError(
-                f"unknown gamma regime {self.kind!r}; expected one of {GAMMA_REGIMES}")
-        if self.kind == "const":
-            if self.const is None or self.const < 0:
-                raise ValidationError("const gamma regime needs a value >= 0")
-        elif self.const is not None:
-            raise ValidationError(f"gamma regime {self.kind!r} takes no constant")
-
-
-def gamma_value(regime: GammaRegime, n_nodes: int) -> float:
-    """Evaluate a decay regime at network size `n_nodes`."""
-    n = int(n_nodes)
-    if n < 1:
-        raise ValidationError(f"network size must be >= 1, got {n}")
-    if regime.kind == "const":
-        return float(regime.const)
-    if regime.kind == "linear":
-        return float(n)
-    if regime.kind == "sqrt":
-        return math.sqrt(n)
-    if n < 2:
-        raise ValidationError("log gamma regime needs at least 2 nodes")
-    return math.log(n)
-
-
-@dataclass(frozen=True)
-class ShiftPolicy:
-    """When the active-subspace mean moves: every S months of simulated
-    time, or after every S inserted nodes."""
-
-    unit: str
-    every: float
-
-    def __post_init__(self):
-        if self.unit not in SHIFT_UNITS:
-            raise ValidationError(f"shift unit must be 'months' or 'nodes', got {self.unit!r}")
-        if self.unit == "nodes":
-            if self.every != int(self.every) or self.every < 1:
-                raise ValidationError(f"node-based shifts need a positive integer, got {self.every}")
-        elif self.every <= 0:
-            raise ValidationError(f"month-based shifts need a positive interval, got {self.every}")
-        object.__setattr__(self, "every", float(self.every))
-
-
-def shift_due(policy: ShiftPolicy, years_since_shift: float, nodes_since_shift: int) -> bool:
-    """True when a mean shift is owed under `policy`."""
-    if policy.unit == "months":
-        # tolerance absorbs float error in the (j+1)/m sub-year clock
-        return years_since_shift >= policy.every / 12.0 - 1e-12
-    return nodes_since_shift >= policy.every
-
-
-@dataclass(frozen=True)
-class ActiveSubspace:
-    """Gaussian region locations are currently drawn from: N(mu, sigma^2 I)."""
-
-    mu: np.ndarray
-    sigma: float
-    shifts_applied: int = 0
-
-    def __post_init__(self):
-        mu = np.array(self.mu, dtype=np.float64)
-        if mu.ndim != 1 or mu.size == 0:
-            raise ValidationError("subspace mean must be a non-empty 1-D vector")
-        if self.sigma < 0:
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
-        mu.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-    @property
-    def dim(self) -> int:
-        return self.mu.size
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Full parameterization of one growth model: the kind plus one field
     per entry of :data:`MODEL_OPTIONS`, in table order.
 
     Options the kind does not read must stay None. The kind's own options
-    take the table default when unset, are converted to the table type,
-    and must satisfy the table's bound or choices. Build one with
+    take the table default when unset, are converted to the table type
+    (floats must be finite, ints whole), and must satisfy the table's
+    bound or choices; node shift intervals must be whole. Build one with
     :func:`make_model`.
     """
 
@@ -239,18 +165,12 @@ class ModelSpec:
             object.__setattr__(self, "gamma_const", None)
         for opt in own:
             value = getattr(self, opt.name)
-            if value is None:
-                continue
-            try:
-                value = opt.type(value)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"{kind.value}: {opt.name} needs a {opt.type.__name__}, "
-                    f"got {value!r}") from None
-            opt.check(kind, value)
-            object.__setattr__(self, opt.name, value)
-        if kind in _SUBSPACE_KINDS:
-            ShiftPolicy(self.shift_unit, self.shift_every)  # node intervals must be whole
+            if value is not None:
+                object.__setattr__(self, opt.name, opt.convert(kind, value))
+        if self.shift_unit == "nodes" and not self.shift_every.is_integer():
+            raise ValidationError(
+                f"{kind.value}: shift_every must be a whole number of nodes, "
+                f"got {self.shift_every!r}")
 
     @property
     def uses_fitness(self) -> bool:
@@ -260,15 +180,20 @@ class ModelSpec:
     def uses_location(self) -> bool:
         return self.kind in _LOCATION_KINDS
 
-    @property
-    def gamma(self) -> GammaRegime | None:
-        return GammaRegime(self.gamma_regime, self.gamma_const) if self.uses_location else None
+    def gamma_at(self, n: int) -> float:
+        """The lbm/lbm-g decay strength gamma at network size `n`.
 
-    @property
-    def shift(self) -> ShiftPolicy | None:
-        if self.kind not in _SUBSPACE_KINDS:
-            return None
-        return ShiftPolicy(self.shift_unit, self.shift_every)
+        math.sqrt and math.log of the int n, not numpy's: numpy's log can
+        differ from math.log by one ulp, which would move every graph."""
+        if self.gamma_regime == "const":
+            return self.gamma_const
+        if self.gamma_regime == "linear":
+            return float(n)
+        if self.gamma_regime == "sqrt":
+            return math.sqrt(n)
+        if n < 2:
+            raise ValidationError("log gamma regime needs at least 2 nodes")
+        return math.log(n)
 
     def to_config_text(self) -> str:
         """Flat 'key = value' lines: the model, then every option the kind
@@ -329,52 +254,30 @@ def make_model(kind: str, **options) -> ModelSpec:
 
 # -- samplers ---------------------------------------------------------------
 
-def sample_fitness(rng: np.random.Generator, alpha: float, xm: float, size=None):
+def sample_fitness(rng: np.random.Generator, alpha: float, xm: float,
+                   size: int) -> np.ndarray:
     """Classical Pareto(alpha, xm) variates: support [xm, inf),
     P(X > x) = (xm / x) ** alpha."""
     if alpha <= 0 or xm <= 0:
         raise ValidationError(f"Pareto needs alpha > 0 and xm > 0, got {alpha}, {xm}")
     # numpy's pareto() is the Lomax shift: classical = (1 + Lomax) * xm
-    draw = (1.0 + rng.pareto(alpha, size=size)) * xm
-    return float(draw) if size is None else draw
+    return (1.0 + rng.pareto(alpha, size=size)) * xm
 
 
-def sample_location_uniform(rng: np.random.Generator, dim: int, size=None) -> np.ndarray:
-    """Uniform location(s) on the unit hypercube [0, 1)^dim."""
+def sample_location_uniform(rng: np.random.Generator, dim: int, size: int) -> np.ndarray:
+    """`size` uniform locations on the unit hypercube [0, 1)^dim."""
     if dim < 1:
         raise ValidationError(f"location dimension must be >= 1, got {dim}")
-    shape = (dim,) if size is None else (size, dim)
-    return rng.random(shape)
+    return rng.random((size, dim))
 
 
-def sample_location_active(rng: np.random.Generator, subspace: ActiveSubspace,
-                           size=None) -> np.ndarray:
-    """Location(s) from the active subspace. sigma == 0 returns the mean
-    exactly (no rng consumed)."""
-    if subspace.sigma == 0.0:
-        if size is None:
-            return subspace.mu.copy()
-        return np.tile(subspace.mu, (size, 1))
-    shape = (subspace.dim,) if size is None else (size, subspace.dim)
-    return rng.normal(subspace.mu, subspace.sigma, size=shape)
-
-
-def shift_subspace(subspace: ActiveSubspace, rho: float,
-                   rng: np.random.Generator) -> ActiveSubspace:
-    """One random-walk step of the subspace mean: mu' ~ N(mu, rho^2 I).
-    rho == 0 keeps the mean in place but still counts as a shift."""
-    if rho < 0:
-        raise ValidationError(f"rho must be >= 0, got {rho}")
-    mu = subspace.mu.copy() if rho == 0.0 else rng.normal(subspace.mu, rho)
-    return ActiveSubspace(mu=mu, sigma=subspace.sigma,
-                          shifts_applied=subspace.shifts_applied + 1)
-
-
-def initial_subspace(model: ModelSpec) -> ActiveSubspace:
-    """Starting subspace for a growth run: centered on the unit hypercube."""
-    if model.kind is not ModelKind.LBMG:
-        raise ValidationError("only lbm-g uses an active subspace")
-    return ActiveSubspace(mu=np.full(model.dim, 0.5), sigma=model.sigma)
+def sample_location_active(rng: np.random.Generator, mean: np.ndarray, sigma: float,
+                           size: int) -> np.ndarray:
+    """`size` locations from the active subspace N(mean, sigma^2 I).
+    sigma == 0 returns the mean exactly (no rng consumed)."""
+    if sigma == 0.0:
+        return np.tile(mean, (size, 1))
+    return rng.normal(mean, sigma, size=(size, len(mean)))
 
 
 # -- attachment weights -------------------------------------------------------

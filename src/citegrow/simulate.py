@@ -41,12 +41,9 @@ from .models import (
     ModelKind,
     ModelSpec,
     attachment_weights,
-    initial_subspace,
     sample_fitness,
     sample_location_active,
     sample_location_uniform,
-    shift_due,
-    shift_subspace,
 )
 from .sampling import IncrementLog
 from .spatial import balls
@@ -78,12 +75,12 @@ def init_from_seed(seed_nodes, seed_edges, model: ModelSpec,
     out_deg = np.bincount(edges_arr[:, 0], minlength=n)
 
     rng = np.random.default_rng(rng_seed)
-    fitness = (sample_fitness(rng, model.alpha, model.xm, size=n)
+    fitness = (sample_fitness(rng, model.alpha, model.xm, n)
                if model.uses_fitness else np.ones(n, dtype=np.float64))
     if model.kind is ModelKind.LBM:
-        locations = sample_location_uniform(rng, model.dim, size=n)
+        locations = sample_location_uniform(rng, model.dim, n)
     elif model.kind is ModelKind.LBMG:
-        locations = sample_location_active(rng, initial_subspace(model), size=n)
+        locations = sample_location_active(rng, _walk_start(model), model.sigma, n)
     else:
         locations = np.zeros((n, 0), dtype=np.float64)
 
@@ -168,7 +165,7 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     near = None
     if model.uses_location:
         locations[n_seed:], shifts = _scheduled_locations(model, schedule, rng)
-        near = balls(locations, degrees, model.gamma, n_seed)
+        near = balls(locations, degrees, model.gamma_at, n_seed)
     fallback_fills = 0
     sampler_s = 0.0
 
@@ -212,9 +209,10 @@ def _scheduled_locations(model: ModelSpec, schedule: YearSchedule,
     reads only the schedule, so all walk steps are drawn first and each
     node's location comes from the subspace current at its insertion."""
     if model.kind is ModelKind.LBM:
-        return sample_location_uniform(rng, model.dim, size=schedule.total_nodes), 0
-    shift = model.shift
-    subspaces = [initial_subspace(model)]
+        return sample_location_uniform(rng, model.dim, schedule.total_nodes), 0
+    months = model.shift_unit == "months"
+    every = model.shift_every
+    means = [_walk_start(model)]
     sizes = [0]
     last_shift_time = float(schedule.years[0])
     nodes_since_shift = 0
@@ -224,16 +222,26 @@ def _scheduled_locations(model: ModelSpec, schedule: YearSchedule,
             sizes[-1] += 1
             nodes_since_shift += 1
             t_now = year + (j + 1) / m
-            while shift_due(shift, t_now - last_shift_time, nodes_since_shift):
-                subspaces.append(shift_subspace(subspaces[-1], model.rho, rng))
+            # the tolerance absorbs float error in the (j+1)/m sub-year clock
+            while (t_now - last_shift_time >= every / 12.0 - 1e-12 if months
+                   else nodes_since_shift >= every):
+                # a step of scale rho 0 keeps the mean but still counts
+                means.append(means[-1] if model.rho == 0.0
+                             else rng.normal(means[-1], model.rho))
                 sizes.append(0)
-                if shift.unit == "months":
-                    last_shift_time += shift.every / 12.0
+                if months:
+                    last_shift_time += every / 12.0
                 else:
                     nodes_since_shift = 0
-    locations = [sample_location_active(rng, sub, size=size)
-                 for sub, size in zip(subspaces, sizes)]
-    return np.concatenate(locations), len(subspaces) - 1
+    locations = [sample_location_active(rng, mean, model.sigma, size)
+                 for mean, size in zip(means, sizes)]
+    return np.concatenate(locations), len(means) - 1
+
+
+def _walk_start(model: ModelSpec) -> np.ndarray:
+    """The lbm-g subspace mean before any shift: the centre of the unit
+    hypercube."""
+    return np.full(model.dim, 0.5)
 
 
 def _increment_log(seed: GrowthGraph, degrees: np.ndarray, model: ModelSpec,
@@ -252,7 +260,7 @@ def _increment_log(seed: GrowthGraph, degrees: np.ndarray, model: ModelSpec,
     """
     n_seed = seed.n_nodes
     n_total = n_seed + len(degrees)
-    fitness[n_seed:] = (sample_fitness(rng, model.alpha, model.xm, size=n_total - n_seed)
+    fitness[n_seed:] = (sample_fitness(rng, model.alpha, model.xm, n_total - n_seed)
                         if model.uses_fitness else 1.0)
     eff = np.zeros(n_total, dtype=np.float64)
     if seed.n_edges:

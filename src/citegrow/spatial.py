@@ -44,11 +44,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
-
-from .models import GammaRegime, gamma_value
 
 __all__ = ["Ball", "balls"]
 
@@ -114,18 +112,19 @@ class Ball:
         return np.exp(-self.gamma * (d - d.min()))
 
 
-def balls(locations: np.ndarray, degrees: np.ndarray, gamma: GammaRegime,
+def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], float],
           first: int) -> Iterator[Ball]:
     """The balls of insertions `first`, `first + 1`, ... in order, skipping
     those with out-degree 0.
 
-    `locations` holds every node of the run and `degrees[j]` is the
-    out-degree of node `first + j`.
+    `locations` holds every node of the run, `degrees[j]` is the
+    out-degree of node `first + j`, and `gamma(n)` is the decay strength
+    when node n is inserted.
     """
     queries = first + np.flatnonzero(degrees)
     degrees = degrees[queries - first]
     needs = MIN_BLOCK * (1 + degrees) // 2
-    gammas = np.array([gamma_value(gamma, n) for n in queries.tolist()])
+    gammas = np.array([gamma(n) for n in queries.tolist()])
     if locations.shape[1] > GRID_DIMS:
         for n, g in zip(queries.tolist(), gammas.tolist()):
             yield _all_earlier(locations, n, g)

@@ -63,6 +63,13 @@ class TestExitCodes:
                     "--model", "ba", "--sigma", "2.0", "--out", tmp_path / "o"])
         assert code == 1
 
+    def test_non_finite_option_is_a_bad_parameter(self, tmp_path, corpus, capsys):
+        ppath, cpath = corpus
+        code = run(["simulate", "--papers", ppath, "--citations", cpath,
+                    "--model", "lbm-g", "--sigma", "inf", "--out", tmp_path / "o"])
+        assert code == 1
+        assert "sigma must be finite" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_chain(self, tmp_path, corpus):

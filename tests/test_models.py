@@ -4,54 +4,41 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from citegrow import ModelKind, ValidationError, gamma_value, make_model
+from citegrow import ModelKind, ValidationError, make_model
 from citegrow.models import (
     MODEL_OPTIONS,
-    ActiveSubspace,
-    GammaRegime,
     ModelSpec,
-    ShiftPolicy,
     attachment_weights,
     distance_decay,
-    initial_subspace,
     parse_config_options,
     sample_fitness,
     sample_location_active,
-    shift_due,
-    shift_subspace,
 )
 
 
-class TestGammaRegime:
+class TestGamma:
     def test_constant(self):
-        regime = GammaRegime("const", 2.5)
-        assert gamma_value(regime, 1) == 2.5
-        assert gamma_value(regime, 10_000) == 2.5
+        model = make_model("lbm", gamma_regime="const", gamma_const=2.5)
+        assert model.gamma_at(1) == 2.5
+        assert model.gamma_at(10_000) == 2.5
 
     def test_constant_zero_allowed(self):
-        assert gamma_value(GammaRegime("const", 0.0), 5) == 0.0
+        assert make_model("lbm", gamma_regime="const", gamma_const=0.0).gamma_at(5) == 0.0
 
     def test_linear(self):
-        assert gamma_value(GammaRegime("linear"), 7) == 7.0
+        assert make_model("lbm", gamma_regime="linear").gamma_at(7) == 7.0
 
     def test_sqrt(self):
-        assert gamma_value(GammaRegime("sqrt"), 16) == 4.0
+        assert make_model("lbm", gamma_regime="sqrt").gamma_at(16) == 4.0
 
     def test_log_frozen_value(self):
-        assert gamma_value(GammaRegime("log"), 20) == pytest.approx(
-            2.995732273553991, abs=1e-12)
+        assert make_model("lbm").gamma_at(20) == pytest.approx(2.995732273553991, abs=1e-12)
+        # math.log, not numpy's log, which is one ulp off at this size
+        assert make_model("lbm").gamma_at(9170) == math.log(9170)
 
     def test_log_needs_two_nodes(self):
         with pytest.raises(ValidationError):
-            gamma_value(GammaRegime("log"), 1)
-
-    def test_negative_constant_rejected(self):
-        with pytest.raises(ValidationError):
-            GammaRegime("const", -1.0)
-
-    def test_unknown_regime_rejected(self):
-        with pytest.raises(ValidationError):
-            GammaRegime("cubic")
+            make_model("lbm-g").gamma_at(1)
 
 
 class TestFitnessSampler:
@@ -74,53 +61,18 @@ class TestFitnessSampler:
         np.testing.assert_allclose(b, 4.0 * a)
 
 
-class TestActiveSubspace:
+class TestLocationSamplers:
     def test_sigma_zero_returns_mean_exactly(self):
-        sub = ActiveSubspace(mu=np.array([0.2, 0.8]), sigma=0.0)
-        loc = sample_location_active(np.random.default_rng(0), sub)
-        np.testing.assert_array_equal(loc, sub.mu)
+        mean = np.array([0.2, 0.8])
+        locs = sample_location_active(np.random.default_rng(0), mean, 0.0, 3)
+        np.testing.assert_array_equal(locs, [mean] * 3)
 
     def test_sample_distribution(self):
-        sub = ActiveSubspace(mu=np.array([1.0, -1.0]), sigma=0.5)
+        mean = np.array([1.0, -1.0])
         rng = np.random.default_rng(3)
-        locs = sample_location_active(rng, sub, size=20_000)
-        np.testing.assert_allclose(locs.mean(axis=0), sub.mu, atol=0.02)
+        locs = sample_location_active(rng, mean, 0.5, 20_000)
+        np.testing.assert_allclose(locs.mean(axis=0), mean, atol=0.02)
         np.testing.assert_allclose(locs.std(axis=0), 0.5, atol=0.02)
-
-    def test_shift_step_scale(self):
-        sub = ActiveSubspace(mu=np.zeros(2), sigma=1.0)
-        rng = np.random.default_rng(4)
-        steps = np.array([shift_subspace(sub, 0.3, rng).mu for _ in range(20_000)])
-        assert steps.std(axis=0) == pytest.approx([0.3, 0.3], abs=0.01)
-
-    def test_shift_counts_even_with_zero_rho(self):
-        sub = ActiveSubspace(mu=np.array([0.5]), sigma=1.0, shifts_applied=2)
-        moved = shift_subspace(sub, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(moved.mu, sub.mu)
-        assert moved.shifts_applied == 3
-
-    def test_initial_subspace_centered(self):
-        model = make_model("lbm-g", dim=3, sigma=1.5)
-        sub = initial_subspace(model)
-        np.testing.assert_array_equal(sub.mu, [0.5, 0.5, 0.5])
-        assert sub.sigma == 1.5
-
-
-class TestShiftPolicy:
-    def test_month_schedule_tolerance(self):
-        # 1/12 assembled from 120 sub-year increments must still trigger
-        policy = ShiftPolicy("months", 1)
-        elapsed = sum([1.0 / 120.0] * 10)
-        assert shift_due(policy, elapsed, 0)
-
-    def test_nodes_unit_requires_integer(self):
-        with pytest.raises(ValidationError):
-            ShiftPolicy("nodes", 2.5)
-
-    def test_nodes_due(self):
-        policy = ShiftPolicy("nodes", 3)
-        assert not shift_due(policy, 100.0, 2)
-        assert shift_due(policy, 0.0, 3)
 
 
 class TestMakeModelAndConfig:
@@ -184,14 +136,19 @@ class TestMakeModelAndConfig:
                               ("lbm-g", {"shift_unit": "weeks"}),
                               ("lbm-g", {"shift_every": 0.0}),
                               ("lbm-g", {"shift_unit": "nodes", "shift_every": 2.5}),
-                              ("ba", {"degree_mode": "out"}), ("af", {"alpha": "x"})]:
-            with pytest.raises(ValidationError):
+                              ("ba", {"degree_mode": "out"}), ("af", {"alpha": "x"}),
+                              ("lbm-g", {"sigma": math.inf}), ("lbm-g", {"rho": math.inf}),
+                              ("lbm", {"gamma_regime": "const", "gamma_const": math.inf}),
+                              ("mf", {"alpha": math.nan}), ("lbm", {"dim": 2.5}),
+                              ("lbm", {"dim": math.inf})]:
+            # the message names the offending option, the last one given
+            with pytest.raises(ValidationError, match=list(options)[-1]):
                 make_model(kind, **options)
 
     def test_values_take_the_table_type(self):
         model = make_model("lbm-g", dim=3.0, sigma=1, shift_every=12)
         assert (type(model.dim), type(model.sigma), type(model.rho)) == (int, float, float)
-        assert model.shift == ShiftPolicy("months", 12.0)
+        assert (type(model.shift_every), model.shift_every) == (float, 12.0)
 
     def test_rejects_unused_options(self):
         with pytest.raises(ValidationError, match="does not use"):
@@ -206,7 +163,8 @@ class TestMakeModelAndConfig:
     def test_gamma_const_ignored_off_const_regime(self):
         # lets one --gamma-const value ride along a regime sweep
         model = make_model("lbm", gamma_regime="log", gamma_const=9.0)
-        assert model.gamma == GammaRegime("log")
+        assert model.gamma_const is None
+        assert model.gamma_at(20) == math.log(20)
 
     def test_rho_defaults_to_sigma(self):
         model = make_model("lbm-g", sigma=0.7)

@@ -15,13 +15,12 @@ from citegrow import (
     YearSchedule,
     attachment_weights,
     corpus_like_schedule,
-    gamma_value,
     init_from_seed,
     make_model,
     run_simulation,
     synthetic_seed,
 )
-from citegrow.models import GammaRegime, distance_decay
+from citegrow.models import distance_decay
 from citegrow.sampling import IncrementLog
 from test_sampling import set_probability
 
@@ -53,7 +52,7 @@ class TestInitFromSeed:
         assert g.locations.shape == (4, 3)
         assert g.locations.min() >= 0.0 and g.locations.max() <= 1.0
 
-    def test_lbmg_seed_locations_from_initial_subspace(self, tiny_seed):
+    def test_lbmg_seed_locations_at_the_subspace_centre(self, tiny_seed):
         # sigma 0 collapses the subspace onto its center, pinning the draw
         g = init_from_seed(tiny_seed.nodes, tiny_seed.edges,
                            make_model("lbm-g", sigma=0.0), 0)
@@ -306,7 +305,7 @@ def insertion_weights(graph, model, node):
     w = attachment_weights(model.kind, eff, fitness=graph.fitness[:node])
     if model.uses_location:
         w = w * distance_decay(graph.locations[:node], graph.locations[node],
-                               gamma_value(model.gamma, node))
+                               model.gamma_at(node))
     return w
 
 
@@ -512,8 +511,7 @@ class TestNearDraw:
             cited = np.arange(3) if node == 3 else _NONE
             log.add_node(cited, weights[:3] / 2 if node == 3 else _NONE, weights[node])
         np.testing.assert_allclose(log.weights, weights)
-        regime = GammaRegime("const", gamma)
-        ball = next(spatial.balls(locations, np.array([k]), regime, 8))
+        ball = next(spatial.balls(locations, np.array([k]), lambda n: gamma, 8))
         # the law's weights, relative to the nearest node's distance factor
         d = np.sqrt(((locations[:8] - locations[8]) ** 2).sum(axis=1))
         return log, ball, log.weights * np.exp(-gamma * (d - d.min()))
@@ -706,9 +704,31 @@ class TestSubspaceShifts:
         schedule = YearSchedule({1976: [1] * 120})
         assert self.run_shifts(schedule, shift_every=1, rho=0.0) == 12
 
+    def test_month_schedule_tolerance(self):
+        # every two months in a 12-node year: the sixth shift is owed at
+        # 1977.0, which the sub-year clock reaches only to within rounding
+        schedule = YearSchedule({1976: [1] * 12})
+        assert self.run_shifts(schedule, shift_every=2) == 6
+
     def test_every_node(self):
         schedule = YearSchedule({1976: [1, 1, 1], 1978: [1, 1]})
         assert self.run_shifts(schedule, shift_unit="nodes", shift_every=1) == 5
+
+    def test_nodes_due(self):
+        schedule = YearSchedule({1976: [1] * 7})
+        assert self.run_shifts(schedule, shift_unit="nodes", shift_every=3) == 2
+
+    def test_shift_step_scale(self):
+        # sigma 0 puts every node on the mean of its insertion, so the walk
+        # from the centre shows in the locations; k = 0 keeps the run cheap
+        seed = SeedNetwork(nodes=((0, 1970),), edges=())
+        model = make_model("lbm-g", gamma_regime="const", sigma=0.0, rho=0.3,
+                           shift_unit="nodes", shift_every=1)
+        g = grow(model, seed, YearSchedule({1976: [0] * 20_000}), rng_seed=4)
+        np.testing.assert_array_equal(g.locations[1], [0.5, 0.5])
+        steps = np.diff(g.locations[1:], axis=0)
+        assert g.subspace_shifts == 20_000
+        assert steps.std(axis=0) == pytest.approx([0.3, 0.3], abs=0.01)
 
     def test_gap_years_catch_up(self):
         # 1976 ends with the clock at 1977.0 after 12 shifts; the lone 1979
