@@ -17,8 +17,9 @@ that localizes a node's influence around its location.
 `attachment_weights` evaluates the degree/fitness part of every rule (the
 mf rule for lbm and lbm-g) and `distance_decay` the factor.
 The decay gamma may depend on the current network size n: constant,
-n, sqrt(n), or log(n) (`ModelSpec.gamma_at`). Effective degree defaults to in-degree + 1 so that
-never-cited nodes stay reachable; "total" switches to in + out degree.
+n, sqrt(n), or log(n) (`ModelSpec.gamma_at`). Effective degree defaults
+to in-degree + 1 so that never-cited nodes stay reachable; "total"
+switches to in + out degree.
 
 The models differ only in which of ten flat options they read. Each option
 is defined once, in MODEL_OPTIONS; ModelSpec, make_model, config text and
