@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from citegrow import (
     SeedNetwork,
     ValidationError,
     YearSchedule,
+    corpus_like_schedule,
     init_from_seed,
     load_graph,
     loads_graph,
     make_model,
     run_simulation,
+    synthetic_seed,
 )
 from citegrow import graph as graph_module
 from citegrow.trajectory import _history_matrix
@@ -203,6 +207,59 @@ class TestDumpBytes:
         with pytest.raises(ValidationError) as err:
             loads_graph(text)
         assert str(err.value) == message
+
+
+class TestDumpPins:
+    """sha256 of the dump text of grown and hand-built graphs. They pin
+    the whole text, so a faster dumps must write the same bytes."""
+
+    SEED = synthetic_seed(n_nodes=40, rng_seed=3)
+    SCHEDULE = corpus_like_schedule(n_nodes=160, end_year=1985, rng_seed=3)
+    PINS = {
+        "ba": "73c8b9babccae492b302335e6ebf7e1d56a3948b1c0b15f39727978e181d2101",
+        "lbm-dim1": "7ac8002af09fe7e39ed5c9c3856dc669b3f90a01075c0a6f01bf9c958ef24774",
+        "lbm-dim4": "1396e08d629cfeacbcb9f576e9d677a9344ece29bdb9f67e6cfa177c3e675eac",
+        "lbm-g-dim2": "1c04a8bd4580bdfb89a04bf571977c0cdad78c935c7135b206406bda71887db6",
+        "seed-only": "f4b6acc424da3c950b307e3bd6b403633e0c483fc4eae4822e71051a0a45f595",
+        "awkward": "accf74ec527616d8cf58b07cd6007cdcb7128558be2cb7aa0cc7fe8846f01f67",
+    }
+
+    def grown(self, kind, **options):
+        model = make_model(kind, **options)
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 11)
+        return run_simulation(g0, self.SCHEDULE, model, 11)
+
+    def graph(self, name):
+        if name == "ba":
+            return self.grown("ba")
+        if name == "lbm-dim1":
+            return self.grown("lbm", dim=1)
+        if name == "lbm-dim4":
+            return self.grown("lbm", dim=4)
+        if name == "lbm-g-dim2":
+            return self.grown("lbm-g", dim=2)
+        if name == "seed-only":
+            return init_from_seed(self.SEED.nodes, (), make_model("af"), 11)
+        floats = [5e-324, 1e16, 0.1 + 0.2, 1 / 3]
+        return GrowthGraph(years=[1970, 1971, 1971, 1972], sub_years=floats,
+                           fitness=floats[::-1], locations=np.zeros((4, 0)),
+                           out_degrees=[0, 1, 1, 2], edges=[(1, 0), (2, 0), (3, 2), (3, 1)],
+                           n_seed=1)
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_dump_digest(self, name):
+        text = self.graph(name).dumps()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.PINS[name]
+
+    def test_pinned_graphs_cover_their_cases(self):
+        assert self.graph("lbm-g-dim2").locations.min() < 0
+        seed_only = self.graph("seed-only")
+        assert seed_only.n_edges == 0 and seed_only.dumps().startswith("N 0 ")
+        empty = GrowthGraph(years=[], sub_years=[], fitness=[], locations=np.zeros((0, 3)),
+                            out_degrees=[], edges=np.zeros((0, 2)), n_seed=0)
+        assert empty.dumps() == "\n"
+        assert self.graph("awkward").dumps().startswith(
+            "N 0 1970 5e-324 0.3333333333333333\nN 1 1971 1e+16 0.30000000000000004\n")
 
 
 class TestLoaderGrammar:

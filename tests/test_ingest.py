@@ -143,3 +143,126 @@ class TestBuildSeedAndSchedule:
             IngestConfig(seed_start=1980, seed_end=1975, cutoff=2000, horizon=2010)
         with pytest.raises(Exception):
             IngestConfig(seed_start=1960, seed_end=1975, cutoff=2011, horizon=2010)
+
+
+def pad_papers(lo, hi):
+    return "".join(f"pad{i:03d}\t{1800 + i % 150}\n" for i in range(lo, hi))
+
+
+def pad_citations(lo, hi):
+    return "".join(f"pad{i:03d}\tpad{(7 * i + 1) % 900:03d}\n" for i in range(lo, hi))
+
+
+# One of each kind of line ingest must tell apart, in the middle of a file.
+# Lone "\r" and "\r\n" end lines like "\n"; blank lines count for line
+# numbers only.
+ODD_PAPERS = (
+    "a1\t1965\r\n"          # 451
+    "a2\t1970\r"            # 452
+    "   \n"                 # 453 whitespace only
+    "\t\n"                  # 454 whitespace only
+    "é1\t1972\n"            # 455 non-ASCII id
+    "b1\t 1990\n"           # 456 int() takes the space
+    "b2\t+1990\n"           # 457 ... a sign
+    "b3\t1_990\n"           # 458 ... an underscore
+    "b4\t١٩٩٠\n"            # 459 ... and non-ASCII digits
+    "b5\t19900\n"           # 460 out of range
+    "b6\t1492\n"            # 461 out of range
+    "dup\t19x0\n"           # 462 not a year: does not claim "dup"
+    "dup\t1980\n"           # 463 claims "dup"
+    "dup\t1985\n"           # 464 duplicate
+    "xt\t1980\textra\n"     # 465 extra tab
+    "\t1980\n"              # 466 empty id
+    "ey\t\n"                # 467 empty year
+    "c1\t2005\n"            # 468
+    "late\t2050\n"          # 469 beyond the horizon
+    " sp\t1981\n"           # 470 the id keeps its space
+    "pad005\t1999\n"        # 471 duplicate of a padding line
+)
+
+ODD_CITATIONS = (
+    "a2\ta1\r\n"            # 451 seed edge
+    "é1\ta1\r"              # 452 seed edge, non-ASCII
+    "  \n"                  # 453 whitespace only
+    "b1\ta2\n"              # 454
+    "b1\ta2\n"              # 455 duplicate
+    "b2\tb2\n"              # 456 self-citation
+    "b2\tnobody\n"          # 457 unknown
+    "ghost\tghost\n"        # 458 self-citation comes before unknown
+    "b2\té1\n"              # 459
+    "b2\té1\n"              # 460 duplicate of a non-ASCII edge
+    "a1\tb1\n"              # 461 forward
+    "b1\tb3\n"              # 462 same year
+    "a1\tlate\n"            # 463 out of window
+    "one-field\n"           # 464 malformed
+    "x\ty\tz\n"             # 465 malformed: extra tab
+    "\tb1\n"                # 466 malformed: empty field
+    "b1\t \n"               # 467 malformed: blank field
+    "c1\tdup\n"             # 468
+    "c1\t sp\n"             # 469
+    "c1\tb4\n"              # 470
+    "dup\ta1\n"             # 471
+    "b5\ta1\n"              # 472 b5 was malformed, so unknown
+)
+
+
+class TestOddLines:
+    """Literal outputs of ingest on a file holding every kind of line it
+    must tell apart, padded with plain lines so it stays under 1%."""
+
+    def files(self, tmp_path, pad=450):
+        ppath, cpath = tmp_path / "papers.tsv", tmp_path / "citations.tsv"
+        ppath.write_bytes((pad_papers(0, pad) + ODD_PAPERS + pad_papers(pad, 2 * pad)
+                           + "z9\t1999").encode("utf-8"))
+        cpath.write_bytes((pad_citations(0, pad) + ODD_CITATIONS
+                           + pad_citations(pad, 2 * pad) + "z9\tc1").encode("utf-8"))
+        return ppath, cpath
+
+    def test_papers(self, tmp_path):
+        parsed = parse_papers(self.files(tmp_path)[0])
+        pads = [PaperRecord(f"pad{i:03d}", 1800 + i % 150) for i in range(900)]
+        odd = [PaperRecord("a1", 1965), PaperRecord("a2", 1970), PaperRecord("é1", 1972),
+               PaperRecord("b1", 1990), PaperRecord("b2", 1990), PaperRecord("b3", 1990),
+               PaperRecord("b4", 1990), PaperRecord("dup", 1980), PaperRecord("c1", 2005),
+               PaperRecord("late", 2050), PaperRecord(" sp", 1981)]
+        assert parsed.records == (*pads[:450], *odd, *pads[450:], PaperRecord("z9", 1999))
+        assert (parsed.malformed, parsed.total_lines) == (8, 920)
+
+    def test_citations_and_build(self, tmp_path):
+        ppath, cpath = self.files(tmp_path)
+        papers = parse_papers(ppath)
+        parsed = parse_citations(cpath, [r.id for r in papers.records])
+        pads = [(f"pad{i:03d}", f"pad{(7 * i + 1) % 900:03d}") for i in range(900)]
+        odd = [("a2", "a1"), ("é1", "a1"), ("b1", "a2"), ("b2", "é1"), ("a1", "b1"),
+               ("b1", "b3"), ("a1", "late"), ("c1", "dup"), ("c1", " sp"), ("c1", "b4"),
+               ("dup", "a1")]
+        assert parsed.edges == (*pads[:450], *odd, *pads[450:], ("z9", "c1"))
+        assert (parsed.malformed, parsed.dropped_unknown, parsed.dropped_self,
+                parsed.duplicates) == (4, 2, 2, 2)
+
+        result = build_seed_and_schedule(papers.records, parsed.edges, IngestConfig())
+        assert result.seed.nodes == ((0, 1965), (1, 1970), (2, 1972))
+        assert result.seed.edges == ((1, 0), (2, 0))
+        assert result.schedule.entries == {1980: [1], 1981: [0], 1990: [1, 1, 0, 0],
+                                           1999: [0], 2005: [3]}
+        assert result.id_map == {"a1": 0, "a2": 1, "é1": 2, "dup": 3, " sp": 4, "b1": 5,
+                                 "b2": 6, "b3": 7, "b4": 8, "z9": 9, "c1": 10}
+        assert result.counters == {
+            "seed_nodes": 3, "seed_edges": 2, "scheduled_nodes": 8, "scheduled_edges": 6,
+            "dropped_out_of_window": 901, "dropped_forward": 2, "dropped_same_year": 1}
+
+    def test_over_one_percent_names_the_first_five(self, tmp_path):
+        ppath, cpath = self.files(tmp_path, pad=10)
+        with pytest.raises(IngestError) as err:
+            parse_papers(ppath)
+        assert str(err.value) == (
+            "8 of 40 paper lines are malformed (> 1%); first offenders: "
+            "line 20: 'b5\\t19900'; line 21: 'b6\\t1492'; line 22: 'dup\\t19x0'; "
+            "line 24: 'dup\\t1985'; line 25: 'xt\\t1980\\textra'")
+        (tmp_path / "full").mkdir()
+        known = [r.id for r in parse_papers(self.files(tmp_path / "full")[0]).records]
+        with pytest.raises(IngestError) as err:
+            parse_citations(cpath, known)
+        assert str(err.value) == (
+            "4 of 42 citation lines are malformed (> 1%); first offenders: "
+            "line 24: 'one-field'; line 25: 'x\\ty\\tz'; line 26: '\\tb1'; line 27: 'b1\\t '")
