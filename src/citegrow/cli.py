@@ -192,14 +192,19 @@ def _collect_model_options(args, lists: bool = False) -> tuple[str, dict, list]:
 def _ingest_tsv(args):
     """Parse --papers/--citations into a seed network and schedule under
     the --seed-start/--seed-end/--cutoff/--horizon window. Returns
-    (papers, citations, ingest result, input files)."""
+    (papers, citations, ingest result, input files, seconds per stage)."""
     ppath, cpath = Path(args.papers), Path(args.citations)
     config = IngestConfig(seed_start=args.seed_start, seed_end=args.seed_end,
                           cutoff=args.cutoff, horizon=args.horizon)
+    t0 = time.perf_counter()
     papers = parse_papers(ppath)
+    t1 = time.perf_counter()
     citations = parse_citations(cpath, {r.id for r in papers.records})
+    t2 = time.perf_counter()
     result = build_seed_and_schedule(papers.records, citations.edges, config)
-    return papers, citations, result, [ppath, cpath]
+    seconds = {"parse_papers": t1 - t0, "parse_citations": t2 - t1,
+               "build": time.perf_counter() - t2}
+    return papers, citations, result, [ppath, cpath], seconds
 
 
 def _load_sim_inputs(args) -> tuple[SeedNetwork, YearSchedule, list]:
@@ -216,7 +221,7 @@ def _load_sim_inputs(args) -> tuple[SeedNetwork, YearSchedule, list]:
         return seed, YearSchedule.from_tsv(spath), [gpath, spath]
     if not (args.papers and args.citations):
         raise ValidationError("pass --papers with --citations, or --seed-graph with --schedule")
-    _, _, result, inputs = _ingest_tsv(args)
+    _, _, result, inputs, _ = _ingest_tsv(args)
     return result.seed, result.schedule, inputs
 
 
@@ -280,8 +285,8 @@ def _parse_float_range(text: str) -> list[float]:
 # -- subcommand handlers ---------------------------------------------------------
 
 def _cmd_ingest(args, out_dir: Path):
-    papers, citations, result, inputs = _ingest_tsv(args)
-
+    papers, citations, result, inputs, seconds = _ingest_tsv(args)
+    t0 = time.perf_counter()
     _seed_network_to_graph(result.seed).dump(out_dir / "seed.graph")
     result.schedule.to_tsv(out_dir / "schedule.tsv")
     with open(out_dir / "id_map.tsv", "w", encoding="utf-8") as fh:
@@ -299,10 +304,12 @@ def _cmd_ingest(args, out_dir: Path):
     }
     (out_dir / "ingest_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    seconds["write"] = time.perf_counter() - t0
     print(f"ingest: seed {result.seed.n_nodes} nodes / {result.seed.n_edges} edges, "
           f"schedule {result.schedule.total_nodes} nodes / {result.schedule.total_edges} edges")
     params = {"seed_start": args.seed_start, "seed_end": args.seed_end,
-              "cutoff": args.cutoff, "horizon": args.horizon}
+              "cutoff": args.cutoff, "horizon": args.horizon,
+              "stage_seconds": {stage: round(t, 6) for stage, t in seconds.items()}}
     return (["seed.graph", "schedule.tsv", "id_map.tsv", "ingest_report.json"],
             params, inputs)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -206,15 +207,18 @@ class GrowthGraph:
 
     def dumps(self) -> str:
         """Text dump: one N line per node (id order), one E line per edge
-        (creation order). Floats use repr, so a dump round-trips exactly;
-        the repr of a float from `tolist()` is that of `float(x)`."""
-        d = self.dim
-        node = "N {} {} {!r} {!r}" + (" " + ",".join(["{!r}"] * d) if d else "")
-        nodes = map(node.format, range(self.n_nodes), self.years.tolist(),
-                    self.sub_years.tolist(), self.fitness.tolist(), *self.locations.T.tolist())
-        edges = map("E {} {}".format, *self.edges.T.tolist())
+        (creation order). Floats use repr, so a dump round-trips exactly."""
+        n, m, d = self.n_nodes, self.n_edges, self.dim
+        # One %-format over the whole table. tolist() gives Python ints and
+        # floats, and %d and %r write them as str(int) and repr(float), so
+        # the text is that of formatting each line on its own.
+        node = "N %d %d %r %r" + (" " + ",".join(["%r"] * d) if d else "") + "\n"
+        values = chain.from_iterable(zip(range(n), self.years.tolist(), self.sub_years.tolist(),
+                                         self.fitness.tolist(), *self.locations.T.tolist()))
+        text = ((node * n) % tuple(values)
+                + ("E %d %d\n" * m) % tuple(self.edges.ravel().tolist()))
         # a graph without nodes or edges dumps as one empty line
-        return "\n".join([*nodes, *edges, ""]) or "\n"
+        return text or "\n"
 
     def dump(self, path) -> None:
         Path(path).write_text(self.dumps(), encoding="utf-8")

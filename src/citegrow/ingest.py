@@ -16,7 +16,11 @@ dropped and counted, never silently discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import IngestError, ValidationError
 from .graph import SeedNetwork, YearSchedule
@@ -82,90 +86,168 @@ def _check_malformed(kind: str, malformed: int, total: int, examples: list) -> N
             f"first offenders: {shown}")
 
 
+def _read(path, kind: str) -> str:
+    p = Path(path)
+    if not p.exists():
+        raise IngestError(f"{kind} file not found: {p}")
+    # text mode, so "\r\n" and a lone "\r" end a line like "\n"
+    with open(p, encoding="utf-8") as fh:
+        return fh.read()
+
+
+class _Lines:
+    """A TSV text cut at "\n" into lines, numbered from 0.
+
+    A line is plain when it is one tab between two non-empty fields of
+    printable ASCII: no other whitespace, control or non-ASCII byte.
+    Plain lines are found with numpy over the UTF-8 bytes and split all at
+    once; the per-line rules read only the other lines, one at a time.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.bytes = b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        newlines = np.flatnonzero(b == 10)
+        self.starts = np.concatenate(([0], newlines + 1))
+        self.ends = np.append(newlines, b.size)
+        # the bytes a plain line holds once, the tab, or never; b.size
+        # closes the list so that each line's first one can be looked up
+        rare = np.append(np.flatnonzero((b < 33) | (b > 126)), b.size)
+        first = np.searchsorted(rare, self.starts)
+        self.tabs = rare[first]
+        plain = np.searchsorted(rare, self.ends) - first == 1
+        plain[plain] = b[self.tabs[plain]] == 9
+        self.plain = plain & (self.tabs > self.starts) & (self.tabs < self.ends - 1)
+        self.continuations = (np.flatnonzero((b & 0xC0) == 0x80) if not text.isascii()
+                              else np.zeros(0, dtype=np.intp))
+
+    def fields(self) -> list[str]:
+        """Both fields of every plain line in order: first, second, first, ..."""
+        keep = np.repeat(self.plain, self.ends - self.starts + 1)[:self.bytes.size]
+        return self.bytes[keep].tobytes().decode("ascii").split()
+
+    def others(self):
+        """(number, text) of each line that is not plain, in order."""
+        for i in np.flatnonzero(~self.plain).tolist():
+            yield i, self.line(i)
+
+    def line(self, i: int) -> str:
+        # a character offset is a byte offset less the UTF-8 continuation
+        # bytes before it
+        start, end = self.starts[i], self.ends[i]
+        start -= np.searchsorted(self.continuations, start)
+        end -= np.searchsorted(self.continuations, end)
+        return self.text[start:end]
+
+    def malformed(self, kind: str, numbers, total: int) -> int:
+        """Raise IngestError if the lines `numbers` are more than 1% of
+        `total` counted lines; return how many there are."""
+        examples = [f"line {i + 1}: {self.line(i)[:60]!r}" for i in sorted(numbers)[:5]]
+        _check_malformed(kind, len(numbers), total, examples)
+        return len(numbers)
+
+
+def _in_line_order(numbers: np.ndarray, late: list, *columns):
+    """Merge the rows `late` ((line number, value, ...) tuples) into the
+    lists `columns` read from the lines `numbers`, in line order. Returns
+    the merged line numbers (an array) and columns."""
+    if not late:
+        return (numbers, *columns)
+    numbers = np.concatenate([numbers, [row[0] for row in late]])
+    order = np.argsort(numbers, kind="stable").tolist()
+    merged = [list(map((list(col) + [row[k + 1] for row in late]).__getitem__, order))
+              for k, col in enumerate(columns)]
+    return (numbers[order], *merged)
+
+
 def parse_papers(path) -> ParsedPapers:
     """Read a papers TSV. Malformed lines (wrong field count, non-integer
     or out-of-range year, duplicate id) are counted and skipped; more than
     1% malformed aborts."""
-    p = Path(path)
-    if not p.exists():
-        raise IngestError(f"papers file not found: {p}")
-    records: list[PaperRecord] = []
-    seen: set[str] = set()
-    malformed = 0
-    examples: list[str] = []
-    total = 0
-    with open(p, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            total += 1
-            fields = line.split("\t")
-            ok = len(fields) == 2 and fields[0].strip()
-            year = None
-            if ok:
-                try:
-                    year = int(fields[1])
-                except ValueError:
-                    ok = False
-            if ok and not _YEAR_MIN <= year <= _YEAR_MAX:
+    lines = _Lines(_read(path, "papers"))
+    # a plain paper line's year is four ASCII digits, read from the bytes
+    lines.plain &= lines.ends - lines.tabs == 5
+    plain = np.flatnonzero(lines.plain)
+    digits = lines.bytes[lines.tabs[plain, None] + np.arange(1, 5)] - 48
+    four = (digits <= 9).all(axis=1)
+    lines.plain[plain[~four]] = False
+    plain, years = plain[four], digits[four] @ np.array([1000, 100, 10, 1])
+    ids = lines.fields()[::2]
+    fits = (years >= _YEAR_MIN) & (years <= _YEAR_MAX)
+    bad = plain[~fits].tolist()
+    late = []
+    total = plain.size
+    for i, line in lines.others():
+        if not line.strip():
+            continue
+        total += 1
+        fields = line.split("\t")
+        ok = len(fields) == 2 and fields[0].strip()
+        year = None
+        if ok:
+            try:
+                year = int(fields[1])
+            except ValueError:
                 ok = False
-            if ok and fields[0] in seen:
-                ok = False
-            if not ok:
-                malformed += 1
-                if len(examples) < 5:
-                    examples.append(f"line {lineno}: {line[:60]!r}")
-                continue
-            seen.add(fields[0])
-            records.append(PaperRecord(id=fields[0], year=year))
-    _check_malformed("paper", malformed, total, examples)
-    if not records:
-        raise IngestError(f"papers file {p} contains no usable records")
-    return ParsedPapers(records=tuple(records), malformed=malformed, total_lines=total)
+        if ok and not _YEAR_MIN <= year <= _YEAR_MAX:
+            ok = False
+        if not ok:
+            bad.append(i)
+            continue
+        late.append((i, fields[0], year))
+    numbers, ids, years = _in_line_order(
+        plain[fits], late, list(compress(ids, fits.tolist())), years[fits].tolist())
+    # only the first valid line of an id claims it
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    if len(first) < len(ids):
+        claims = np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)) == np.arange(len(ids))
+        bad.extend(numbers[~claims].tolist())
+        ids, years = list(compress(ids, claims.tolist())), list(compress(years, claims.tolist()))
+    malformed = lines.malformed("paper", bad, total)
+    if not ids:
+        raise IngestError(f"papers file {Path(path)} contains no usable records")
+    return ParsedPapers(records=tuple(map(PaperRecord, ids, years)),
+                        malformed=malformed, total_lines=total)
 
 
 def parse_citations(path, known_ids) -> ParsedCitations:
     """Read a citations TSV. Edges naming unknown papers, self-citations
     and duplicates are dropped with counters; malformed lines follow the
     same 1% rule as papers."""
-    p = Path(path)
-    if not p.exists():
-        raise IngestError(f"citations file not found: {p}")
-    known = set(known_ids)
-    edges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    malformed = dropped_unknown = dropped_self = duplicates = 0
-    examples: list[str] = []
-    total = 0
-    with open(p, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            total += 1
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
-                malformed += 1
-                if len(examples) < 5:
-                    examples.append(f"line {lineno}: {line[:60]!r}")
-                continue
-            citing, cited = fields
-            if citing == cited:
-                dropped_self += 1
-                continue
-            if citing not in known or cited not in known:
-                dropped_unknown += 1
-                continue
-            if (citing, cited) in seen:
-                duplicates += 1
-                continue
-            seen.add((citing, cited))
-            edges.append((citing, cited))
-    _check_malformed("citation", malformed, total, examples)
-    return ParsedCitations(edges=tuple(edges), malformed=malformed,
-                           dropped_unknown=dropped_unknown,
-                           dropped_self=dropped_self, duplicates=duplicates)
+    numbers = count()
+    known = dict(zip(known_ids, numbers))  # equal ids share a number
+    lines = _Lines(_read(path, "citations"))
+    fields = lines.fields()
+    bad, late = [], []
+    total = int(np.count_nonzero(lines.plain))
+    for i, line in lines.others():
+        if not line.strip():
+            continue
+        total += 1
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            bad.append(i)
+            continue
+        late.append((i, *parts))
+    _, citing, cited = _in_line_order(
+        np.flatnonzero(lines.plain), late, fields[::2], fields[1::2])
+    malformed = lines.malformed("citation", bad, total)
+    # checks in order: self-citation, unknown paper, then duplicate
+    m = len(citing)
+    u = np.fromiter(map(known.get, citing, repeat(-1)), np.int64, m)
+    v = np.fromiter(map(known.get, cited, repeat(-1)), np.int64, m)
+    same = u == v
+    both_unknown = np.flatnonzero(same & (u < 0))
+    same[both_unknown] = [citing[i] == cited[i] for i in both_unknown.tolist()]
+    unknown = ~same & ((u < 0) | (v < 0))
+    rest = np.flatnonzero(~same & ~unknown)
+    # the first occurrence of an edge is kept; next(numbers) exceeds every number
+    edge_keys = u[rest] * next(numbers) + v[rest]
+    kept = rest[np.sort(np.unique(edge_keys, return_index=True)[1])].tolist()
+    return ParsedCitations(
+        edges=tuple(zip(map(citing.__getitem__, kept), map(cited.__getitem__, kept))),
+        malformed=malformed, dropped_unknown=int(np.count_nonzero(unknown)),
+        dropped_self=int(np.count_nonzero(same)), duplicates=rest.size - len(kept))
 
 
 @dataclass(frozen=True)
@@ -199,49 +281,47 @@ def build_seed_and_schedule(papers, citations,
     [seed_start, horizon] are ignored; their citations count as out of
     window.
     """
-    records = [r for r in papers]
-    in_window = [r for r in records
-                 if config.seed_start <= r.year <= config.horizon]
-    in_window.sort(key=lambda r: (r.year, r.id))
-    if not any(r.year <= config.seed_end for r in in_window):
+    records = list(papers)
+    ids = list(map(attrgetter("id"), records))
+    years = np.fromiter(map(attrgetter("year"), records), np.int64, len(records))
+    window = np.flatnonzero((years >= config.seed_start) & (years <= config.horizon))
+    # (year, id) order: by id, then stably by year
+    by_id = np.array(sorted(window.tolist(), key=ids.__getitem__), dtype=np.int64)
+    order = by_id[np.argsort(years[by_id], kind="stable")]
+    years = years[order]
+    n_seed = int(np.searchsorted(years, config.seed_end, side="right"))
+    if n_seed == 0:
         raise IngestError(
             f"no papers fall in the seed years {config.seed_start}..{config.seed_end}; "
             "cannot build a seed network")
-    id_map = {r.id: idx for idx, r in enumerate(in_window)}
-    year_of = {r.id: r.year for r in in_window}
+    ids = list(map(ids.__getitem__, order.tolist()))
+    id_map = dict(zip(ids, range(len(ids))))
+    # a repeated id names its last position, on every record that carries it
+    node = (np.arange(len(ids)) if len(id_map) == len(ids)
+            else np.fromiter(map(id_map.__getitem__, ids), np.int64, len(ids)))
 
-    seed_nodes = [(id_map[r.id], r.year) for r in in_window
-                  if r.year <= config.seed_end]
-    seed_edges: list[tuple[int, int]] = []
-    out_counts = {r.id: 0 for r in in_window if r.year > config.seed_end}
-    dropped_window = dropped_forward = dropped_same = 0
+    pairs = list(citations)
+    u = np.fromiter(map(id_map.get, map(itemgetter(0), pairs), repeat(-1)), np.int64, len(pairs))
+    v = np.fromiter(map(id_map.get, map(itemgetter(1), pairs), repeat(-1)), np.int64, len(pairs))
+    outside = (u < 0) | (v < 0)
+    yu, yv = years[u], years[v]
+    forward = ~outside & (yv > yu)
+    same = ~outside & (yv == yu)
+    kept = ~outside & (yv < yu)
+    seed = kept & (yu <= config.seed_end)
+    out_counts = np.bincount(u[kept & ~seed], minlength=len(ids))
 
-    for citing, cited in citations:
-        if citing not in id_map or cited not in id_map:
-            dropped_window += 1
-            continue
-        yc, yd = year_of[citing], year_of[cited]
-        if yd > yc:
-            dropped_forward += 1
-            continue
-        if yd == yc:
-            dropped_same += 1
-            continue
-        if yc <= config.seed_end:
-            seed_edges.append((id_map[citing], id_map[cited]))
-        else:
-            out_counts[citing] += 1
-
-    entries: dict[int, list[int]] = {}
-    for r in in_window:
-        if r.year > config.seed_end:
-            entries.setdefault(r.year, []).append(out_counts[r.id])
+    degrees = out_counts[node[n_seed:]].tolist()
+    year_list, firsts = np.unique(years[n_seed:], return_index=True)
+    cuts = [*firsts.tolist(), len(degrees)]
+    entries = {y: degrees[a:b] for y, a, b in zip(year_list.tolist(), cuts, cuts[1:])}
 
     return IngestResult(
-        seed=SeedNetwork(nodes=tuple(seed_nodes), edges=tuple(seed_edges)),
+        seed=SeedNetwork(nodes=tuple(zip(node[:n_seed].tolist(), years[:n_seed].tolist())),
+                         edges=tuple(zip(u[seed].tolist(), v[seed].tolist()))),
         schedule=YearSchedule(entries),
         id_map=id_map,
-        dropped_out_of_window=dropped_window,
-        dropped_forward=dropped_forward,
-        dropped_same_year=dropped_same,
+        dropped_out_of_window=int(np.count_nonzero(outside)),
+        dropped_forward=int(np.count_nonzero(forward)),
+        dropped_same_year=int(np.count_nonzero(same)),
     )

@@ -230,6 +230,15 @@ class TestPipeline:
             code: counts[code] for code in ("er", "fr", "lr", "sr")}
         assert rules["ot_low_mean"] + rules["ot_peak_at_horizon"] == counts["ot"]
 
+    def test_ingest_manifest_times_each_stage(self, tmp_path, corpus):
+        ppath, cpath = corpus
+        assert run(["ingest", "--papers", ppath, "--citations", cpath,
+                    "--out", tmp_path]) == 0
+        stages = json.loads((tmp_path / "manifest.json").read_text())["parameters"][
+            "stage_seconds"]
+        assert set(stages) == {"parse_papers", "parse_citations", "build", "write"}
+        assert all(seconds >= 0 for seconds in stages.values())
+
     def test_sweep_list_items_may_carry_blanks(self, tmp_path, corpus):
         ppath, cpath = corpus
         ref = tmp_path / "ref.json"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from citegrow import (
@@ -7,7 +9,16 @@ from citegrow import (
     parse_citations,
     parse_papers,
 )
-from citegrow.ingest import PaperRecord
+from citegrow.ingest import (
+    _MALFORMED_LIMIT,
+    _YEAR_MAX,
+    _YEAR_MIN,
+    IngestResult,
+    ParsedCitations,
+    ParsedPapers,
+    PaperRecord,
+)
+from citegrow.graph import SeedNetwork, YearSchedule
 
 
 def write(tmp_path, name, text):
@@ -266,3 +277,173 @@ class TestOddLines:
         assert str(err.value) == (
             "4 of 42 citation lines are malformed (> 1%); first offenders: "
             "line 24: 'one-field'; line 25: 'x\\ty\\tz'; line 26: '\\tb1'; line 27: 'b1\\t '")
+
+
+# The line-at-a-time ingest that the whole-buffer one replaced, kept as the
+# reference it must agree with on every input.
+
+def _loop_malformed(kind, malformed, total, examples):
+    if total and malformed / total > _MALFORMED_LIMIT:
+        raise IngestError(f"{malformed} of {total} {kind} lines are malformed (> 1%); "
+                          f"first offenders: {'; '.join(examples[:5])}")
+
+
+def loop_parse_papers(path):
+    records, seen, examples = [], set(), []
+    malformed = total = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            total += 1
+            fields = line.split("\t")
+            ok = len(fields) == 2 and fields[0].strip()
+            year = None
+            if ok:
+                try:
+                    year = int(fields[1])
+                except ValueError:
+                    ok = False
+            if ok and not _YEAR_MIN <= year <= _YEAR_MAX:
+                ok = False
+            if ok and fields[0] in seen:
+                ok = False
+            if not ok:
+                malformed += 1
+                if len(examples) < 5:
+                    examples.append(f"line {lineno}: {line[:60]!r}")
+                continue
+            seen.add(fields[0])
+            records.append(PaperRecord(id=fields[0], year=year))
+    _loop_malformed("paper", malformed, total, examples)
+    if not records:
+        raise IngestError(f"papers file {path} contains no usable records")
+    return ParsedPapers(records=tuple(records), malformed=malformed, total_lines=total)
+
+
+def loop_parse_citations(path, known_ids):
+    known = set(known_ids)
+    edges, seen, examples = [], set(), []
+    malformed = dropped_unknown = dropped_self = duplicates = total = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            total += 1
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
+                malformed += 1
+                if len(examples) < 5:
+                    examples.append(f"line {lineno}: {line[:60]!r}")
+                continue
+            citing, cited = fields
+            if citing == cited:
+                dropped_self += 1
+            elif citing not in known or cited not in known:
+                dropped_unknown += 1
+            elif (citing, cited) in seen:
+                duplicates += 1
+            else:
+                seen.add((citing, cited))
+                edges.append((citing, cited))
+    _loop_malformed("citation", malformed, total, examples)
+    return ParsedCitations(edges=tuple(edges), malformed=malformed,
+                           dropped_unknown=dropped_unknown, dropped_self=dropped_self,
+                           duplicates=duplicates)
+
+
+def loop_build(papers, citations, config):
+    in_window = [r for r in papers if config.seed_start <= r.year <= config.horizon]
+    in_window.sort(key=lambda r: (r.year, r.id))
+    if not any(r.year <= config.seed_end for r in in_window):
+        raise IngestError(
+            f"no papers fall in the seed years {config.seed_start}..{config.seed_end}; "
+            "cannot build a seed network")
+    id_map = {r.id: idx for idx, r in enumerate(in_window)}
+    year_of = {r.id: r.year for r in in_window}
+    seed_nodes = [(id_map[r.id], r.year) for r in in_window if r.year <= config.seed_end]
+    seed_edges = []
+    out_counts = {r.id: 0 for r in in_window if r.year > config.seed_end}
+    dropped_window = dropped_forward = dropped_same = 0
+    for citing, cited in citations:
+        if citing not in id_map or cited not in id_map:
+            dropped_window += 1
+            continue
+        yc, yd = year_of[citing], year_of[cited]
+        if yd > yc:
+            dropped_forward += 1
+        elif yd == yc:
+            dropped_same += 1
+        elif yc <= config.seed_end:
+            seed_edges.append((id_map[citing], id_map[cited]))
+        else:
+            out_counts[citing] += 1
+    entries = {}
+    for r in in_window:
+        if r.year > config.seed_end:
+            entries.setdefault(r.year, []).append(out_counts[r.id])
+    return IngestResult(seed=SeedNetwork(nodes=tuple(seed_nodes), edges=tuple(seed_edges)),
+                        schedule=YearSchedule(entries), id_map=id_map,
+                        dropped_out_of_window=dropped_window, dropped_forward=dropped_forward,
+                        dropped_same_year=dropped_same)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except IngestError as exc:
+        return str(exc)
+
+
+# fragments of odd lines: line ends, whitespace that str.strip() removes,
+# non-ASCII text and year forms int() accepts
+FRAGMENTS = ["a1", "b2", "é", "\t", "\n", "\r", "\r\n", " ", "\x0c", "\x1c", "\xa0",
+             "\x85", "\x00", "\x7f", "19", "1990", "+", "_", "-", "١٩٩٠"]
+IDS = ["a", "b", "c", "é", "p"]
+
+
+def random_tsv(rng, lines, odd_share, second):
+    out = []
+    for _ in range(lines):
+        if rng.random() < odd_share:
+            out.append("".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(0, 6))))
+        else:
+            out.append(f"{rng.choice(IDS)}{rng.randint(0, 40)}\t{second(rng)}\n")
+    return "".join(out)
+
+
+class TestAgainstLineLoop:
+    """Random files with odd lines among plain ones give the same records,
+    edges, counters, messages, seed and schedule as the line loop."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_files(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "input.tsv"
+        config = IngestConfig(seed_start=1960, seed_end=1975, cutoff=2000, horizon=2010)
+        years = [1492, 1960, 1965, 1970, 1975, 1976, 1990, 2010, 2011, 2050, 19900]
+        for _ in range(60):
+            lines, odd_share = rng.choice([1, 5, 40, 300]), rng.choice([0.0, 0.003, 0.2])
+            path.write_bytes(random_tsv(rng, lines, odd_share,
+                                        lambda r: r.choice(years)).encode("utf-8"))
+            papers = outcome(parse_papers, path)
+            assert papers == outcome(loop_parse_papers, path)
+            known = [f"{c}{i}" for c in IDS for i in range(0, 40, 3)] + ["a0", "é1"]
+            path.write_bytes(random_tsv(rng, lines, odd_share,
+                                        lambda r: f"{r.choice(IDS)}{r.randint(0, 40)}"
+                                        ).encode("utf-8"))
+            citations = outcome(parse_citations, path, known)
+            assert citations == outcome(loop_parse_citations, path, known)
+            if isinstance(papers, str) or isinstance(citations, str):
+                continue
+            # repeated ids reach the build only through the library call
+            records = [*papers.records, *rng.sample(papers.records, min(3, len(papers.records)))]
+            built = outcome(build_seed_and_schedule, iter(records), iter(citations.edges), config)
+            expected = outcome(loop_build, records, citations.edges, config)
+            if isinstance(expected, str):
+                assert built == expected
+            else:
+                assert (built.seed, built.schedule, built.id_map, built.counters) == (
+                    expected.seed, expected.schedule, expected.id_map, expected.counters)
