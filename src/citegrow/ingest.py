@@ -78,14 +78,6 @@ class ParsedCitations:
     duplicates: int
 
 
-def _check_malformed(kind: str, malformed: int, total: int, examples: list) -> None:
-    if total and malformed / total > _MALFORMED_LIMIT:
-        shown = "; ".join(examples[:5])
-        raise IngestError(
-            f"{malformed} of {total} {kind} lines are malformed (> 1%); "
-            f"first offenders: {shown}")
-
-
 def _read(path, kind: str) -> str:
     p = Path(path)
     if not p.exists():
@@ -142,9 +134,13 @@ class _Lines:
     def malformed(self, kind: str, numbers, total: int) -> int:
         """Raise IngestError if the lines `numbers` are more than 1% of
         `total` counted lines; return how many there are."""
-        examples = [f"line {i + 1}: {self.line(i)[:60]!r}" for i in sorted(numbers)[:5]]
-        _check_malformed(kind, len(numbers), total, examples)
-        return len(numbers)
+        malformed = len(numbers)
+        if total and malformed / total > _MALFORMED_LIMIT:
+            shown = "; ".join(f"line {i + 1}: {self.line(i)[:60]!r}" for i in sorted(numbers)[:5])
+            raise IngestError(
+                f"{malformed} of {total} {kind} lines are malformed (> 1%); "
+                f"first offenders: {shown}")
+        return malformed
 
 
 def _in_line_order(numbers: np.ndarray, late: list, *columns):
@@ -200,9 +196,10 @@ def parse_papers(path) -> ParsedPapers:
     # only the first valid line of an id claims it
     first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
     if len(first) < len(ids):
-        claims = np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)) == np.arange(len(ids))
+        claims = np.fromiter(map(first.__getitem__, ids), np.int64, len(ids))
+        claims = claims == np.arange(len(ids))
         bad.extend(numbers[~claims].tolist())
-        ids, years = list(compress(ids, claims.tolist())), list(compress(years, claims.tolist()))
+        ids, years = (list(compress(column, claims.tolist())) for column in (ids, years))
     malformed = lines.malformed("paper", bad, total)
     if not ids:
         raise IngestError(f"papers file {Path(path)} contains no usable records")
