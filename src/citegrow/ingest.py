@@ -114,9 +114,13 @@ class _Lines:
                               else np.zeros(0, dtype=np.intp))
 
     def fields(self) -> list[str]:
-        """Both fields of every plain line in order: first, second, first, ..."""
-        keep = np.repeat(self.plain, self.ends - self.starts + 1)[:self.bytes.size]
-        return self.bytes[keep].tobytes().decode("ascii").split()
+        """Both fields of every plain line in order: first, second, first, ...
+        The text around the other lines is split at once: a plain line's
+        fields hold no whitespace, so split() cuts it at its tab and end."""
+        others = np.flatnonzero(~self.plain)
+        around = self._chars(np.column_stack([self.starts[others], self.ends[others]]))
+        cuts = [0, *around.ravel().tolist(), len(self.text)]
+        return "".join([self.text[a:b] for a, b in zip(cuts[::2], cuts[1::2]) if a < b]).split()
 
     def others(self):
         """(number, text) of each line that is not plain, in order."""
@@ -124,12 +128,12 @@ class _Lines:
             yield i, self.line(i)
 
     def line(self, i: int) -> str:
+        return self.text[self._chars(self.starts[i]):self._chars(self.ends[i])]
+
+    def _chars(self, offsets):
         # a character offset is a byte offset less the UTF-8 continuation
         # bytes before it
-        start, end = self.starts[i], self.ends[i]
-        start -= np.searchsorted(self.continuations, start)
-        end -= np.searchsorted(self.continuations, end)
-        return self.text[start:end]
+        return offsets - np.searchsorted(self.continuations, offsets)
 
     def malformed(self, kind: str, numbers, total: int) -> int:
         """Raise IngestError if the lines `numbers` are more than 1% of
@@ -151,7 +155,7 @@ def _in_line_order(numbers: np.ndarray, late: list, *columns):
         return (numbers, *columns)
     numbers = np.concatenate([numbers, [row[0] for row in late]])
     order = np.argsort(numbers, kind="stable").tolist()
-    merged = [list(map((list(col) + [row[k + 1] for row in late]).__getitem__, order))
+    merged = [list(map((col + [row[k + 1] for row in late]).__getitem__, order))
               for k, col in enumerate(columns)]
     return (numbers[order], *merged)
 
@@ -207,12 +211,9 @@ def parse_papers(path) -> ParsedPapers:
                         malformed=malformed, total_lines=total)
 
 
-def parse_citations(path, known_ids) -> ParsedCitations:
-    """Read a citations TSV. Edges naming unknown papers, self-citations
-    and duplicates are dropped with counters; malformed lines follow the
-    same 1% rule as papers."""
-    numbers = count()
-    known = dict(zip(known_ids, numbers))  # equal ids share a number
+def _citation_fields(path) -> tuple[list, list, int]:
+    """(citing ids, cited ids, malformed count) of a citations TSV, in
+    line order, after the malformed-line rule."""
     lines = _Lines(_read(path, "citations"))
     fields = lines.fields()
     bad, late = [], []
@@ -228,7 +229,16 @@ def parse_citations(path, known_ids) -> ParsedCitations:
         late.append((i, *parts))
     _, citing, cited = _in_line_order(
         np.flatnonzero(lines.plain), late, fields[::2], fields[1::2])
-    malformed = lines.malformed("citation", bad, total)
+    return citing, cited, lines.malformed("citation", bad, total)
+
+
+def parse_citations(path, known_ids) -> ParsedCitations:
+    """Read a citations TSV. Edges naming unknown papers, self-citations
+    and duplicates are dropped with counters; malformed lines follow the
+    same 1% rule as papers."""
+    numbers = count()
+    known = dict(zip(known_ids, numbers))  # equal ids share a number
+    citing, cited, malformed = _citation_fields(path)
     # checks in order: self-citation, unknown paper, then duplicate
     m = len(citing)
     u = np.fromiter(map(known.get, citing, repeat(-1)), np.int64, m)
@@ -301,11 +311,11 @@ def build_seed_and_schedule(papers, citations,
     u = np.fromiter(map(id_map.get, map(itemgetter(0), pairs), repeat(-1)), np.int64, len(pairs))
     v = np.fromiter(map(id_map.get, map(itemgetter(1), pairs), repeat(-1)), np.int64, len(pairs))
     outside = (u < 0) | (v < 0)
-    yu, yv = years[u], years[v]
-    forward = ~outside & (yv > yu)
-    same = ~outside & (yv == yu)
-    kept = ~outside & (yv < yu)
-    seed = kept & (yu <= config.seed_end)
+    age = years[u] - years[v]  # of the cited paper when cited
+    forward = ~outside & (age < 0)
+    same = ~outside & (age == 0)
+    kept = ~outside & (age > 0)
+    seed = kept & (u < n_seed)
     out_counts = np.bincount(u[kept & ~seed], minlength=len(ids))
 
     degrees = out_counts[node[n_seed:]].tolist()
