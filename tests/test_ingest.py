@@ -9,6 +9,7 @@ from citegrow import (
     parse_citations,
     parse_papers,
 )
+from citegrow.graph import SeedNetwork, YearSchedule
 from citegrow.ingest import (
     _MALFORMED_LIMIT,
     _YEAR_MAX,
@@ -18,7 +19,6 @@ from citegrow.ingest import (
     ParsedPapers,
     PaperRecord,
 )
-from citegrow.graph import SeedNetwork, YearSchedule
 
 
 def write(tmp_path, name, text):
