@@ -350,6 +350,26 @@ class TestPinnedOutputs:
         graph = (tmp_path / "sim" / "graph.txt").read_bytes()
         assert hashlib.sha256(graph).hexdigest() == self.PINNED["sim/graph.txt"]
 
+    def test_ingest_digests(self, tmp_path, corpus):
+        # seed.graph's fitness and sub-year columns are pinned only here:
+        # simulate --seed-graph reads years and edges alone
+        ppath, cpath = corpus
+        assert run(["ingest", "--papers", ppath, "--citations", cpath,
+                    "--out", tmp_path]) == 0
+        produced = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("seed.graph", "schedule.tsv", "id_map.tsv",
+                                 "ingest_report.json")}
+        assert produced == {
+            "seed.graph":
+                "25809651b24915678dee03cd43b392949dae7d10c74ec06b5008ba0184a49841",
+            "schedule.tsv":
+                "653d2a6437f95ee8a491072fe1af848ae00f09a6477a1fdd85a42574ef8c0320",
+            "id_map.tsv":
+                "c1d18e714f5dfa11d204a4a01ae0171a6797f06dfafe0ee9e6316ce7101174e4",
+            "ingest_report.json":
+                "30fadcc0018088faaa0ccd6efb592db53e597feb7f9557233574d6c0d49a7885",
+        }
+
     def test_sensitivity_manifest_counts_decision_rules(self, tmp_path, corpus):
         ppath, cpath = corpus
         window = ["--cutoff", "1978", "--horizon", "1987"]
