@@ -19,10 +19,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CitegrowError, IngestError, ValidationError
-from .graph import GrowthGraph, SeedNetwork, YearSchedule, load_graph
+from .graph import SeedNetwork, YearSchedule, load_graph
 from .ingest import IngestConfig, build_seed_and_schedule, parse_citations, parse_papers
 from . import trajectory
 from .models import MODEL_OPTIONS, ModelKind, make_model, parse_config_options
@@ -63,10 +61,7 @@ def dispatch(argv) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IngestError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CitegrowError as exc:
@@ -225,20 +220,6 @@ def _load_sim_inputs(args) -> tuple[SeedNetwork, YearSchedule, list]:
     return result.seed, result.schedule, inputs
 
 
-def _seed_network_to_graph(seed: SeedNetwork) -> GrowthGraph:
-    """Bare seed as a dumpable graph: unit fitness, no locations."""
-    n = seed.n_nodes
-    edges = np.array(seed.edges, dtype=np.int64).reshape(-1, 2)
-    out_deg = (np.bincount(edges[:, 0], minlength=n)
-               if seed.n_edges else np.zeros(n, dtype=np.int64))
-    return GrowthGraph(
-        years=seed.years,
-        sub_years=np.zeros(n), fitness=np.ones(n),
-        locations=np.zeros((n, 0)), out_degrees=out_deg,
-        edges=edges, n_seed=n,
-    )
-
-
 def _parse_value_list(text: str, conv) -> list:
     try:
         return [conv(part.strip()) for part in str(text).split(",") if part.strip()]
@@ -287,7 +268,9 @@ def _parse_float_range(text: str) -> list[float]:
 def _cmd_ingest(args, out_dir: Path):
     papers, citations, result, inputs, seconds = _ingest_tsv(args)
     t0 = time.perf_counter()
-    _seed_network_to_graph(result.seed).dump(out_dir / "seed.graph")
+    # ba draws no attributes: unit fitness, zero sub-years, no locations
+    init_from_seed(result.seed.nodes, result.seed.edges, make_model("ba"), 0).dump(
+        out_dir / "seed.graph")
     result.schedule.to_tsv(out_dir / "schedule.tsv")
     with open(out_dir / "id_map.tsv", "w", encoding="utf-8") as fh:
         for paper_id, idx in sorted(result.id_map.items(), key=lambda kv: kv[1]):

@@ -210,9 +210,8 @@ class _SweepTask:
 
     index: int
     model: ModelSpec
-    seed_nodes: tuple
-    seed_edges: tuple
-    schedule_entries: dict
+    seed: SeedNetwork
+    schedule: YearSchedule
     cutoff: int
     horizon: int
     params: ClassifierParams
@@ -223,13 +222,12 @@ class _SweepTask:
 def _run_sweep_point(task: _SweepTask) -> tuple[int, np.ndarray, dict]:
     """The point's index, its mean category proportions over its runs and
     its decision-rule counts summed over them."""
-    schedule = YearSchedule(task.schedule_entries)
     prop_sum = np.zeros(5, dtype=np.float64)
     rules: dict[str, int] = {}
     for r in range(task.runs):
-        seed_graph = init_from_seed(task.seed_nodes, task.seed_edges, task.model,
+        seed_graph = init_from_seed(task.seed.nodes, task.seed.edges, task.model,
                                     derive_seed(task.root_seed, task.index, r, 0))
-        grown = run_simulation(seed_graph, schedule, task.model,
+        grown = run_simulation(seed_graph, task.schedule, task.model,
                                derive_seed(task.root_seed, task.index, r, 1))
         result = _classify_all(grown, task.cutoff, task.horizon, task.params)
         prop_sum += result.distribution().proportions
@@ -261,9 +259,8 @@ def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
                 param_names.append(name)
 
     tasks = [
-        _SweepTask(i, pt.model, tuple(seed.nodes), tuple(seed.edges), schedule.entries,
-                   int(cutoff_year), int(horizon_year), classifier_params,
-                   int(runs_per_point), int(rng_seed))
+        _SweepTask(i, pt.model, seed, schedule, int(cutoff_year), int(horizon_year),
+                   classifier_params, int(runs_per_point), int(rng_seed))
         for i, pt in enumerate(points)
     ]
     if jobs > 1:
@@ -277,7 +274,7 @@ def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
     scored = []
     for i, pt in enumerate(points):
         props, rules = by_index[i]
-        dist = CategoryDistribution.from_proportions(props, normalize=True)
+        dist = CategoryDistribution.from_proportions(props)
         scored.append((jsd2(dist.proportions, ref), i, pt, dist, rules))
     scored.sort(key=lambda item: (item[0], item[1]))
     rows = tuple(

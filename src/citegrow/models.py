@@ -15,7 +15,7 @@ Selection probabilities are these weights normalized over existing nodes.
 An lbm or lbm-g weight is the mf weight xi * D times a distance factor
 that localizes a node's influence around its location.
 `attachment_weights` evaluates the degree/fitness part of every rule (the
-mf rule for lbm and lbm-g) and `distance_decay` the factor.
+mf rule for lbm and lbm-g); `spatial` computes the factor.
 The decay gamma may depend on the current network size n: constant,
 n, sqrt(n), or log(n) (`ModelSpec.gamma_at`). Effective degree defaults
 to in-degree + 1 so that never-cited nodes stay reachable; "total"
@@ -286,9 +286,9 @@ def sample_location_active(rng: np.random.Generator, mean: np.ndarray, sigma: fl
 def attachment_weights(kind: ModelKind, eff_degrees: np.ndarray,
                        fitness: np.ndarray | None = None) -> np.ndarray:
     """The degree/fitness rule on plain arrays: ba D, af D + xi, and
-    D * xi for mf, lbm and lbm-g. lbm and lbm-g scale this by the factor
-    of :func:`distance_decay`, taken relative to the nearest node, at each
-    insertion. The growth loop evaluates it
+    D * xi for mf, lbm and lbm-g. lbm and lbm-g scale this by the
+    distance factor, which `spatial` computes relative to the nearest node,
+    at each insertion. The growth loop evaluates it
     once per run; the rule is affine in the effective degree, so a
     citation adds the fixed gain w(1) - w(0)."""
     deg = np.asarray(eff_degrees, dtype=np.float64)
@@ -297,11 +297,3 @@ def attachment_weights(kind: ModelKind, eff_degrees: np.ndarray,
     if kind is ModelKind.ADDITIVE:
         return deg + fitness
     return deg * fitness
-
-
-def distance_decay(locations: np.ndarray, new_location: np.ndarray,
-                   gamma: float) -> np.ndarray:
-    """exp(-gamma * dist) from each of `locations` to `new_location`: the
-    factor by which lbm and lbm-g localize the mf weight."""
-    diff = locations - new_location
-    return np.exp(-gamma * np.sqrt(np.einsum("ij,ij->i", diff, diff)))

@@ -43,8 +43,8 @@ DATASET_STATS = {
 
 
 def mas_reference() -> CategoryDistribution:
-    return CategoryDistribution.from_proportions(MAS_CATEGORY_PERCENT, normalize=True)
+    return CategoryDistribution.from_proportions(MAS_CATEGORY_PERCENT)
 
 
 def aps_reference() -> CategoryDistribution:
-    return CategoryDistribution.from_proportions(APS_CATEGORY_PERCENT, normalize=True)
+    return CategoryDistribution.from_proportions(APS_CATEGORY_PERCENT)

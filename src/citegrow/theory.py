@@ -40,13 +40,15 @@ __all__ = [
     "selection_probabilities",
     "exact_expected_change",
     "exact_expected_change_all",
-    "entrant_expected_probability",
     "theorem_formula",
     "TheoremReport",
     "verify_theorem",
 ]
 
 _THEORY_KINDS = (ModelKind.BA, ModelKind.ADDITIVE, ModelKind.MULTIPLICATIVE)
+# node counts (inclusive ranges) of the mf fitness-scaling and bound checks
+_MF_SCALING_SIZES = (10, 30)
+_MF_BOUND_SIZES = (100, 300)
 
 
 def _theory_kind(model) -> ModelKind:
@@ -139,8 +141,6 @@ def exact_expected_change_all(model, graph: TheoryGraph,
     if new_fitness < 0:
         raise ValidationError(f"entrant fitness must be >= 0, got {new_fitness}")
     P = selection_probabilities(kind, graph)
-    w0 = attachment_weights(kind, graph.degrees, graph.fitness)
-    before = w0 / w0.sum()
 
     t = graph.t
     expected_after = np.zeros(t, dtype=np.float64)
@@ -151,7 +151,7 @@ def exact_expected_change_all(model, graph: TheoryGraph,
         w1 = attachment_weights(kind, deg_after, graph.fitness)
         total_after = w1.sum() + entrant_w
         expected_after += P[s] * (w1 / total_after)
-    return expected_after - before
+    return expected_after - P
 
 
 def exact_expected_change(model, graph: TheoryGraph, node: int,
@@ -161,23 +161,6 @@ def exact_expected_change(model, graph: TheoryGraph, node: int,
     if not 0 <= i < graph.t:
         raise ValidationError(f"node {node} outside 0..{graph.t - 1}")
     return float(exact_expected_change_all(model, graph, new_fitness)[i])
-
-
-def entrant_expected_probability(model, graph: TheoryGraph,
-                                 new_fitness: float) -> float:
-    """Expected attachment probability of the entrant itself, right after
-    it joins. Useful for the conservation identity: the sum of all expected
-    changes plus this value is zero."""
-    kind = _theory_kind(model)
-    P = selection_probabilities(kind, graph)
-    entrant_w = float(attachment_weights(kind, np.array([1]), np.array([new_fitness]))[0])
-    value = 0.0
-    for s in range(graph.t):
-        deg_after = graph.degrees.astype(np.float64)
-        deg_after[s] += 1.0
-        w1 = attachment_weights(kind, deg_after, graph.fitness)
-        value += P[s] * entrant_w / (w1.sum() + entrant_w)
-    return value
 
 
 def theorem_formula(model, graph: TheoryGraph, node: int,
@@ -255,9 +238,7 @@ class TheoremReport:
 
 def verify_theorem(model, trials: int = 50, size_range: tuple = (2, 30),
                    rng_seed: int = 0, tolerance: float = 1e-12,
-                   slack: float = 1e-2,
-                   mf_scaling_sizes: tuple = (10, 30),
-                   mf_bound_sizes: tuple = (100, 300)) -> TheoremReport:
+                   slack: float = 1e-2) -> TheoremReport:
     """Check the predicted attachment dynamics on random instances.
 
     ba/af: every node of `trials` random graphs with t drawn from
@@ -267,11 +248,11 @@ def verify_theorem(model, trials: int = 50, size_range: tuple = (2, 30),
     mf: two checks, `trials` instances each. (1) Scaling the
     highest-fitness node's fitness by factors up to 1e6 must eventually
     make its exact expected change positive; instances use t from
-    `mf_scaling_sizes` and entrant fitness uniform on [1, 2], a regime
+    `_MF_SCALING_SIZES` and entrant fitness uniform on [1, 2], a regime
     where the network's remaining fitness-degree mass dominates the
     entrant (tiny graphs whose single entrant rivals the whole network
     genuinely escape the claim). (2) On graphs with t from
-    `mf_bound_sizes`, fitness uniform on [0.5, 1.5] and entrant fitness
+    `_MF_BOUND_SIZES`, fitness uniform on [0.5, 1.5] and entrant fitness
     uniform on [0.01, 0.1] (so psi >= 100 * max(xi_i + xi_new)), the
     enumerated change must not fall below the approximate bound by more
     than `slack`, relative to the bound's component magnitude.
@@ -303,10 +284,9 @@ def verify_theorem(model, trials: int = 50, size_range: tuple = (2, 30),
 
     # mf check 1: sufficiently high fitness turns the expected change positive
     violations = 0
-    s_lo, s_hi = int(mf_scaling_sizes[0]), int(mf_scaling_sizes[1])
     factors = 10.0 ** np.arange(7)
     for _ in range(trials):
-        t = int(rng.integers(s_lo, s_hi + 1))
+        t = int(rng.integers(_MF_SCALING_SIZES[0], _MF_SCALING_SIZES[1] + 1))
         g = random_theory_graph(rng, t)
         new_fitness = float(rng.uniform(1.0, 2.0))
         top = int(np.argmax(g.fitness))
@@ -322,11 +302,10 @@ def verify_theorem(model, trials: int = 50, size_range: tuple = (2, 30),
             violations += 1
 
     # mf check 2: enumeration never falls below the approximate bound
-    b_lo, b_hi = int(mf_bound_sizes[0]), int(mf_bound_sizes[1])
     max_shortfall = 0.0
     for _ in range(trials):
         for _attempt in range(100):
-            t = int(rng.integers(b_lo, b_hi + 1))
+            t = int(rng.integers(_MF_BOUND_SIZES[0], _MF_BOUND_SIZES[1] + 1))
             fitness = rng.uniform(0.5, 1.5, size=t)
             g = random_theory_graph(rng, t, fitness=fitness)
             new_fitness = float(rng.uniform(0.01, 0.1))

@@ -16,19 +16,8 @@ threshold somewhere between them. The category rules, applied in order:
 
 Categories depend only on the shape of the trajectory: scaling every count
 by a constant cannot change the outcome (except through the mean rule).
-
-`classify` applies these rules to one trajectory. A graph's nodes are
-classified together by `_classify_rows`, which states the same rules as
-array operations over the zero-padded history matrix; `classify` is its
-test oracle. Two facts let the array form skip two branches of `classify`:
-a trajectory whose mean reaches 1 is not all zero, and its first maximum
-is always a peak candidate, so every trajectory past the mean rule has at
-least one peak. Its dip rule compares each candidate with the previous
-candidate, kept or not, where `detect_peaks` compares it with the previous
-kept peak. The two agree: a candidate is dropped only when nothing between
-it and the kept peak before it dips below the threshold, and it is itself
-above the threshold, so a dip after the kept peak lies after the dropped
-candidate too.
+`_classify_rows` states these rules as array operations over a graph's
+history matrix; the tests hold them against a one-trajectory oracle.
 """
 
 from __future__ import annotations
@@ -49,9 +38,6 @@ __all__ = [
     "CATEGORY_ORDER",
     "ClassifierParams",
     "CategoryDistribution",
-    "normalize_trajectory",
-    "detect_peaks",
-    "classify",
     "classify_graph",
     "category_distribution",
     "write_classification_csv",
@@ -102,89 +88,6 @@ class ClassifierParams:
             raise ValidationError(f"min history must be >= 1, got {self.min_history_years}")
 
 
-def normalize_trajectory(counts) -> tuple[np.ndarray, bool]:
-    """Scale counts by their maximum into [0, 1].
-
-    Returns (normalized, degenerate); an all-zero history is degenerate
-    and comes back unchanged.
-    """
-    c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValidationError("trajectory must be a non-empty 1-D sequence")
-    if c.min() < 0:
-        raise ValidationError("trajectory counts must be non-negative")
-    peak = c.max()
-    if peak == 0.0:
-        return c.copy(), True
-    return c / peak, False
-
-
-def detect_peaks(counts, normalized, threshold: float) -> list[int]:
-    """Offsets of distinct peaks, in increasing order.
-
-    A candidate offset is a local maximum (strictly above its left
-    neighbor, at least its right neighbor; boundary offsets drop the
-    missing side) whose normalized value reaches `threshold`. The strict
-    left edge keeps only the earliest offset of a plateau. A candidate
-    after the first is kept only if some offset between it and the last
-    kept peak falls below the threshold. Comparing with the previous
-    candidate instead, kept or not, gives the same peaks, because a
-    dropped candidate is itself above the threshold (see the module
-    docstring); the array classifier uses that form.
-    """
-    c = np.asarray(counts, dtype=np.float64)
-    z = np.asarray(normalized, dtype=np.float64)
-    if c.shape != z.shape or c.ndim != 1 or c.size == 0:
-        raise ValidationError("counts and normalized must be matching non-empty 1-D arrays")
-    last = c.size - 1
-    peaks: list[int] = []
-    for t in range(c.size):
-        if z[t] < threshold:
-            continue
-        if t > 0 and not c[t] > c[t - 1]:
-            continue
-        if t < last and not c[t] >= c[t + 1]:
-            continue
-        if peaks:
-            between = z[peaks[-1] + 1:t]
-            if not np.any(between < threshold):
-                continue
-        peaks.append(t)
-    return peaks
-
-
-def classify(counts, params: ClassifierParams = ClassifierParams()) -> TrajectoryCategory:
-    """Assign one trajectory to a category. See the module docstring for
-    the decision order."""
-    c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 1:
-        raise ValidationError("trajectory must be 1-D")
-    if c.size < params.min_history_years:
-        raise ValidationError(
-            f"trajectory has {c.size} years of history, classifier needs "
-            f">= {params.min_history_years}")
-    if c.min() < 0:
-        raise ValidationError("trajectory counts must be non-negative")
-
-    if c.mean() < 1.0:
-        return TrajectoryCategory.OTHER
-    if np.all(np.diff(c) >= 0) and c[-1] > c[0]:
-        return TrajectoryCategory.STEADY_RISER
-    normalized, degenerate = normalize_trajectory(c)
-    if degenerate:
-        return TrajectoryCategory.OTHER
-    peaks = detect_peaks(c, normalized, params.peak_threshold)
-    if len(peaks) >= 2:
-        return TrajectoryCategory.FREQUENT_RISER
-    if len(peaks) == 1:
-        t = peaks[0]
-        if t < params.activation_period:
-            return TrajectoryCategory.EARLY_RISER
-        if t != c.size - 1:
-            return TrajectoryCategory.LATE_RISER
-    return TrajectoryCategory.OTHER
-
-
 @dataclass(frozen=True)
 class CategoryDistribution:
     """Category proportions in canonical order (er, fr, lr, sr, ot).
@@ -222,14 +125,13 @@ class CategoryDistribution:
         return cls(proportions=c / total, counts=c)
 
     @classmethod
-    def from_proportions(cls, values, normalize: bool = False) -> "CategoryDistribution":
+    def from_proportions(cls, values) -> "CategoryDistribution":
+        """Values scaled to sum to 1: proportions or percentages."""
         p = np.array(values, dtype=np.float64)
-        if normalize:
-            total = p.sum()
-            if total <= 0:
-                raise ValidationError("proportions must have a positive sum")
-            p = p / total
-        return cls(proportions=p)
+        total = p.sum()
+        if total <= 0:
+            raise ValidationError("proportions must have a positive sum")
+        return cls(proportions=p / total)
 
     def proportion(self, category) -> float:
         return float(self.proportions[_CAT_INDEX[TrajectoryCategory(category)]])
@@ -261,8 +163,7 @@ class CategoryDistribution:
         counts = None
         if "counts" in data:
             counts = [int(data["counts"][cat.code]) for cat in CATEGORY_ORDER]
-        # accept percentages as well as proportions
-        dist = cls.from_proportions(values, normalize=True)
+        dist = cls.from_proportions(values)
         if counts is not None:
             dist = cls(proportions=dist.proportions, counts=counts)
         return dist
@@ -299,7 +200,7 @@ def _classify_rows(counts, lengths, params: ClassifierParams,
     """Decision-rule code (an index into `_DECISION_RULES`) of each row of
     a history matrix. Row r holds a trajectory of lengths[r] years, and its
     columns from lengths[r] on must be zero. The code's category is the
-    one `classify` gives that trajectory. The rules, in order:
+    one the module docstring's rules give that trajectory. The rules, in order:
 
     mean       an integer sum below the length is a mean below 1 (ot);
                only the rows that pass go further
@@ -393,8 +294,8 @@ class _Classification:
 
 
 def _classify_all(graph: GrowthGraph, cutoff_year: int, horizon_year: int,
-                  params: ClassifierParams, hist: np.ndarray | None = None,
-                  thresholds=None, activations=None) -> _Classification:
+                  params: ClassifierParams, thresholds=None,
+                  activations=None) -> _Classification:
     """Classify every non-seed node published up to the cutoff, under
     `params` or, given `thresholds` and `activations`, at every pair of
     them (see `_classify_rows`)."""
@@ -409,8 +310,7 @@ def _classify_all(graph: GrowthGraph, cutoff_year: int, horizon_year: int,
     if ids.size == 0:
         raise ValidationError(
             f"no non-seed nodes published up to {cutoff}; nothing to classify")
-    if hist is None:
-        hist = _history_matrix(graph, horizon)
+    hist = _history_matrix(graph, horizon)
     years = graph.years[ids]
     # grown and ingested graphs list nodes by year, so the classified rows
     # are one block of the matrix and need no copy

@@ -28,7 +28,6 @@ from citegrow.trajectory import (
     CATEGORY_ORDER,
     _DECISION_RULES,
     _classify_all,
-    _history_matrix,
 )
 
 from conftest import graph_from_histories
@@ -148,8 +147,7 @@ class TestSweep:
         assert len(result.rows) == 1
         row = result.rows[0]
 
-        task = _SweepTask(0, points[0].model, tuple(seed.nodes), tuple(seed.edges),
-                          schedule.entries, 1977, 1980, params, 2, 5)
+        task = _SweepTask(0, points[0].model, seed, schedule, 1977, 1980, params, 2, 5)
         _, proportions, _ = _run_sweep_point(task)
         np.testing.assert_allclose(row.distribution.proportions, proportions, atol=1e-12)
         assert row.jsd2 == pytest.approx(jsd2(proportions, ref.proportions))
@@ -258,10 +256,8 @@ class TestSensitivity:
 
 def per_point_rows(graph, cutoff, horizon, activations, thresholds, defaults):
     """Oracle: the sensitivity grid classified one point at a time."""
-    hist = _history_matrix(graph, horizon)
-
     def distribution(params):
-        return _classify_all(graph, cutoff, horizon, params, hist=hist).distribution()
+        return _classify_all(graph, cutoff, horizon, params).distribution()
 
     baseline = distribution(defaults)
     rows = []

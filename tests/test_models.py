@@ -9,11 +9,12 @@ from citegrow.models import (
     MODEL_OPTIONS,
     ModelSpec,
     attachment_weights,
-    distance_decay,
     parse_config_options,
     sample_fitness,
     sample_location_active,
 )
+
+from oracles import distance_decay
 
 
 class TestGamma:

@@ -20,8 +20,9 @@ from citegrow import (
     run_simulation,
     synthetic_seed,
 )
-from citegrow.models import distance_decay
 from citegrow.sampling import IncrementLog
+
+from oracles import distance_decay
 from test_sampling import set_probability
 
 

@@ -12,7 +12,9 @@ from citegrow import (
     theorem_formula,
     verify_theorem,
 )
-from citegrow.theory import entrant_expected_probability, exact_expected_change_all
+from citegrow.theory import exact_expected_change_all
+
+from oracles import entrant_expected_probability
 
 
 class TestTheoryGraph:

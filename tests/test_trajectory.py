@@ -25,12 +25,10 @@ from citegrow.trajectory import (
     _classify_all,
     _classify_rows,
     _history_matrix,
-    classify,
-    detect_peaks,
-    normalize_trajectory,
 )
 
 from conftest import graph_from_histories
+from oracles import classify, detect_peaks, normalize_trajectory
 
 ER = TrajectoryCategory.EARLY_RISER
 FR = TrajectoryCategory.FREQUENT_RISER
@@ -414,7 +412,7 @@ class TestArrayClassifier:
             graph = grown_graph(kind, seed, **options)
             hist = _history_matrix(graph, horizon)
             for params in SENSITIVITY_GRID:
-                result = _classify_all(graph, cutoff, horizon, params, hist=hist)
+                result = _classify_all(graph, cutoff, horizon, params)
                 got = [CATEGORY_ORDER[i] for i in _RULE_CATEGORY[result.codes]]
                 want = [classify(hist[i, :horizon - y + 1], params)
                         for i, y in zip(result.ids.tolist(), result.years.tolist())]
