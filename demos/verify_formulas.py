@@ -23,12 +23,12 @@ def tiny_example() -> None:
     probs = selection_probabilities("ba", g)
     print("degrees [2, 1, 1], one entrant arrives")
     print(f"  selection probabilities today: {np.round(probs, 4)}")
+    exact = exact_expected_change("ba", g, new_fitness=1.0)
+    formula = theorem_formula("ba", g, new_fitness=1.0)
     for node in range(3):
-        exact = exact_expected_change("ba", g, node, new_fitness=1.0)
-        formula = theorem_formula("ba", g, node, new_fitness=1.0)
-        print(f"  node {node}: exact E[dP] {exact:+.6f}   "
-              f"closed form {formula:+.6f}   "
-              f"match {abs(exact - formula) < 1e-15}")
+        print(f"  node {node}: exact E[dP] {exact[node]:+.6f}   "
+              f"closed form {formula[node]:+.6f}   "
+              f"match {abs(exact[node] - formula[node]) < 1e-15}")
     print()
 
 

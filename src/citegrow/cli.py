@@ -105,11 +105,11 @@ def _add_out(sp) -> None:
 
 
 def _add_window(sp) -> None:
-    sp.add_argument("--seed-start", type=int, default=1960)
-    sp.add_argument("--seed-end", type=int, default=1975)
-    sp.add_argument("--cutoff", type=int, default=2000,
+    sp.add_argument("--seed-start", type=int, default=IngestConfig.seed_start)
+    sp.add_argument("--seed-end", type=int, default=IngestConfig.seed_end)
+    sp.add_argument("--cutoff", type=int, default=IngestConfig.cutoff,
                     help="last publication year that gets classified")
-    sp.add_argument("--horizon", type=int, default=2010,
+    sp.add_argument("--horizon", type=int, default=IngestConfig.horizon,
                     help="last year whose citations count")
 
 
@@ -136,10 +136,10 @@ def _add_model_flags(sp, lists: bool = False) -> None:
 
 
 def _add_classifier_flags(sp) -> None:
-    sp.add_argument("--activation", type=int, default=5,
+    sp.add_argument("--activation", type=int, default=ClassifierParams.activation_period,
                     help="activation period in years")
-    sp.add_argument("--peak-threshold", type=float, default=0.75)
-    sp.add_argument("--min-history", type=int, default=10)
+    sp.add_argument("--peak-threshold", type=float, default=ClassifierParams.peak_threshold)
+    sp.add_argument("--min-history", type=int, default=ClassifierParams.min_history_years)
 
 
 def _classifier_params(args, activation: str = "activation",
@@ -449,10 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("classify", help="classify trajectories of a graph dump")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--seed-end", type=int, default=1975,
+    sp.add_argument("--seed-end", type=int, default=IngestConfig.seed_end,
                     help="last seed year; seed nodes are not classified")
-    sp.add_argument("--cutoff", type=int, default=2000)
-    sp.add_argument("--horizon", type=int, default=2010)
+    sp.add_argument("--cutoff", type=int, default=IngestConfig.cutoff)
+    sp.add_argument("--horizon", type=int, default=IngestConfig.horizon)
     _add_classifier_flags(sp)
     _add_out(sp)
     sp.set_defaults(handler=_cmd_classify)
@@ -478,16 +478,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("sensitivity", help="classifier robustness grid")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--seed-end", type=int, default=1975)
-    sp.add_argument("--cutoff", type=int, default=2000)
-    sp.add_argument("--horizon", type=int, default=2010)
+    sp.add_argument("--seed-end", type=int, default=IngestConfig.seed_end)
+    sp.add_argument("--cutoff", type=int, default=IngestConfig.cutoff)
+    sp.add_argument("--horizon", type=int, default=IngestConfig.horizon)
     sp.add_argument("--activation", default="3:7",
                     help="integer range lo:hi or comma list")
     sp.add_argument("--peak-threshold", default="0.45:0.95:0.05",
                     help="float range lo:hi:step or comma list")
-    sp.add_argument("--default-activation", type=int, default=5)
-    sp.add_argument("--default-threshold", type=float, default=0.75)
-    sp.add_argument("--min-history", type=int, default=10)
+    sp.add_argument("--default-activation", type=int,
+                    default=ClassifierParams.activation_period)
+    sp.add_argument("--default-threshold", type=float, default=ClassifierParams.peak_threshold)
+    sp.add_argument("--min-history", type=int, default=ClassifierParams.min_history_years)
     _add_out(sp)
     sp.set_defaults(handler=_cmd_sensitivity)
 

@@ -111,9 +111,10 @@ def derive_seed(root_seed: int, *path: int) -> int:
     The path length is folded in because SeedSequence zero-pads its
     entropy, which would otherwise alias (7,) with (7, 0).
     """
-    ss = np.random.SeedSequence(
-        [int(root_seed), len(path), *[int(p) for p in path]])
-    return int(ss.generate_state(1, np.uint64)[0])
+    entropy = [int(root_seed), len(path), *[int(p) for p in path]]
+    if min(entropy) < 0:
+        raise ValidationError(f"seeds must be >= 0, got {root_seed} with path {path}")
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -219,9 +220,9 @@ class _SweepTask:
     root_seed: int
 
 
-def _run_sweep_point(task: _SweepTask) -> tuple[int, np.ndarray, dict]:
-    """The point's index, its mean category proportions over its runs and
-    its decision-rule counts summed over them."""
+def _run_sweep_point(task: _SweepTask) -> tuple[np.ndarray, dict]:
+    """The point's mean category proportions over its runs and its
+    decision-rule counts summed over them."""
     prop_sum = np.zeros(5, dtype=np.float64)
     rules: dict[str, int] = {}
     for r in range(task.runs):
@@ -233,7 +234,7 @@ def _run_sweep_point(task: _SweepTask) -> tuple[int, np.ndarray, dict]:
         prop_sum += result.distribution().proportions
         for rule, count in result.rule_counts().items():
             rules[rule] = rules.get(rule, 0) + count
-    return task.index, prop_sum / task.runs, rules
+    return prop_sum / task.runs, rules
 
 
 def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
@@ -263,17 +264,16 @@ def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
                    classifier_params, int(runs_per_point), int(rng_seed))
         for i, pt in enumerate(points)
     ]
+    # pool.map and the list both return results in task order
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_sweep_point, tasks))
     else:
         results = [_run_sweep_point(t) for t in tasks]
 
-    by_index = {i: (props, rules) for i, props, rules in results}
     ref = reference.proportions
     scored = []
-    for i, pt in enumerate(points):
-        props, rules = by_index[i]
+    for i, (pt, (props, rules)) in enumerate(zip(points, results)):
         dist = CategoryDistribution.from_proportions(props)
         scored.append((jsd2(dist.proportions, ref), i, pt, dist, rules))
     scored.sort(key=lambda item: (item[0], item[1]))

@@ -296,7 +296,7 @@ class IncrementLog:
                                              hits[took].tolist())):
                     if time >= bound:
                         break
-                    if node not in first and not ball.in_ball(node):
+                    if node not in first:
                         first[node] = time
                         if best is None:
                             best = sorted(keys.tolist())

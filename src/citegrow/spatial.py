@@ -29,12 +29,15 @@ up to `MAX_QUERIES` insertions at a time:
   do (3 above two dimensions); every earlier node outside those cells is
   at least R from x.
 - Small runs and many dimensions. An insertion with no more earlier nodes
-  than the cells should hold gets all of them as its ball, and no tail;
-  so does every insertion with more than `GRID_DIMS` dimensions.
+  than the cells should hold gets an empty ball and no tail, so the draw
+  races all earlier nodes; so does every insertion with more than
+  `GRID_DIMS` dimensions.
 
 None of this looks at the weights or at the draw, so none of it can bias
 the draw. A window's balls are gathered in pieces of at most
 `MAX_ENTRIES` nodes, so memory stays bounded whatever the run's length.
+Ball, tail and race take every squared distance from
+`_squared_distances`, so they agree to the bit on which nodes lie inside.
 Ball factors are relative to the nearest ball node,
 `exp(-gamma * (d_i - d_min))`, which keeps that node's factor at 1 where
 `exp(-gamma * d_i)` would underflow.
@@ -75,12 +78,12 @@ class Ball:
     """The ball of insertion `node`: the earlier nodes closer than `radius`
     to `center`, their distance factors relative to the nearest of them,
     and `envelope`, a bound on the factor of every earlier node outside
-    (0 when there is none)."""
+    (0 for no tail)."""
 
     __slots__ = ("node", "nodes", "decay", "envelope", "center", "gamma", "radius",
-                 "_locations", "_marks")
+                 "_axes")
 
-    def __init__(self, node, nodes, decay, envelope, center, gamma, radius, locations, marks):
+    def __init__(self, node, nodes, decay, envelope, center, gamma, radius, axes):
         self.node = node
         self.nodes = nodes
         self.decay = decay
@@ -88,27 +91,20 @@ class Ball:
         self.center = center
         self.gamma = gamma
         self.radius = radius
-        self._locations = locations
-        self._marks = marks
+        self._axes = axes
 
     def tail_acceptance(self, nodes: np.ndarray) -> np.ndarray:
         """Per node outside the ball: exp(-gamma * (d - radius)), its factor
-        as a share of the envelope. Nodes inside the ball get values of 1
-        or more; `in_ball` tells them apart."""
-        d = _distance(self._locations[nodes], self.center)
-        return np.exp(self.gamma * (self.radius - d))
-
-    def in_ball(self, node: int) -> bool:
-        marks = self._marks
-        if marks[-1] != self.node:  # mark the ball's nodes once per insertion
-            marks[self.nodes] = self.node
-            marks[-1] = self.node
-        return marks[node] == self.node
+        as a share of the envelope; 0 for a node inside the ball."""
+        d2 = _squared_distances(self._axes, nodes, self.center)
+        with np.errstate(over="ignore"):
+            return np.where(d2 < self.radius * self.radius, 0.0,
+                            np.exp(self.gamma * (self.radius - np.sqrt(d2))))
 
     def decay_everywhere(self) -> np.ndarray:
         """The factor of every earlier node relative to the nearest one:
         the weights of a hand-off to the exponential race."""
-        d = _distance(self._locations[:self.node], self.center)
+        d = np.sqrt(_squared_distances(self._axes, np.arange(self.node), self.center))
         return np.exp(-self.gamma * (d - d.min()))
 
 
@@ -125,16 +121,18 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], flo
     degrees = degrees[queries - first]
     needs = MIN_BLOCK * (1 + degrees) // 2
     gammas = np.array([gamma(n) for n in queries.tolist()])
+    # one contiguous row per axis, for gathering coordinates by node
+    axes = np.ascontiguousarray(locations.T)
     if locations.shape[1] > GRID_DIMS:
         for n, g in zip(queries.tolist(), gammas.tolist()):
-            yield _all_earlier(locations, n, g)
+            yield _all_earlier(axes, n, g)
         return
-    levels = _Levels(locations)
+    levels = _Levels(locations, axes)
     start = 0
     while start < len(queries):
         if queries[start] <= needs[start]:
             # too few earlier nodes for a grid to choose from: all of them
-            yield _all_earlier(locations, int(queries[start]), float(gammas[start]))
+            yield _all_earlier(axes, int(queries[start]), float(gammas[start]))
             start += 1
             continue
         part = slice(start, start + MAX_QUERIES)
@@ -153,20 +151,19 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], flo
         start += len(q)
 
 
-def _all_earlier(locations: np.ndarray, node: int, gamma: float) -> Ball:
-    """A ball holding every node before `node`, and so no tail."""
-    ball = Ball(node, np.arange(node), None, 0.0, locations[node], gamma, np.inf,
-                locations, None)
-    ball.decay = ball.decay_everywhere()
-    return ball
+def _all_earlier(axes: np.ndarray, node: int, gamma: float) -> Ball:
+    """An empty ball with no tail: the draw races every earlier node."""
+    return Ball(node, np.empty(0, dtype=np.int64), np.empty(0), 0.0, axes[:, node], gamma,
+                0.0, axes)
 
 
-def _distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points - centers
-    # einsum is the faster reduction over long arrays, add.reduce over short
-    if len(diff) > 512:
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+def _squared_distances(axes: np.ndarray, nodes: np.ndarray, center) -> np.ndarray:
+    """Squared distances of `nodes` to `center` (per axis, one coordinate
+    or one per node), summed axis by axis."""
+    d2 = np.zeros(len(nodes))
+    for row, c in zip(axes, center):
+        d2 += (row.take(nodes) - c) ** 2
+    return d2
 
 
 class _Grid:
@@ -199,15 +196,14 @@ class _Grid:
 class _Levels:
     """The grid levels over a run's final locations, built on demand."""
 
-    def __init__(self, locations: np.ndarray):
+    def __init__(self, locations: np.ndarray, axes: np.ndarray):
         self.locations = locations
+        self.axes = axes
         self.dim = dim = locations.shape[1]
         self.origin = locations.min(axis=0)
         self.span = float((locations.max(axis=0) - self.origin).max()) or 1.0
         # (2^l + 3)^dim cell keys must fit in int64
         self.top = max(0, min(MAX_LEVEL, 62 // dim - 1))
-        # one contiguous row per axis, for gathering coordinates by node
-        self.axes = np.ascontiguousarray(locations.T)
         self.grids: dict[int, _Grid] = {}
         self.used: set[int] = set()
         self.guess: int | None = None
@@ -215,9 +211,6 @@ class _Levels:
         # a ball is gathered from at most `width` cells a side
         self.width = GATHER_WIDTH if dim <= 2 else 3
         self.spread = np.array(list(itertools.product(range(self.width), repeat=dim)))
-        # marks[i] == n: node i is in insertion n's ball; the last entry
-        # holds the insertion whose ball is marked
-        self.marks = np.full(locations.shape[0] + 1, -1, dtype=np.int64)
 
     def side(self, level):
         return self.span / 2.0 ** level
@@ -337,10 +330,7 @@ class _Levels:
         owner = np.repeat(np.arange(len(queries)), (hi - lo).sum(axis=1))
         loc = self.locations
         nodes = grid.order.take(entries) % grid.n
-        centers = loc[queries].T
-        d2 = np.zeros(entries.size)
-        for axis in range(self.dim):
-            d2 += (self.axes[axis].take(nodes) - centers[axis].take(owner)) ** 2
+        d2 = _squared_distances(self.axes, nodes, loc[queries].T[:, owner])
         inside = d2 < (radius * radius).take(owner)
         nodes = nodes[inside]
         owner, d = owner[inside], np.sqrt(d2[inside])
@@ -352,7 +342,7 @@ class _Levels:
         with np.errstate(over="ignore", invalid="ignore"):
             envelope = np.where(np.diff(bounds) == queries, 0.0,
                                 np.exp(-gammas * (radius - nearest)))
-        return [Ball(n, nodes[a:b], decay[a:b], e, loc[n], g, r, loc, self.marks)
+        return [Ball(n, nodes[a:b], decay[a:b], e, loc[n], g, r, self.axes)
                 for n, a, b, e, g, r in zip(queries.tolist(), bounds[:-1].tolist(),
                                             bounds[1:].tolist(), envelope.tolist(),
                                             gammas.tolist(), radius.tolist())]

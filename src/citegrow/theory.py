@@ -39,7 +39,6 @@ __all__ = [
     "random_theory_graph",
     "selection_probabilities",
     "exact_expected_change",
-    "exact_expected_change_all",
     "theorem_formula",
     "TheoremReport",
     "verify_theorem",
@@ -131,8 +130,7 @@ def selection_probabilities(model, graph: TheoryGraph) -> np.ndarray:
     return w / total
 
 
-def exact_expected_change_all(model, graph: TheoryGraph,
-                              new_fitness: float) -> np.ndarray:
+def exact_expected_change(model, graph: TheoryGraph, new_fitness: float) -> np.ndarray:
     """E[p_i(after) - p_i(before)] for every node i, by enumerating the t
     possible selections. No closed form is consulted: for each outcome s
     the weights of the updated (t+1)-node graph are recomputed from the
@@ -154,54 +152,41 @@ def exact_expected_change_all(model, graph: TheoryGraph,
     return expected_after - P
 
 
-def exact_expected_change(model, graph: TheoryGraph, node: int,
-                          new_fitness: float) -> float:
-    """Exact expected attachment-probability change of one node."""
-    i = int(node)
-    if not 0 <= i < graph.t:
-        raise ValidationError(f"node {node} outside 0..{graph.t - 1}")
-    return float(exact_expected_change_all(model, graph, new_fitness)[i])
-
-
-def theorem_formula(model, graph: TheoryGraph, node: int,
-                    new_fitness: float) -> float:
+def theorem_formula(model, graph: TheoryGraph, new_fitness: float) -> np.ndarray:
     """Closed-form predicted change (ba, af) or approximate lower bound
-    (mf) for one node. See the module docstring for the expressions."""
+    (mf) for every node. See the module docstring for the expressions."""
     kind = _theory_kind(model)
-    i = int(node)
-    if not 0 <= i < graph.t:
-        raise ValidationError(f"node {node} outside 0..{graph.t - 1}")
     if new_fitness < 0:
         raise ValidationError(f"entrant fitness must be >= 0, got {new_fitness}")
     t = graph.t
     D = graph.degrees.astype(np.float64)
     xi = graph.fitness
     if kind is ModelKind.BA:
-        return float(-D[i] / (4.0 * t * (t - 1)))
+        return -D / (4.0 * t * (t - 1))
     if kind is ModelKind.ADDITIVE:
         total = graph.total_fitness
         b = total + 2.0 * (t - 1)
         c = total + new_fitness + 2.0 * t
-        return float(-(xi[i] + D[i]) * (new_fitness + 1.0) / (b * c))
+        return -(xi + D) * (new_fitness + 1.0) / (b * c)
     psi = graph.fitness_degree_mass
     if psi <= 0:
         raise ValidationError("mf bound needs positive fitness-degree mass")
-    summed = float(np.sum(xi * D * (xi[i] - xi - new_fitness)))
-    return float(xi[i] * D[i] * summed / (psi ** 2 * (psi + xi[i] + new_fitness)))
+    # row i: xi_l D_l (xi_i - xi_l - xi_new) over every l
+    summed = (xi * D * (xi[:, None] - xi - new_fitness)).sum(axis=1)
+    return xi * D * summed / (psi ** 2 * (psi + xi + new_fitness))
 
 
-def _mf_bound_scale(graph: TheoryGraph, node: int, new_fitness: float) -> float:
-    """Natural magnitude of the mf bound: the sum of the absolute values of
-    its positive and negative components. Relative deviations are measured
-    against this, so near-cancellation of the two components cannot inflate
-    them."""
-    i = int(node)
+def _mf_bound_scale(graph: TheoryGraph, new_fitness: float) -> np.ndarray:
+    """Natural magnitude of the mf bound per node: the sum of the absolute
+    values of its positive and negative components. Relative deviations
+    are measured against this, so near-cancellation of the two components
+    cannot inflate them."""
     D = graph.degrees.astype(np.float64)
     xi = graph.fitness
     psi = graph.fitness_degree_mass
-    denom = psi ** 2 * (psi + xi[i] + new_fitness)
-    positive = xi[i] * D[i] * float(np.sum(xi * D)) * xi[i] / denom
-    negative = xi[i] * D[i] * float(np.sum(xi * D * (xi + new_fitness))) / denom
+    denom = psi ** 2 * (psi + xi + new_fitness)
+    positive = xi * D * float(np.sum(xi * D)) * xi / denom
+    negative = xi * D * float(np.sum(xi * D * (xi + new_fitness))) / denom
     return positive + negative
 
 
@@ -260,6 +245,8 @@ def verify_theorem(model, trials: int = 50, size_range: tuple = (2, 30),
     kind = _theory_kind(model)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if rng_seed < 0:
+        raise ValidationError(f"rng seed must be >= 0, got {rng_seed}")
     lo, hi = int(size_range[0]), int(size_range[1])
     if lo < 2 or hi < lo:
         raise ValidationError(f"bad size range {size_range}")
@@ -272,10 +259,8 @@ def verify_theorem(model, trials: int = 50, size_range: tuple = (2, 30),
             t = int(rng.integers(lo, hi + 1))
             g = random_theory_graph(rng, t)
             new_fitness = float((1.0 + rng.pareto(2.0)) * 1.0)
-            exact = exact_expected_change_all(kind, g, new_fitness)
-            predicted = np.array([theorem_formula(kind, g, i, new_fitness)
-                                  for i in range(t)])
-            dev = float(np.abs(exact - predicted).max())
+            exact = exact_expected_change(kind, g, new_fitness)
+            dev = float(np.abs(exact - theorem_formula(kind, g, new_fitness)).max())
             max_dev = max(max_dev, dev)
             if dev > tolerance:
                 violations += 1
@@ -295,7 +280,7 @@ def verify_theorem(model, trials: int = 50, size_range: tuple = (2, 30),
             scaled = g.fitness.copy()
             scaled[top] *= f
             g_scaled = g.with_fitness(scaled)
-            if exact_expected_change(kind, g_scaled, top, new_fitness) > 0.0:
+            if exact_expected_change(kind, g_scaled, new_fitness)[top] > 0.0:
                 reached_positive = True
                 break
         if not reached_positive:
@@ -313,16 +298,13 @@ def verify_theorem(model, trials: int = 50, size_range: tuple = (2, 30),
                 break
         else:
             raise ValidationError("could not draw an mf bound-regime instance")
-        exact = exact_expected_change_all(kind, g, new_fitness)
-        for i in range(t):
-            bound = theorem_formula(kind, g, i, new_fitness)
-            scale = _mf_bound_scale(g, i, new_fitness)
-            if scale <= 0.0:
-                continue
-            shortfall = (bound - float(exact[i])) / scale
-            max_shortfall = max(max_shortfall, shortfall)
-            if shortfall > slack:
-                violations += 1
+        exact = exact_expected_change(kind, g, new_fitness)
+        bound = theorem_formula(kind, g, new_fitness)
+        scale = _mf_bound_scale(g, new_fitness)
+        ok = scale > 0.0
+        shortfall = (bound[ok] - exact[ok]) / scale[ok]
+        max_shortfall = max(max_shortfall, float(shortfall.max(initial=0.0)))
+        violations += int(np.count_nonzero(shortfall > slack))
     return TheoremReport(model=kind.value, trials=trials,
-                         max_deviation=max(max_shortfall, 0.0),
+                         max_deviation=max_shortfall,
                          violations=violations, passed=violations == 0)

@@ -155,14 +155,17 @@ class CategoryDistribution:
 
     @classmethod
     def from_json(cls, path) -> "CategoryDistribution":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
         try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
             values = [float(data[cat.code]) for cat in CATEGORY_ORDER]
+            counts = ([int(data["counts"][cat.code]) for cat in CATEGORY_ORDER]
+                      if "counts" in data else None)
         except KeyError as exc:
-            raise ValidationError(f"distribution file is missing category key {exc}") from None
-        counts = None
-        if "counts" in data:
-            counts = [int(data["counts"][cat.code]) for cat in CATEGORY_ORDER]
+            raise ValidationError(
+                f"distribution file {path} is missing category key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"distribution file {path} is not a category mapping: {exc}") from None
         dist = cls.from_proportions(values)
         if counts is not None:
             dist = cls(proportions=dist.proportions, counts=counts)

@@ -70,6 +70,31 @@ class TestExitCodes:
         assert code == 1
         assert "sigma must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "verify-theorem"])
+    def test_negative_seed_is_a_bad_argument(self, tmp_path, corpus, capsys, command):
+        ppath, cpath = corpus
+        ref = tmp_path / "ref.json"
+        mas_reference().to_json(ref)
+        extra = {"simulate": ["--papers", ppath, "--citations", cpath, "--model", "ba"],
+                 "sweep": ["--papers", ppath, "--citations", cpath, "--model", "ba",
+                           "--reference", ref, "--runs", "1"],
+                 "verify-theorem": ["--model", "ba", "--trials", "1"]}[command]
+        code = run([command, *extra, "--seed", "-1", "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    @pytest.mark.parametrize("flag", ["--distribution", "--reference"])
+    def test_unreadable_distribution_is_a_bad_input(self, tmp_path, capsys, text, flag):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        mas_reference().to_json(good)
+        bad.write_text(text)
+        files = {"--distribution": good, "--reference": good, flag: bad}
+        code = run(["evaluate", *[x for item in files.items() for x in item],
+                    "--out", tmp_path / "o"])
+        assert code == 1
+        assert f"distribution file {bad}" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_chain(self, tmp_path, corpus):

@@ -148,7 +148,7 @@ class TestSweep:
         row = result.rows[0]
 
         task = _SweepTask(0, points[0].model, seed, schedule, 1977, 1980, params, 2, 5)
-        _, proportions, _ = _run_sweep_point(task)
+        proportions, _ = _run_sweep_point(task)
         np.testing.assert_allclose(row.distribution.proportions, proportions, atol=1e-12)
         assert row.jsd2 == pytest.approx(jsd2(proportions, ref.proportions))
         assert row.best

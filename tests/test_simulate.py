@@ -145,8 +145,9 @@ class TestSamplerCounters:
                                         rng_seed=4)
         g = grow(make_model("lbm", dim=spatial.GRID_DIMS + 1), seed, schedule)
         s = g.sampler
-        assert s["tail_proposed"] == 0 and s["tail_draws"] == 0
-        assert s["ball_draws"] + s["race_draws"] == g.n_edges - seed.n_edges - g.fallback_fills
+        assert s["tail_proposed"] == 0 and s["tail_draws"] == 0 and s["ball_draws"] == 0
+        assert s["race_handoffs"] == np.count_nonzero(g.out_degrees[seed.n_nodes:])
+        assert s["race_draws"] == g.n_edges - seed.n_edges - g.fallback_fills
 
     def test_fills_are_not_draws(self):
         # an edgeless seed under "total" gives every node weight 0
@@ -589,6 +590,22 @@ class TestNearDraw:
         a = log.sample_near(3, np.random.default_rng(7), ball)
         b = log.sample_near(3, np.random.default_rng(7), ball)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tail_acceptance_is_zero_exactly_inside_the_ball(self, dim):
+        # the tail drops a proposal inside the ball by its distance alone,
+        # on the same bits the ball was gathered with
+        locations = np.random.default_rng(dim).random((400, dim))
+        tails = 0
+        for ball in spatial.balls(locations, np.full(360, 2), lambda n: 2.0, 40):
+            earlier = np.arange(ball.node)
+            inside = np.isin(earlier, ball.nodes)
+            acceptance = ball.tail_acceptance(earlier)
+            assert np.all(acceptance[inside] == 0.0)
+            outside = acceptance[~inside]
+            assert np.all((outside > 0.0) & (outside <= 1.0))
+            tails += bool(ball.nodes.size) and bool(outside.size)
+        assert tails > 100
 
 
 class TestLogGrowthStream:

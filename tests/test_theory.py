@@ -12,7 +12,6 @@ from citegrow import (
     theorem_formula,
     verify_theorem,
 )
-from citegrow.theory import exact_expected_change_all
 
 from oracles import entrant_expected_probability
 
@@ -77,15 +76,15 @@ class TestFrozenHandValues:
         # t=2, both degrees 1: -D_i/(4 t (t-1)) = -1/8
         g = TheoryGraph(degrees=[1, 1], fitness=[1, 1])
         for i in range(2):
-            assert theorem_formula("ba", g, i, 1.0) == pytest.approx(-0.125, abs=1e-15)
-            assert exact_expected_change("ba", g, i, 1.0) == pytest.approx(-0.125, abs=1e-13)
+            assert theorem_formula("ba", g, 1.0)[i] == pytest.approx(-0.125, abs=1e-15)
+            assert exact_expected_change("ba", g, 1.0)[i] == pytest.approx(-0.125, abs=1e-13)
 
     def test_af_two_nodes(self):
         # unit fitness everywhere: -(1+1)(1+1)/((2+2)(2+1+4)) = -1/7
         g = TheoryGraph(degrees=[1, 1], fitness=[1.0, 1.0])
         for i in range(2):
-            assert theorem_formula("af", g, i, 1.0) == pytest.approx(-1.0 / 7.0, abs=1e-15)
-            assert exact_expected_change("af", g, i, 1.0) == pytest.approx(-1.0 / 7.0, abs=1e-13)
+            assert theorem_formula("af", g, 1.0)[i] == pytest.approx(-1.0 / 7.0, abs=1e-15)
+            assert exact_expected_change("af", g, 1.0)[i] == pytest.approx(-1.0 / 7.0, abs=1e-13)
 
 
 class TestEnumerationProperties:
@@ -97,7 +96,7 @@ class TestEnumerationProperties:
         for _ in range(20):
             g = random_theory_graph(rng, int(rng.integers(2, 20)))
             new_fitness = float(rng.uniform(0.1, 3.0))
-            changes = exact_expected_change_all(kind, g, new_fitness)
+            changes = exact_expected_change(kind, g, new_fitness)
             entrant = entrant_expected_probability(kind, g, new_fitness)
             assert changes.sum() + entrant == pytest.approx(0.0, abs=1e-12)
 
@@ -105,28 +104,27 @@ class TestEnumerationProperties:
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = random_theory_graph(rng, int(rng.integers(2, 25)))
-            assert exact_expected_change_all("ba", g, 1.0).max() < 0.0
+            assert exact_expected_change("ba", g, 1.0).max() < 0.0
 
     def test_af_changes_all_negative(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             g = random_theory_graph(rng, int(rng.integers(2, 25)))
             new_fitness = float(rng.uniform(0.5, 2.0))
-            assert exact_expected_change_all("af", g, new_fitness).max() < 0.0
+            assert exact_expected_change("af", g, new_fitness).max() < 0.0
 
     def test_mf_zero_fitness_node_never_moves(self):
         g = TheoryGraph(degrees=[2, 1, 1], fitness=[0.0, 1.0, 2.0])
-        assert exact_expected_change("mf", g, 0, 1.0) == 0.0
-        assert theorem_formula("mf", g, 0, 1.0) == 0.0
+        assert exact_expected_change("mf", g, 1.0)[0] == 0.0
+        assert theorem_formula("mf", g, 1.0)[0] == 0.0
 
     def test_ba_agreement_across_random_instances(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             t = int(rng.integers(2, 31))
             g = random_theory_graph(rng, t)
-            exact = exact_expected_change_all("ba", g, float(rng.uniform(0.1, 5)))
-            predicted = np.array([theorem_formula("ba", g, i, 1.0) for i in range(t)])
-            np.testing.assert_allclose(exact, predicted, atol=1e-12)
+            exact = exact_expected_change("ba", g, float(rng.uniform(0.1, 5)))
+            np.testing.assert_allclose(exact, theorem_formula("ba", g, 1.0), atol=1e-12)
 
     def test_af_agreement_across_random_instances(self):
         rng = np.random.default_rng(6)
@@ -134,9 +132,8 @@ class TestEnumerationProperties:
             t = int(rng.integers(2, 31))
             g = random_theory_graph(rng, t)
             nf = float(rng.uniform(0.1, 5))
-            exact = exact_expected_change_all("af", g, nf)
-            predicted = np.array([theorem_formula("af", g, i, nf) for i in range(t)])
-            np.testing.assert_allclose(exact, predicted, atol=1e-12)
+            exact = exact_expected_change("af", g, nf)
+            np.testing.assert_allclose(exact, theorem_formula("af", g, nf), atol=1e-12)
 
 
 class TestMultiplicativeBoundary:
@@ -148,7 +145,7 @@ class TestMultiplicativeBoundary:
         g = TheoryGraph(degrees=[1, 1], fitness=[1.0, 0.5])
         for factor in 10.0 ** np.arange(9):
             scaled = g.with_fitness(np.array([1.0 * factor, 0.5]))
-            assert exact_expected_change("mf", scaled, 0, 5.0) <= 0.0
+            assert exact_expected_change("mf", scaled, 5.0)[0] <= 0.0
 
     def test_scaled_fitness_goes_positive_on_larger_graphs(self):
         rng = np.random.default_rng(7)
@@ -158,7 +155,7 @@ class TestMultiplicativeBoundary:
         for factor in 10.0 ** np.arange(7):
             scaled = g.fitness.copy()
             scaled[top] *= factor
-            changes.append(exact_expected_change("mf", g.with_fitness(scaled), top, 1.5))
+            changes.append(exact_expected_change("mf", g.with_fitness(scaled), 1.5)[top])
         assert max(changes) > 0.0
 
 
