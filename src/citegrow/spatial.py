@@ -97,9 +97,9 @@ class Ball:
         """Per node outside the ball: exp(-gamma * (d - radius)), its factor
         as a share of the envelope; 0 for a node inside the ball."""
         d2 = _squared_distances(self._axes, nodes, self.center)
-        with np.errstate(over="ignore"):
-            return np.where(d2 < self.radius * self.radius, 0.0,
-                            np.exp(self.gamma * (self.radius - np.sqrt(d2))))
+        # d >= radius outside the ball, so the clamp changes no value there
+        return (np.exp(np.minimum(self.gamma * (self.radius - np.sqrt(d2)), 0.0))
+                * (d2 >= self.radius * self.radius))
 
     def decay_everywhere(self) -> np.ndarray:
         """The factor of every earlier node relative to the nearest one:
@@ -330,7 +330,7 @@ class _Levels:
         owner = np.repeat(np.arange(len(queries)), (hi - lo).sum(axis=1))
         loc = self.locations
         nodes = grid.order.take(entries) % grid.n
-        d2 = _squared_distances(self.axes, nodes, loc[queries].T[:, owner])
+        d2 = _squared_distances(self.axes, nodes, (c.take(owner) for c in loc[queries].T))
         inside = d2 < (radius * radius).take(owner)
         nodes = nodes[inside]
         owner, d = owner[inside], np.sqrt(d2[inside])
