@@ -700,6 +700,35 @@ class TestSpatialGrowthStream:
         g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
         assert run_simulation(g0, schedule, model, 6).digest() == digest
 
+    # the variants the grow-spatial benchmark runs, at half its size: enough
+    # insertions to reach fine grid levels and many tail segments
+    @pytest.mark.parametrize("kind, options, digest, counts", [
+        pytest.param("lbm", {"gamma_regime": "log"},
+                     "3cc5f06d157ac15e1efb289140c22101f8a119f131ffcfe4f170e1033b9715b9",
+                     {"ball_draws": 1665, "tail_draws": 4776, "tail_proposed": 126255,
+                      "tail_accepted": 4776},
+                     id="lbm-log"),
+        pytest.param("lbm", {"gamma_regime": "linear"},
+                     "bf3e64679d04a086b5d8e1550efb91ef539c43397a4c5e01e3d4478a718846ea",
+                     {"ball_draws": 6441},
+                     id="lbm-linear"),
+        pytest.param("lbm-g", {"sigma": 1.5, "shift_every": 12},
+                     "65cf4d0b0fa0132e4c828282e62318f452ea3539889c21f1d2c8b169bb23018c",
+                     {"ball_draws": 6404, "tail_draws": 37, "tail_proposed": 3758,
+                      "tail_accepted": 37},
+                     id="lbm-g"),
+    ])
+    def test_benchmark_variants_are_pinned(self, kind, options, digest, counts):
+        seed = synthetic_seed()
+        schedule = corpus_like_schedule(n_nodes=3000)
+        model = make_model(kind, **options)
+        g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
+        g = run_simulation(g0, schedule, model, 6)
+        assert g.digest() == digest
+        # every counter, the ones left out of `counts` at 0
+        assert {name: g.sampler[name] for name in citegrow.sampling.COUNTERS
+                if g.sampler[name]} == counts
+
 
 class TestSubspaceShifts:
     def run_shifts(self, schedule, **model_kw):
