@@ -156,8 +156,10 @@ class GrowthGraph:
         `race_draws` for lbm/lbm-g), the log draws that hit an
         already-chosen node (`log_rejects`), the tail arrivals proposed and
         accepted, the hand-offs to the exponential race (`race_handoffs`,
-        `dense_handoffs`), and the seconds spent drawing. Like the two counts above, it is not part of the
-        canonical bytes or the digest.
+        `dense_handoffs`), the seconds spent drawing (`seconds`) and, of
+        those, the seconds spent finding lbm/lbm-g balls (`ball_seconds`).
+        Like the two counts above, it is not part of the canonical bytes or
+        the digest.
 
     Arrays are frozen after construction; a finished graph is read-only.
     """

@@ -40,12 +40,16 @@ before the k-th smallest key found so far can win, so the process stops
 there. The ball, c and the choice to hand an insertion to the full race
 (when the ball holds fewer than k positive weights, or the tail would
 need too many proposals) are fixed before the first draw, so they cannot
-bias it.
+bias it. A ball weight at most `_TINY` (0 included) can overflow its
+key E / w to inf, so the ball must hold k weights above it, or the
+insertion goes to the race, which ranks by log E - log w when fewer than
+k keys are finite.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -63,6 +67,9 @@ HANDOFF = 16.0
 SEGMENT = 64.0
 
 _EMPTY = np.empty(0, dtype=np.int64)
+# a weight w above this gives a finite key E / w for every E numpy's
+# exponential returns, the largest being 7.7 - log(2^-53) < 45
+_TINY = 45.0 / np.finfo(np.float64).max
 
 # what `IncrementLog.counts` tallies: targets by the way they were drawn,
 # log draws rejected as repeats, tail arrivals proposed and accepted, and
@@ -111,16 +118,20 @@ def sample_without_replacement(weights, k: int, rng: np.random.Generator) -> np.
             f"(deficit {k - n_pos})")
 
     e = rng.exponential(size=w.size)
-    # e/w can overflow for denormal-small weights; an inf key means the
-    # candidate is never picked, which is the right limit, so keep quiet
     with np.errstate(over="ignore"):
         keys = np.divide(e, w, out=np.full(w.size, np.inf), where=positive)
     if k == w.size:
-        chosen = np.arange(w.size, dtype=np.int64)
-    else:
-        chosen = np.argpartition(keys, k - 1)[:k].astype(np.int64)
+        return np.arange(w.size, dtype=np.int64)
+    chosen = np.argpartition(keys, k - 1)[:k]
+    if keys[chosen[k - 1]] == np.inf:
+        # e / w overflowed for weights near the float minimum, and inf keys
+        # would tie, broken by position: rank them by log e - log w instead,
+        # the same order, finite for every positive weight
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keys = np.where(positive, np.log(e) - np.log(w), np.inf)
+        chosen = np.argpartition(keys, k - 1)[:k]
     chosen.sort()
-    return chosen
+    return chosen.astype(np.int64)
 
 
 class IncrementLog:
@@ -223,7 +234,7 @@ class IncrementLog:
         self.counts["log_rejects"] += rejects
         return sorted(chosen)
 
-    def sample_near(self, k: int, rng: np.random.Generator, ball) -> np.ndarray:
+    def sample_near(self, k: int, rng: np.random.Generator, ball) -> list:
         """Select k distinct nodes with probability proportional to weight
         times a distance factor, under the sequential law.
 
@@ -234,78 +245,89 @@ class IncrementLog:
         exact weights; the rest are the first accepted arrivals of a
         Poisson process of rate `envelope * total` whose arrivals are drawn
         from the log and thinned by `tail_acceptance`. The k smallest keys
-        of both win. When the ball holds fewer than k positive weights, or
-        the expected number of arrivals, bounded with the ball's weight
-        alone, exceeds `HANDOFF` times the node count, the insertion runs
-        the exponential race over all nodes instead.
+        of both win. When the ball holds fewer than k weights above
+        `_TINY`, or the expected number of arrivals, bounded with the
+        ball's weight alone, exceeds `HANDOFF` times the node count, the
+        insertion runs the exponential race over all nodes instead.
 
-        Returns a sorted int64 array; fewer than k nodes when fewer have
-        positive weight, as `sample` does.
+        Returns a sorted list of node ids; fewer than k when fewer nodes
+        have positive weight, as `sample` does.
         """
         n = self.n_nodes
         counts = self.counts
         nodes = ball.nodes
-        w = self.weights.take(nodes) * ball.decay
-        rate = ball.envelope * float(self.cum[self.size - 1])
-        if np.count_nonzero(w) < k or (rate and rate * k > HANDOFF * n * float(w.sum())):
-            chosen = _race_positive(self.weights[:n] * ball.decay_everywhere(), k, rng)
+        w = self.weights.take(nodes)
+        w *= ball.decay
+        rate = ball.envelope * self._cum[self.size - 1]
+        tiny = w.size >= k and w.min() <= _TINY
+        if (w.size < k or tiny and np.count_nonzero(w > _TINY) < k
+                or rate and rate * k > HANDOFF * n * w.sum()):
+            chosen = _race_positive(self.weights[:n] * ball.decay_everywhere(), k, rng).tolist()
             counts["race_handoffs"] += 1
             counts["race_draws"] += len(chosen)
             return chosen
-        with np.errstate(divide="ignore", over="ignore"):
-            keys = rng.exponential(size=w.size) / w
+        keys = rng.exponential(size=w.size)
+        # tiny weights give inf keys, which lose to the k finite ones
+        with np.errstate(divide="ignore", over="ignore") if tiny else nullcontext():
+            keys /= w
         if k < w.size:
-            top = np.argpartition(keys, k - 1)[:k]
-            keys, nodes = keys[top], nodes[top]
-        tail = self._tail(keys, k, rng, ball, rate) if rate else None
-        from_tail = 0
-        if tail:
-            keys = np.concatenate([keys, list(tail.values())])
-            won = np.argpartition(keys, k - 1)[:k]
-            nodes = np.concatenate([nodes, list(tail)])[won]
-            from_tail = int(np.count_nonzero(won >= k))
+            top = keys.argpartition(k - 1)[:k]
+            keys, nodes = keys.take(top), nodes.take(top)
+        chosen, from_tail = (self._tail(keys.tolist(), nodes.tolist(), rng, ball, rate) if rate
+                             else (nodes.tolist(), 0))
         counts["ball_draws"] += k - from_tail
         counts["tail_draws"] += from_tail
-        return np.sort(nodes)
+        chosen.sort()
+        return chosen
 
-    def _tail(self, keys, k, rng, ball, rate) -> dict:
-        """The first accepted arrival (as node: key) of each tail node that
-        arrives before the k-th best key.
+    def _tail(self, keys: list, nodes: list, rng, ball, rate) -> tuple[list, int]:
+        """The k winners of the ball's best `keys` (of `nodes`) and the
+        first accepted arrival of each tail node, and how many of them came
+        from the tail.
 
         The arrivals in a time segment are Poisson in number and uniform
         in time, so the process is drawn one segment at a time, each
         expected to hold `SEGMENT` arrivals. The k-th best key only falls
         as arrivals are accepted, and the process stops once it passes
         that key, so no arrival that could win is left out."""
-        cum = self.cum[:self.size]
-        total = float(cum[-1])
-        bound = float(keys.max())
+        size = self.size
+        cum = self.cum[:size]
+        total = self._cum[size - 1]
+        bound = max(keys)
         best = None
-        first: dict[int, float] = {}
+        first: set[int] = set()
+        proposed = 0
         start = 0.0
         while start < bound:
             stop = min(bound, start + SEGMENT / rate)
             count = int(rng.poisson(rate * (stop - start)))
             if count:
+                proposed += count
                 u = rng.random(3 * count)
-                hits = self.owner[cum.searchsorted(u[count:2 * count] * total, side="right")]
-                took = np.flatnonzero(u[2 * count:] < ball.tail_acceptance(hits))
-                self.counts["tail_proposed"] += count
-                # accepted arrivals in time order; a node's key is its first
-                for time, node in sorted(zip((start + u[took] * (stop - start)).tolist(),
-                                             hits[took].tolist())):
-                    if time >= bound:
-                        break
-                    if node not in first:
-                        first[node] = time
-                        if best is None:
-                            best = sorted(keys.tolist())
-                        insort(best, time)
-                        best.pop()
-                        bound = best[-1]
+                picks = u[count:2 * count]
+                picks *= total
+                hits = self.owner.take(cum.searchsorted(picks, side="right"))
+                took = (u[2 * count:] < ball.tail_acceptance(hits)).nonzero()[0]
+                if took.size:
+                    width = stop - start
+                    # accepted arrivals in time order; a node's key is its first
+                    for time, node in sorted(zip([start + t * width for t in u.take(took).tolist()],
+                                                 hits.take(took).tolist())):
+                        if time >= bound:
+                            break
+                        if node not in first:
+                            first.add(node)
+                            if best is None:
+                                best = sorted(zip(keys, nodes))
+                            insort(best, (time, node))
+                            best.pop()
+                            bound = best[-1][0]
             start = stop
+        self.counts["tail_proposed"] += proposed
         self.counts["tail_accepted"] += len(first)
-        return first
+        if best is None:
+            return nodes, 0
+        return [node for _, node in best], sum(node in first for _, node in best)
 
 
 def _race_positive(w: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

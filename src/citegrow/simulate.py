@@ -26,7 +26,8 @@ spatial balls of a whole run can be found on its final locations.
 When fewer than k existing nodes have positive weight, the gap is filled
 uniformly from the remaining nodes; every such fill is counted on the
 returned graph (`fallback_fills`), never silently absorbed. The graph
-also carries the sampler's counters (`sampler`).
+also carries the sampler's counters (`sampler`), with the seconds spent
+drawing and, of those, the seconds spent finding balls.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
         locations[n_seed:], shifts = _scheduled_locations(model, schedule, rng)
         near = balls(locations, degrees, model.gamma_at, n_seed)
     fallback_fills = 0
-    sampler_s = 0.0
+    sampler_s = ball_s = 0.0
 
     gain = gains.tolist()
     cited = memoryview(edges[:, 1])
@@ -176,8 +177,12 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
         targets = []
         if k:
             t0 = perf_counter()
-            targets = (log.sample(k, rng) if near is None
-                       else log.sample_near(k, rng, next(near)).tolist())
+            if near is None:
+                targets = log.sample(k, rng)
+            else:
+                ball = next(near)
+                ball_s += perf_counter() - t0
+                targets = log.sample_near(k, rng, ball)
             sampler_s += perf_counter() - t0
         if len(targets) < k:
             pool = np.setdiff1d(np.arange(n, dtype=np.int64),
@@ -194,7 +199,7 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
         years=years, sub_years=sub_years, fitness=fitness, locations=locations,
         out_degrees=out_deg, edges=edges, n_seed=n_seed,
         fallback_fills=fallback_fills, subspace_shifts=shifts,
-        sampler={**log.counts, "seconds": sampler_s},
+        sampler={**log.counts, "seconds": sampler_s, "ball_seconds": ball_s},
     )
 
 

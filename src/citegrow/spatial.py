@@ -96,10 +96,17 @@ class Ball:
     def tail_acceptance(self, nodes: np.ndarray) -> np.ndarray:
         """Per node outside the ball: exp(-gamma * (d - radius)), its factor
         as a share of the envelope; 0 for a node inside the ball."""
-        d2 = _squared_distances(self._axes, nodes, self.center)
+        radius = self.radius
+        x = _squared_distances(self._axes, nodes, self.center)
+        outside = x >= radius * radius
+        np.sqrt(x, out=x)
+        np.subtract(radius, x, out=x)
+        x *= self.gamma
         # d >= radius outside the ball, so the clamp changes no value there
-        return (np.exp(np.minimum(self.gamma * (self.radius - np.sqrt(d2)), 0.0))
-                * (d2 >= self.radius * self.radius))
+        np.minimum(x, 0.0, out=x)
+        np.exp(x, out=x)
+        x *= outside
+        return x
 
     def decay_everywhere(self) -> np.ndarray:
         """The factor of every earlier node relative to the nearest one:
@@ -153,23 +160,24 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], flo
 
 def _all_earlier(axes: np.ndarray, node: int, gamma: float) -> Ball:
     """An empty ball with no tail: the draw races every earlier node."""
-    return Ball(node, np.empty(0, dtype=np.int64), np.empty(0), 0.0, axes[:, node], gamma,
-                0.0, axes)
+    return Ball(node, np.empty(0, dtype=np.int64), np.empty(0), 0.0, axes[:, node, None],
+                gamma, 0.0, axes)
 
 
-def _squared_distances(axes: np.ndarray, nodes: np.ndarray, center) -> np.ndarray:
-    """Squared distances of `nodes` to `center` (per axis, one coordinate
-    or one per node), summed axis by axis."""
-    d2 = np.zeros(len(nodes))
-    for row, c in zip(axes, center):
-        d2 += (row.take(nodes) - c) ** 2
-    return d2
+def _squared_distances(axes: np.ndarray, nodes: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distances of the columns `nodes` of `axes` (one row per
+    axis) to `center`, one column or one per node, summed axis by axis."""
+    d = axes.take(nodes, axis=1)
+    d -= center
+    d *= d
+    return d.sum(axis=0)
 
 
 class _Grid:
-    """One level: cubic cells of side `side`, node ids sorted by (cell, id)."""
+    """One level: cubic cells of side `side`, node ids sorted by (cell, id),
+    and their coordinates in that order."""
 
-    def __init__(self, cells: np.ndarray, side: float, radix: int):
+    def __init__(self, cells: np.ndarray, side: float, radix: int, axes: np.ndarray):
         n, dim = cells.shape
         self.side = side
         self.n = n
@@ -180,6 +188,8 @@ class _Grid:
                                            return_inverse=True, return_counts=True)
         # rank * n + id sorts by cell, then id, and id = entry % n
         self.order = np.sort(rank * n + np.arange(n))
+        self.ids = self.order % n
+        self.coords = axes.take(self.ids, axis=1)
         self.starts = np.cumsum(sizes) - sizes
 
     def ranges(self, cells: np.ndarray, bound: np.ndarray):
@@ -223,7 +233,7 @@ class _Levels:
         self.used.add(level)
         if level not in self.grids:
             self.grids[level] = _Grid(self.cells(level, self.locations), self.side(level),
-                                      2 ** level + 3)
+                                      2 ** level + 3, self.axes)
         return self.grids[level]
 
     def keep_used(self) -> None:
@@ -325,24 +335,27 @@ class _Levels:
         return balls
 
     def _gather(self, grid: _Grid, queries, gammas, radius, lo, hi) -> list[Ball]:
-        sizes = (hi - lo).ravel()
-        entries = np.repeat(lo.ravel() - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        owner = np.repeat(np.arange(len(queries)), (hi - lo).sum(axis=1))
-        loc = self.locations
-        nodes = grid.order.take(entries) % grid.n
-        d2 = _squared_distances(self.axes, nodes, (c.take(owner) for c in loc[queries].T))
-        inside = d2 < (radius * radius).take(owner)
-        nodes = nodes[inside]
-        owner, d = owner[inside], np.sqrt(d2[inside])
-        bounds = np.searchsorted(owner, np.arange(len(queries) + 1))
+        sizes = hi - lo
+        counts = sizes.sum(axis=1)
+        sizes = sizes.ravel()
+        # the candidates of each query, cell after cell, by their place in the grid
+        entries = np.repeat(lo.ravel() - sizes.cumsum() + sizes, sizes) + np.arange(sizes.sum())
+        centers = self.axes.take(queries, axis=1)
+        d2 = _squared_distances(grid.coords, entries, np.repeat(centers, counts, axis=1))
+        inside = (d2 < np.repeat(radius * radius, counts)).nonzero()[0]
+        nodes = grid.ids.take(entries.take(inside))
+        d = np.sqrt(d2.take(inside))
+        # query j's ball is nodes[bounds[j]:bounds[j + 1]]
+        bounds = inside.searchsorted(np.append(0, counts.cumsum()))
+        sizes = np.diff(bounds)
         nearest = np.full(len(queries), np.inf)
-        full = bounds[:-1] < bounds[1:]
+        full = sizes > 0
         nearest[full] = np.minimum.reduceat(d, bounds[:-1][full])
-        decay = np.exp(-gammas.take(owner) * (d - nearest.take(owner)))
+        decay = np.exp(np.repeat(-gammas, sizes) * (d - np.repeat(nearest, sizes)))
         with np.errstate(over="ignore", invalid="ignore"):
-            envelope = np.where(np.diff(bounds) == queries, 0.0,
-                                np.exp(-gammas * (radius - nearest)))
-        return [Ball(n, nodes[a:b], decay[a:b], e, loc[n], g, r, self.axes)
-                for n, a, b, e, g, r in zip(queries.tolist(), bounds[:-1].tolist(),
-                                            bounds[1:].tolist(), envelope.tolist(),
-                                            gammas.tolist(), radius.tolist())]
+            envelope = np.where(sizes == queries, 0.0, np.exp(-gammas * (radius - nearest)))
+        return [Ball(n, nodes[a:b], decay[a:b], e, c, g, r, self.axes)
+                for n, a, b, e, c, g, r in zip(queries.tolist(), bounds[:-1].tolist(),
+                                               bounds[1:].tolist(), envelope.tolist(),
+                                               centers.T[:, :, None], gammas.tolist(),
+                                               radius.tolist())]

@@ -7,6 +7,7 @@ literally; the enumeration test computes set probabilities exactly.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,28 @@ def test_matches_sequential_reference_distribution():
         pa = count_a.get(subset, 0) / n_draws
         pb = count_b.get(subset, 0) / n_draws
         assert pa == pytest.approx(pb, abs=0.015)
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0, 1e-310, 2e-310, 3e-310, 4e-310],
+    [1e-310, 2e-310, 3e-310, 4e-310],
+    [0.0, 1e-310, 3e-310, 0.0, 2.0],
+], ids=["one-normal", "all-subnormal", "with-zeros"])
+def test_subnormal_weights_keep_the_law(weights):
+    # e / w overflows to inf for weights near the float minimum; the draw
+    # must still follow the weights, not the position among inf keys.
+    # Fractions keep the exact law free of the rounding that sums 1 + 1e-310
+    # to 1
+    exact = [Fraction(w) for w in weights]
+    sets = list(itertools.combinations(range(len(weights)), 2))
+    law = [float(set_probability(exact, s)) for s in sets]
+    rng = np.random.default_rng(5)
+    n_draws = 20_000
+    seen = dict.fromkeys(sets, 0)
+    for _ in range(n_draws):
+        seen[tuple(sample_without_replacement(weights, 2, rng).tolist())] += 1
+    for subset, prob in zip(sets, law):
+        assert seen[subset] / n_draws == pytest.approx(prob, abs=0.015)
 
 
 def test_single_draw_proportional():

@@ -138,6 +138,11 @@ class TestSamplerCounters:
         assert s["tail_accepted"] <= s["tail_proposed"]
         assert s["race_handoffs"] <= s["race_draws"] or s["race_draws"] == 0
         assert s["seconds"] > 0
+        # the part of the drawing time spent finding lbm/lbm-g balls
+        if kind in ("lbm", "lbm-g"):
+            assert 0 < s["ball_seconds"] <= s["seconds"]
+        else:
+            assert s["ball_seconds"] == 0
 
     def test_many_dimensions_race_all_earlier_nodes(self):
         seed = synthetic_seed(n_nodes=60, rng_seed=3)
@@ -363,7 +368,7 @@ def assert_draw_law(draw, weights, k, runs):
     assert law.sum() == pytest.approx(1.0)
     observed = np.zeros(len(sets))
     for rng_seed in range(runs):
-        observed[index[tuple(draw(np.random.default_rng(rng_seed)).tolist())]] += 1
+        observed[index[tuple(np.asarray(draw(np.random.default_rng(rng_seed))).tolist())]] += 1
     assert_counts_match(observed, law * runs, runs)
 
 
@@ -585,11 +590,40 @@ class TestNearDraw:
                         law, 2, self.RUNS)
         assert log.counts["race_handoffs"] == self.RUNS
 
+    def test_zero_weights_in_a_ball_that_races(self):
+        # the ball holds zero weights next to more than k positive ones, so
+        # it races without a hand-off; called directly, the draw divides by
+        # those zeros and must raise no warning
+        weights = np.array([2.0, 0.0, 1.0, 0.0, 3.0, 0.0, 1.5, 0.0])
+        locations = np.array([[0.5, 0.52], [0.5, 0.515], [0.52, 0.5], [0.515, 0.5],
+                              [0.48, 0.5], [0.485, 0.5], [0.9, 0.1], [0.1, 0.9],
+                              [0.5, 0.5]])
+        log, ball, exact = self.state(2, 0.5, 2, weights=weights, locations=locations)
+        inside = log.weights[ball.nodes]
+        assert np.count_nonzero(inside) > 2 and np.count_nonzero(inside == 0) > 0
+        assert ball.envelope > 0.5
+        positive = exact > 0
+        nodes = np.flatnonzero(positive)
+        assert_draw_law(lambda rng: np.searchsorted(nodes, log.sample_near(2, rng, ball)),
+                        exact[positive], 2, self.RUNS)
+        assert log.counts["race_handoffs"] == 0 and log.counts["ball_draws"] > 0
+
+    def test_subnormal_weights_hand_off(self):
+        # a weight near the float minimum overflows its key E / w to inf; a
+        # ball with fewer than k weights clear of that goes to the race,
+        # which ranks such keys by their logarithms, before the tail could
+        # start from an infinite k-th key
+        weights = np.arange(1.0, 9.0) * 1e-310
+        log, ball, exact = self.state(2, 0.5, 2, weights=weights)
+        assert ball.nodes.size == 4 and ball.envelope > 0.5
+        self.check(log, ball, exact, 2)
+        assert log.counts["race_handoffs"] == self.RUNS
+
     def test_same_ball_same_draw(self):
         log, ball, _ = self.state(2, 0.5, 3, seed=5)
         a = log.sample_near(3, np.random.default_rng(7), ball)
         b = log.sample_near(3, np.random.default_rng(7), ball)
-        np.testing.assert_array_equal(a, b)
+        assert a == b and a == sorted(a) and all(type(node) is int for node in a)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_tail_acceptance_is_zero_exactly_inside_the_ball(self, dim):
