@@ -174,10 +174,9 @@ def _squared_distances(axes: np.ndarray, nodes: np.ndarray, center: np.ndarray) 
 
 
 class _Grid:
-    """One level: cubic cells of side `side`, node ids sorted by (cell, id),
-    and their coordinates in that order."""
+    """One level: cubic cells of side `side`, node ids sorted by (cell, id)."""
 
-    def __init__(self, cells: np.ndarray, side: float, radix: int, axes: np.ndarray):
+    def __init__(self, cells: np.ndarray, side: float, radix: int):
         n, dim = cells.shape
         self.side = side
         self.n = n
@@ -188,8 +187,6 @@ class _Grid:
                                            return_inverse=True, return_counts=True)
         # rank * n + id sorts by cell, then id, and id = entry % n
         self.order = np.sort(rank * n + np.arange(n))
-        self.ids = self.order % n
-        self.coords = axes.take(self.ids, axis=1)
         self.starts = np.cumsum(sizes) - sizes
 
     def ranges(self, cells: np.ndarray, bound: np.ndarray):
@@ -233,7 +230,7 @@ class _Levels:
         self.used.add(level)
         if level not in self.grids:
             self.grids[level] = _Grid(self.cells(level, self.locations), self.side(level),
-                                      2 ** level + 3, self.axes)
+                                      2 ** level + 3)
         return self.grids[level]
 
     def keep_used(self) -> None:
@@ -341,19 +338,20 @@ class _Levels:
         # the candidates of each query, cell after cell, by their place in the grid
         entries = np.repeat(lo.ravel() - sizes.cumsum() + sizes, sizes) + np.arange(sizes.sum())
         centers = self.axes.take(queries, axis=1)
-        d2 = _squared_distances(grid.coords, entries, np.repeat(centers, counts, axis=1))
+        nodes = grid.order.take(entries) % grid.n
+        d2 = _squared_distances(self.axes, nodes, np.repeat(centers, counts, axis=1))
         inside = (d2 < np.repeat(radius * radius, counts)).nonzero()[0]
-        nodes = grid.ids.take(entries.take(inside))
+        nodes = nodes.take(inside)
         d = np.sqrt(d2.take(inside))
         # query j's ball is nodes[bounds[j]:bounds[j + 1]]
         bounds = inside.searchsorted(np.append(0, counts.cumsum()))
-        sizes = np.diff(bounds)
+        held = np.diff(bounds)
         nearest = np.full(len(queries), np.inf)
-        full = sizes > 0
+        full = held > 0
         nearest[full] = np.minimum.reduceat(d, bounds[:-1][full])
-        decay = np.exp(np.repeat(-gammas, sizes) * (d - np.repeat(nearest, sizes)))
+        decay = np.exp(np.repeat(-gammas, held) * (d - np.repeat(nearest, held)))
         with np.errstate(over="ignore", invalid="ignore"):
-            envelope = np.where(sizes == queries, 0.0, np.exp(-gammas * (radius - nearest)))
+            envelope = np.where(held == queries, 0.0, np.exp(-gammas * (radius - nearest)))
         return [Ball(n, nodes[a:b], decay[a:b], e, c, g, r, self.axes)
                 for n, a, b, e, c, g, r in zip(queries.tolist(), bounds[:-1].tolist(),
                                                bounds[1:].tolist(), envelope.tolist(),
