@@ -38,12 +38,11 @@ node is distributed as its race key, and the k smallest keys of ball and
 tail are the race's winners: the sequential law, exactly. Only arrivals
 before the k-th smallest key found so far can win, so the process stops
 there. The ball, c and the choice to hand an insertion to the full race
-(when the ball holds fewer than k positive weights, or the tail would
-need too many proposals) are fixed before the first draw, so they cannot
-bias it. A ball weight at most `_TINY` (0 included) can overflow its
-key E / w to inf, so the ball must hold k weights above it, or the
-insertion goes to the race, which ranks by log E - log w when fewer than
-k keys are finite.
+(when the ball holds fewer than k weights above `_TINY`, or the tail
+would need too many proposals) are fixed before the first draw, so they
+cannot bias it. A weight at most `_TINY`, 0 included, can overflow its
+key E / w to inf, and inf keys would tie; the race ranks by
+log E - log w when fewer than k of its keys are finite.
 """
 
 from __future__ import annotations
@@ -267,7 +266,7 @@ class IncrementLog:
             counts["race_draws"] += len(chosen)
             return chosen
         keys = rng.exponential(size=w.size)
-        # tiny weights give inf keys, which lose to the k finite ones
+        # weights at most _TINY may give inf keys, which lose to the k finite ones
         with np.errstate(divide="ignore", over="ignore") if tiny else nullcontext():
             keys /= w
         if k < w.size:
