@@ -36,8 +36,6 @@ from .theory import verify_theorem
 
 __all__ = ["main", "dispatch"]
 
-_MODEL_CHOICES = [m.value for m in ModelKind]
-
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
@@ -106,7 +104,12 @@ def _add_out(sp) -> None:
 
 def _add_window(sp) -> None:
     sp.add_argument("--seed-start", type=int, default=IngestConfig.seed_start)
-    sp.add_argument("--seed-end", type=int, default=IngestConfig.seed_end)
+    _add_classify_window(sp)
+
+
+def _add_classify_window(sp) -> None:
+    sp.add_argument("--seed-end", type=int, default=IngestConfig.seed_end,
+                    help="last seed year; seed papers are not classified")
     sp.add_argument("--cutoff", type=int, default=IngestConfig.cutoff,
                     help="last publication year that gets classified")
     sp.add_argument("--horizon", type=int, default=IngestConfig.horizon,
@@ -120,35 +123,36 @@ def _add_sim_inputs(sp) -> None:
     sp.add_argument("--schedule", help="schedule TSV (required with --seed-graph)")
 
 
-def _add_model_flags(sp, lists: bool = False) -> None:
-    """One flag per model option. With `lists` every flag takes a comma
-    list of values instead of a single one."""
-    sp.add_argument("--model", choices=_MODEL_CHOICES)
+def _add_model_flags(sp) -> None:
+    """--model, --config and one text flag per model option, its help
+    taken from the table; make_model and the table check every value."""
+    sp.add_argument("--model", help="one of " + ", ".join(m.value for m in ModelKind))
     sp.add_argument("--config", help="model config file; explicit flags override it")
     for opt in MODEL_OPTIONS:
-        flag = "--" + opt.name.replace("_", "-")
-        if lists:
-            sp.add_argument(flag, metavar="V[,V...]",
-                            help=f"comma list of {opt.type.__name__} values; "
-                                 "several make a grid axis")
-        else:
-            sp.add_argument(flag, type=opt.type, choices=opt.choices)
+        rule = ("in {" + ", ".join(opt.choices) + "}" if opt.choices
+                else f"{opt.bound[0]} {opt.bound[1]}")
+        readers = ", ".join(m.value for m in ModelKind if m in opt.kinds)
+        sp.add_argument("--" + opt.name.replace("_", "-"),
+                        help=f"{opt.type.__name__} {rule}; read by {readers}")
 
 
 def _add_classifier_flags(sp) -> None:
     sp.add_argument("--activation", type=int, default=ClassifierParams.activation_period,
                     help="activation period in years")
     sp.add_argument("--peak-threshold", type=float, default=ClassifierParams.peak_threshold)
-    sp.add_argument("--min-history", type=int, default=ClassifierParams.min_history_years)
 
 
-def _classifier_params(args, activation: str = "activation",
-                       threshold: str = "peak_threshold") -> ClassifierParams:
-    """ClassifierParams from the parsed flags. `activation` and `threshold`
-    name the attributes to read: sensitivity sweeps --activation and
-    --peak-threshold and reads its defaults from the --default-* flags."""
-    return ClassifierParams(activation_period=getattr(args, activation),
-                            peak_threshold=getattr(args, threshold),
+def _add_graph_flags(sp) -> None:
+    """The graph dump to classify, its window and the history it needs."""
+    sp.add_argument("--graph", required=True, help="graph dump, as simulate writes it")
+    _add_classify_window(sp)
+    sp.add_argument("--min-history", type=int, default=ClassifierParams.min_history_years,
+                    help="years of citation history a paper needs to be classified")
+
+
+def _classifier_params(args) -> ClassifierParams:
+    return ClassifierParams(activation_period=args.activation,
+                            peak_threshold=args.peak_threshold,
                             min_history_years=args.min_history)
 
 
@@ -162,26 +166,34 @@ def _existing(path, what: str) -> Path:
 
 # -- model resolution ----------------------------------------------------------
 
-def _collect_model_options(args, lists: bool = False) -> tuple[str, dict, list]:
-    """Kind plus flat options from --config overlaid with explicit flags.
-    With `lists`, a flag's value is the list parsed from its comma list.
-    Returns (kind, options, input files consumed)."""
+def _collect_model_options(args) -> tuple[str, dict, list]:
+    """Kind plus each option's values from --config overlaid with
+    explicit flags. A flag or config value is a comma list of text
+    values, in table order. Returns (kind, {option: values}, input
+    files consumed)."""
     inputs = []
     kind = None
-    options: dict = {}
+    texts: dict = {}
     if args.config:
         cfg = _existing(args.config, "config")
-        kind, options = parse_config_options(cfg.read_text(encoding="utf-8"))
+        kind, texts = parse_config_options(cfg.read_text(encoding="utf-8"))
         inputs.append(cfg)
-    if args.model:
-        kind = args.model
+    kind = args.model or kind
     if kind is None:
         raise ValidationError("a model is required: pass --model or --config")
+    values: dict[str, list] = {}
     for opt in MODEL_OPTIONS:
-        value = getattr(args, opt.name)
-        if value is not None:
-            options[opt.name] = _parse_value_list(value, opt.type) if lists else value
-    return kind, options, inputs
+        text = getattr(args, opt.name)
+        text = texts.get(opt.name) if text is None else text
+        if text is not None:
+            values[opt.name] = [part.strip() for part in text.split(",")]
+    return kind, values, inputs
+
+
+def _load_graph_input(args):
+    """The --graph dump read with --seed-end, and its path."""
+    gpath = _existing(args.graph, "graph")
+    return load_graph(gpath, seed_end=args.seed_end), gpath
 
 
 def _ingest_tsv(args):
@@ -298,8 +310,11 @@ def _cmd_ingest(args, out_dir: Path):
 
 
 def _cmd_simulate(args, out_dir: Path):
-    kind, options, inputs = _collect_model_options(args)
-    model = make_model(kind, **options)
+    kind, values, inputs = _collect_model_options(args)
+    several = [name for name, vs in values.items() if len(vs) > 1]
+    if several:
+        raise ValidationError(f"simulate takes one value per option: {', '.join(several)}")
+    model = make_model(kind, **{name: vs[0] for name, vs in values.items()})
     seed_net, schedule, data_inputs = _load_sim_inputs(args)
     inputs = data_inputs + inputs
 
@@ -323,8 +338,7 @@ def _cmd_simulate(args, out_dir: Path):
 
 
 def _cmd_classify(args, out_dir: Path):
-    gpath = _existing(args.graph, "graph")
-    graph = load_graph(gpath, seed_end=args.seed_end)
+    graph, gpath = _load_graph_input(args)
     result = trajectory._classify_all(graph, args.cutoff, args.horizon,
                                       _classifier_params(args))
     write_classification_csv(result.rows(), out_dir / "classification.csv")
@@ -353,16 +367,13 @@ def _cmd_evaluate(args, out_dir: Path):
 
 
 def _cmd_sweep(args, out_dir: Path):
-    kind, options, cfg_inputs = _collect_model_options(args, lists=True)
-    # flag values are lists (config values are not): one is a base option, several an axis
-    axes: dict[str, list] = {}
-    for name, value in list(options.items()):
-        if isinstance(value, list):
-            if len(value) == 1:
-                options[name] = value[0]
-            else:
-                axes[name] = options.pop(name)
-    points = model_grid(kind, axes, options)
+    kind, values, cfg_inputs = _collect_model_options(args)
+    # one value sets a base option, several make an axis, in table order
+    base = {name: vs[0] for name, vs in values.items() if len(vs) == 1}
+    model_kind = make_model(kind, **base).kind
+    axes = {opt.name: [opt.convert(model_kind, v) for v in values[opt.name]]
+            for opt in MODEL_OPTIONS if len(values.get(opt.name, ())) > 1}
+    points = model_grid(kind, axes, base)
 
     seed_net, schedule, data_inputs = _load_sim_inputs(args)
     rpath = _existing(args.reference, "reference")
@@ -388,9 +399,10 @@ def _cmd_sweep(args, out_dir: Path):
 
 
 def _cmd_sensitivity(args, out_dir: Path):
-    gpath = _existing(args.graph, "graph")
-    graph = load_graph(gpath, seed_end=args.seed_end)
-    defaults = _classifier_params(args, "default_activation", "default_threshold")
+    graph, gpath = _load_graph_input(args)
+    defaults = ClassifierParams(activation_period=args.default_activation,
+                                peak_threshold=args.default_threshold,
+                                min_history_years=args.min_history)
     activations = _parse_int_range(args.activation)
     thresholds = _parse_float_range(args.peak_threshold)
     result = sensitivity(graph, args.cutoff, args.horizon,
@@ -448,11 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_simulate)
 
     sp = subs.add_parser("classify", help="classify trajectories of a graph dump")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--seed-end", type=int, default=IngestConfig.seed_end,
-                    help="last seed year; seed nodes are not classified")
-    sp.add_argument("--cutoff", type=int, default=IngestConfig.cutoff)
-    sp.add_argument("--horizon", type=int, default=IngestConfig.horizon)
+    _add_graph_flags(sp)
     _add_classifier_flags(sp)
     _add_out(sp)
     sp.set_defaults(handler=_cmd_classify)
@@ -464,12 +472,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(sp)
     sp.set_defaults(handler=_cmd_evaluate)
 
-    sp = subs.add_parser("sweep", help="score a parameter grid against a reference")
+    sp = subs.add_parser("sweep", help="score a parameter grid against a reference",
+                         description="Each model option given several comma-separated "
+                                     "values (flag or config line) is a grid axis.")
     _add_sim_inputs(sp)
-    _add_model_flags(sp, lists=True)
+    _add_model_flags(sp)
     _add_window(sp)
     sp.add_argument("--reference", required=True)
     _add_classifier_flags(sp)
+    sp.add_argument("--min-history", type=int, default=ClassifierParams.min_history_years)
     sp.add_argument("--runs", type=int, default=3, help="runs per grid point")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
@@ -477,10 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_sweep)
 
     sp = subs.add_parser("sensitivity", help="classifier robustness grid")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--seed-end", type=int, default=IngestConfig.seed_end)
-    sp.add_argument("--cutoff", type=int, default=IngestConfig.cutoff)
-    sp.add_argument("--horizon", type=int, default=IngestConfig.horizon)
+    _add_graph_flags(sp)
     sp.add_argument("--activation", default="3:7",
                     help="integer range lo:hi or comma list")
     sp.add_argument("--peak-threshold", default="0.45:0.95:0.05",
@@ -488,12 +496,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--default-activation", type=int,
                     default=ClassifierParams.activation_period)
     sp.add_argument("--default-threshold", type=float, default=ClassifierParams.peak_threshold)
-    sp.add_argument("--min-history", type=int, default=ClassifierParams.min_history_years)
     _add_out(sp)
     sp.set_defaults(handler=_cmd_sensitivity)
 
     sp = subs.add_parser("verify-theorem", help="check attachment dynamics by enumeration")
-    sp.add_argument("--model", required=True, choices=["ba", "af", "mf"])
+    sp.add_argument("--model", required=True, help="ba, af or mf")
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--size-min", type=int, default=2)
     sp.add_argument("--size-max", type=int, default=30)

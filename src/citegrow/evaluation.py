@@ -47,7 +47,7 @@ __all__ = [
 def jsd2(p, q) -> float:
     """Squared Jensen-Shannon distance between two distributions.
 
-    Both inputs must be non-negative vectors of equal length summing to 1
+    Both inputs must be finite, non-negative vectors of equal length summing to 1
     (within 1e-9). Computed with base-2 logarithms as the mean of the two
     KL divergences against the midpoint distribution.
     """
@@ -56,8 +56,8 @@ def jsd2(p, q) -> float:
     if pa.ndim != 1 or qa.ndim != 1 or pa.shape != qa.shape or pa.size == 0:
         raise ValidationError("jsd2 needs two non-empty vectors of equal length")
     for name, v in (("first", pa), ("second", qa)):
-        if v.min() < 0:
-            raise ValidationError(f"{name} distribution has a negative entry")
+        if not np.isfinite(v).all() or v.min() < 0:
+            raise ValidationError(f"{name} distribution has a negative or non-finite entry")
         if abs(v.sum() - 1.0) > 1e-9:
             raise ValidationError(f"{name} distribution sums to {v.sum()!r}, expected 1")
     m = 0.5 * (pa + qa)

@@ -23,7 +23,8 @@ switches to in + out degree.
 
 The models differ only in which of ten flat options they read. Each option
 is defined once, in MODEL_OPTIONS; ModelSpec, make_model, config text and
-the CLI flags all follow that table.
+the CLI flags all follow that table, and ModelOption.convert is the only
+code that converts or checks an option value.
 """
 
 from __future__ import annotations
@@ -156,18 +157,15 @@ class ModelSpec:
         if unused:
             raise ValidationError(
                 f"model {kind.value!r} does not use option(s): {', '.join(sorted(unused))}")
-        own = [opt for opt in MODEL_OPTIONS if kind in opt.kinds]
-        for opt in own:
-            if getattr(self, opt.name) is None:
-                object.__setattr__(self, opt.name, opt.default)
+        for opt in MODEL_OPTIONS:
+            value = getattr(self, opt.name)
+            value = opt.default if value is None else value
+            if kind in opt.kinds and value is not None:  # rho's default is None
+                object.__setattr__(self, opt.name, opt.convert(kind, value))
         if self.rho is None:  # the walk step follows sigma unless given
             object.__setattr__(self, "rho", self.sigma)
         if self.gamma_regime != "const":  # gamma_const only counts under "const"
             object.__setattr__(self, "gamma_const", None)
-        for opt in own:
-            value = getattr(self, opt.name)
-            if value is not None:
-                object.__setattr__(self, opt.name, opt.convert(kind, value))
         if self.shift_unit == "nodes" and not self.shift_every.is_integer():
             raise ValidationError(
                 f"{kind.value}: shift_every must be a whole number of nodes, "
@@ -207,10 +205,11 @@ class ModelSpec:
         return "".join(lines)
 
 
-def parse_config_options(text: str) -> tuple[str, dict]:
-    """Parse flat 'key = value' config text into (model kind, option dict)
-    suitable for :func:`make_model`. Blank lines and '#' comments are
-    ignored; unknown keys are rejected."""
+def parse_config_options(text: str) -> tuple[str, dict[str, str]]:
+    """Parse flat 'key = value' config text into (model kind, option
+    dict) for :func:`make_model`, which converts and checks the values;
+    both come back as text. Blank lines and '#' comments are ignored;
+    unknown and duplicate keys are rejected."""
     options: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -225,25 +224,21 @@ def parse_config_options(text: str) -> tuple[str, dict]:
     if "model" not in options:
         raise ValidationError("config is missing the 'model' key")
     kind = options.pop("model")
-    converters = {opt.name: opt.type for opt in MODEL_OPTIONS}
-    kwargs: dict[str, object] = {}
-    for key, value in options.items():
-        if key not in converters:
+    names = {opt.name for opt in MODEL_OPTIONS}
+    for key in options:
+        if key not in names:
             raise ValidationError(f"unknown config key {key!r}")
-        try:
-            kwargs[key] = converters[key](value)
-        except ValueError:
-            raise ValidationError(f"config key {key!r}: bad value {value!r}") from None
-    return kind, kwargs
+    return kind, options
 
 
 def make_model(kind: str, **options) -> ModelSpec:
     """Build a ModelSpec from a kind name and flat option values (the
     names of :data:`MODEL_OPTIONS`), applying the table defaults for
-    everything left unset. Options the model does not use are rejected,
-    except gamma_const, which only applies when the regime is "const" and
-    is otherwise ignored (so one value can ride along a sweep that mixes
-    regimes)."""
+    everything left unset. Values may be given as text; the table
+    converts and checks each one. Options the model does not use are
+    rejected, except gamma_const, which only applies when the regime is
+    "const" and is otherwise checked and dropped (so one value can ride
+    along a sweep that mixes regimes)."""
     try:
         mk = ModelKind(kind)
     except ValueError:

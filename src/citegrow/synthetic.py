@@ -16,19 +16,19 @@ from .graph import SeedNetwork, YearSchedule
 
 __all__ = ["synthetic_seed", "corpus_like_schedule"]
 
+SEED_START_YEAR, SEED_END_YEAR, SEED_MEAN_OUT = 1960, 1975, 1.2
+SCHEDULE_MEAN_OUT, SCHEDULE_GROWTH, SCHEDULE_MAX_OUT = 2.1, 1.09, 200
 
-def synthetic_seed(n_nodes: int = 400, start_year: int = 1960,
-                   end_year: int = 1975, mean_out: float = 1.2,
-                   rng_seed: int = 0) -> SeedNetwork:
-    """Seed network with years spread evenly over [start_year, end_year]
-    and Poisson out-degrees citing strictly older seed papers."""
+
+def synthetic_seed(n_nodes: int = 400, rng_seed: int = 0) -> SeedNetwork:
+    """Seed network with years spread evenly over SEED_START_YEAR to
+    SEED_END_YEAR and Poisson out-degrees citing strictly older seed
+    papers."""
     if n_nodes < 1:
         raise ValidationError(f"seed size must be >= 1, got {n_nodes}")
-    if end_year < start_year:
-        raise ValidationError("end_year must not precede start_year")
     rng = np.random.default_rng(rng_seed)
-    n_years = end_year - start_year + 1
-    years = np.array([start_year + (i * n_years) // n_nodes for i in range(n_nodes)],
+    n_years = SEED_END_YEAR - SEED_START_YEAR + 1
+    years = np.array([SEED_START_YEAR + (i * n_years) // n_nodes for i in range(n_nodes)],
                      dtype=np.int64)
     nodes = [(i, int(years[i])) for i in range(n_nodes)]
     edges: list[tuple[int, int]] = []
@@ -36,7 +36,7 @@ def synthetic_seed(n_nodes: int = 400, start_year: int = 1960,
         older = int(np.searchsorted(years, years[i], side="left"))
         if older == 0:
             continue
-        k = min(int(rng.poisson(mean_out)), older)
+        k = min(int(rng.poisson(SEED_MEAN_OUT)), older)
         if k:
             targets = rng.choice(older, size=k, replace=False)
             edges.extend((i, int(v)) for v in np.sort(targets))
@@ -44,20 +44,17 @@ def synthetic_seed(n_nodes: int = 400, start_year: int = 1960,
 
 
 def corpus_like_schedule(n_nodes: int = 20000, start_year: int = 1976,
-                         end_year: int = 2000, mean_out: float = 2.1,
-                         growth: float = 1.09, max_out: int = 200,
-                         rng_seed: int = 0) -> YearSchedule:
-    """Year schedule with geometrically growing volumes totalling exactly
-    `n_nodes` and negative-binomial out-degrees with the given mean."""
+                         end_year: int = 2000, rng_seed: int = 0) -> YearSchedule:
+    """Year schedule with volumes growing by SCHEDULE_GROWTH a year and
+    totalling exactly `n_nodes`, and negative-binomial out-degrees of mean
+    SCHEDULE_MEAN_OUT capped at SCHEDULE_MAX_OUT."""
     if n_nodes < 1:
         raise ValidationError(f"schedule size must be >= 1, got {n_nodes}")
     if end_year < start_year:
         raise ValidationError("end_year must not precede start_year")
-    if mean_out <= 0 or growth <= 0:
-        raise ValidationError("mean_out and growth must be positive")
     rng = np.random.default_rng(rng_seed)
     n_years = end_year - start_year + 1
-    raw = growth ** np.arange(n_years)
+    raw = SCHEDULE_GROWTH ** np.arange(n_years)
     quota = raw / raw.sum() * n_nodes
     counts = np.floor(quota).astype(np.int64)
     # largest-remainder rounding keeps the total exact and deterministic
@@ -67,9 +64,9 @@ def corpus_like_schedule(n_nodes: int = 20000, start_year: int = 1976,
         counts[order[:short]] += 1
     # negative binomial with shape 2: variance mean * (1 + mean / 2)
     shape = 2.0
-    p = shape / (shape + mean_out)
+    p = shape / (shape + SCHEDULE_MEAN_OUT)
     entries = {}
     for offset, c in enumerate(counts):
         degs = rng.negative_binomial(shape, p, size=int(c))
-        entries[start_year + offset] = np.minimum(degs, max_out).tolist()
+        entries[start_year + offset] = np.minimum(degs, SCHEDULE_MAX_OUT).tolist()
     return YearSchedule(entries)

@@ -51,12 +51,11 @@ _MF_BOUND_SIZES = (100, 300)
 
 
 def _theory_kind(model) -> ModelKind:
-    kind = ModelKind(model) if not isinstance(model, ModelKind) else model
-    if kind not in _THEORY_KINDS:
+    if model not in _THEORY_KINDS:  # a str enum: "ba" == ModelKind.BA
         raise ValidationError(
             f"attachment dynamics are stated for {[k.value for k in _THEORY_KINDS]}, "
-            f"not {kind.value!r}")
-    return kind
+            f"not {getattr(model, 'value', model)!r}")
+    return ModelKind(model)
 
 
 @dataclass(frozen=True)

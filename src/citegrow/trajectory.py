@@ -103,8 +103,8 @@ class CategoryDistribution:
         p = np.array(self.proportions, dtype=np.float64)
         if p.shape != (5,):
             raise ValidationError("proportions must have one entry per category")
-        if p.min() < 0:
-            raise ValidationError("proportions must be non-negative")
+        if not np.isfinite(p).all() or p.min() < 0:
+            raise ValidationError("proportions must be finite and non-negative")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValidationError(f"proportions must sum to 1, got {p.sum()!r}")
         p.flags.writeable = False
@@ -128,10 +128,9 @@ class CategoryDistribution:
     def from_proportions(cls, values) -> "CategoryDistribution":
         """Values scaled to sum to 1: proportions or percentages."""
         p = np.array(values, dtype=np.float64)
-        total = p.sum()
-        if total <= 0:
-            raise ValidationError("proportions must have a positive sum")
-        return cls(proportions=p / total)
+        if not np.isfinite(p).all() or p.sum() <= 0:
+            raise ValidationError("proportions must be finite with a positive sum")
+        return cls(proportions=p / p.sum())
 
     def proportion(self, category) -> float:
         return float(self.proportions[_CAT_INDEX[TrajectoryCategory(category)]])
@@ -160,16 +159,16 @@ class CategoryDistribution:
             values = [float(data[cat.code]) for cat in CATEGORY_ORDER]
             counts = ([int(data["counts"][cat.code]) for cat in CATEGORY_ORDER]
                       if "counts" in data else None)
+            dist = cls.from_proportions(values)
+            return dist if counts is None else cls(dist.proportions, counts)
         except KeyError as exc:
             raise ValidationError(
                 f"distribution file {path} is missing category key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 f"distribution file {path} is not a category mapping: {exc}") from None
-        dist = cls.from_proportions(values)
-        if counts is not None:
-            dist = cls(proportions=dist.proportions, counts=counts)
-        return dist
+        except ValidationError as exc:
+            raise ValidationError(f"distribution file {path}: {exc}") from None
 
 
 # -- graph-level classification ----------------------------------------------

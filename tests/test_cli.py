@@ -3,8 +3,17 @@ import json
 
 import pytest
 
-from citegrow import load_graph, mas_reference, trajectory
+from citegrow import (
+    ModelKind,
+    ValidationError,
+    load_graph,
+    make_model,
+    mas_reference,
+    trajectory,
+    verify_theorem,
+)
 from citegrow.cli import dispatch
+from citegrow.models import MODEL_OPTIONS
 
 
 @pytest.fixture
@@ -83,7 +92,25 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "verify-theorem"])
+    def test_unknown_kind_gets_the_library_message(self, tmp_path, corpus, capsys, command):
+        ppath, cpath = corpus
+        ref = tmp_path / "ref.json"
+        mas_reference().to_json(ref)
+        extra = {"simulate": ["--papers", ppath, "--citations", cpath],
+                 "sweep": ["--papers", ppath, "--citations", cpath, "--reference", ref],
+                 "verify-theorem": []}[command]
+        check = verify_theorem if command == "verify-theorem" else make_model
+        with pytest.raises(ValidationError) as expected:
+            check("lbm-x")
+        code = run([command, *extra, "--model", "lbm-x", "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    @pytest.mark.parametrize("text", [
+        "not json", "[1, 2]",
+        '{"er": NaN, "fr": 0.2, "lr": 0.2, "sr": 0.2, "ot": 0.2}',
+        '{"er": Infinity, "fr": 0.2, "lr": 0.2, "sr": 0.2, "ot": 0.2}'])
     @pytest.mark.parametrize("flag", ["--distribution", "--reference"])
     def test_unreadable_distribution_is_a_bad_input(self, tmp_path, capsys, text, flag):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -94,6 +121,62 @@ class TestExitCodes:
                     "--out", tmp_path / "o"])
         assert code == 1
         assert f"distribution file {bad}" in capsys.readouterr().err
+
+
+class TestModelOptionValues:
+    """The option table is the only reader of a model option value: a bad
+    value exits 1 with the table's message, whichever way it comes in."""
+
+    GOOD = {float: "1.0", int: "2", str: None}
+    BAD = {float: "x", int: "2.5", str: "bogus"}
+
+    @pytest.mark.parametrize("opt", MODEL_OPTIONS, ids=lambda opt: opt.name)
+    @pytest.mark.parametrize("way", ["simulate", "sweep", "config"])
+    def test_bad_value_gets_the_table_message(self, tmp_path, corpus, capsys, opt, way):
+        ppath, cpath = corpus
+        kind = next(k.value for k in ModelKind if k in opt.kinds)
+        bad = self.BAD[opt.type]
+        with pytest.raises(ValidationError, match=opt.name) as expected:
+            make_model(kind, **{opt.name: bad})
+        flag = "--" + opt.name.replace("_", "-")
+        inputs = ["--papers", ppath, "--citations", cpath]
+        if way == "simulate":
+            argv = ["simulate", *inputs, "--model", kind, flag, bad]
+        elif way == "sweep":  # the bad value is the second of an axis
+            ref = tmp_path / "ref.json"
+            mas_reference().to_json(ref)
+            good = self.GOOD[opt.type] or opt.choices[0]
+            argv = ["sweep", *inputs, "--model", kind, flag, f"{good},{bad}",
+                    "--reference", ref, "--runs", "1"]
+        else:
+            cfg = tmp_path / "model.cfg"
+            cfg.write_text(f"model = {kind}\n{opt.name} = {bad}\n")
+            argv = ["simulate", *inputs, "--config", cfg]
+        assert run([*argv, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    def test_simulate_takes_one_value_per_option(self, tmp_path, corpus, capsys):
+        ppath, cpath = corpus
+        code = run(["simulate", "--papers", ppath, "--citations", cpath, "--model", "lbm",
+                    "--gamma-regime", "const,log", "--out", tmp_path / "o"])
+        assert code == 1
+        assert "one value per option: gamma_regime" in capsys.readouterr().err
+
+    def test_config_lists_make_sweep_axes_like_flags(self, tmp_path, corpus):
+        ppath, cpath = corpus
+        ref = tmp_path / "ref.json"
+        mas_reference().to_json(ref)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("model = lbm\ngamma_regime = const, log\ndim = 1\n")
+        common = ["sweep", "--papers", ppath, "--citations", cpath, "--reference", ref,
+                  "--cutoff", "1978", "--horizon", "1987", "--runs", "1"]
+        assert run([*common, "--config", cfg, "--out", tmp_path / "cfg"]) == 0
+        assert run([*common, "--model", "lbm", "--gamma-regime", "const,log",
+                    "--dim", "1", "--out", tmp_path / "flags"]) == 0
+        for name in ("sweep.csv", "sweep_summary.json"):
+            assert ((tmp_path / "cfg" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes())
+        assert (tmp_path / "cfg" / "sweep.csv").read_text().startswith("gamma_regime,")
 
 
 class TestPipeline:

@@ -79,6 +79,15 @@ class TestJsd2:
         with pytest.raises(ValidationError):
             jsd2([-0.1, 1.1], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_non_finite_entries(self, bad, side):
+        # a NaN entry slips past the sign and sum checks and would score NaN
+        pair = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]
+        pair[side] = [bad, 0.5, 0.5]
+        with pytest.raises(ValidationError, match="non-finite"):
+            jsd2(*pair)
+
 
 class TestEvaluateModel:
     def test_report_contents(self):

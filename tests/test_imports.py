@@ -1,7 +1,8 @@
-"""What importing citegrow and growing a graph loads.
+"""What importing citegrow, growing a graph and classifying it loads.
 
-scipy costs about half a second and 30 MiB at import; the library must
-not need it (the tests use it as an oracle)."""
+scipy costs about half a second and 30 MiB at import; the library and
+the command line must not need it (only the tests use it, as an
+oracle)."""
 
 import os
 import subprocess
@@ -13,11 +14,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROGRAM = """
 import sys
 import citegrow
+import citegrow.cli
 model = citegrow.make_model("lbm-g")
 seed = citegrow.synthetic_seed(n_nodes=40, rng_seed=1)
 schedule = citegrow.corpus_like_schedule(n_nodes=300, rng_seed=2)
 g0 = citegrow.init_from_seed(seed.nodes, seed.edges, model, 3)
-citegrow.run_simulation(g0, schedule, model, 4)
+g = citegrow.run_simulation(g0, schedule, model, 4)
+citegrow.category_distribution(g, 1991, 2000)
+citegrow.sensitivity(g, 1991, 2000, [3, 5, 7], [0.5, 0.75])
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 

@@ -70,6 +70,14 @@ class TestSelectionProbabilities:
         with pytest.raises(ValidationError):
             selection_probabilities("lbm", g)
 
+    def test_unknown_kind_is_a_validation_error(self):
+        # not numpy's or the enum's ValueError: the CLI maps this one to exit 1
+        g = TheoryGraph(degrees=[1, 1], fitness=[1, 1])
+        with pytest.raises(ValidationError, match=r"\['ba', 'af', 'mf'\], not 'foo'"):
+            selection_probabilities("foo", g)
+        with pytest.raises(ValidationError, match=r"\['ba', 'af', 'mf'\], not 'foo'"):
+            verify_theorem("foo", trials=1)
+
 
 class TestFrozenHandValues:
     def test_ba_two_nodes(self):
