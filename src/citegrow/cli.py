@@ -368,7 +368,8 @@ def _cmd_evaluate(args, out_dir: Path):
 
 def _cmd_sweep(args, out_dir: Path):
     kind, values, cfg_inputs = _collect_model_options(args)
-    # one value sets a base option, several make an axis, in table order
+    # one value sets a base option, several make an axis, in table order;
+    # make_model checks the kind and the base, the table each axis value
     base = {name: vs[0] for name, vs in values.items() if len(vs) == 1}
     model_kind = make_model(kind, **base).kind
     axes = {opt.name: [opt.convert(model_kind, v) for v in values[opt.name]]

@@ -47,9 +47,9 @@ __all__ = [
 def jsd2(p, q) -> float:
     """Squared Jensen-Shannon distance between two distributions.
 
-    Both inputs must be finite, non-negative vectors of equal length summing to 1
-    (within 1e-9). Computed with base-2 logarithms as the mean of the two
-    KL divergences against the midpoint distribution.
+    Both inputs must be finite, non-negative vectors of equal length
+    summing to 1 (within 1e-9). Computed with base-2 logarithms as the
+    mean of the two KL divergences against the midpoint distribution.
     """
     pa = np.asarray(p, dtype=np.float64)
     qa = np.asarray(q, dtype=np.float64)

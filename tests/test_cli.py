@@ -127,7 +127,7 @@ class TestModelOptionValues:
     """The option table is the only reader of a model option value: a bad
     value exits 1 with the table's message, whichever way it comes in."""
 
-    GOOD = {float: "1.0", int: "2", str: None}
+    GOOD = {float: "1.0", int: "2"}
     BAD = {float: "x", int: "2.5", str: "bogus"}
 
     @pytest.mark.parametrize("opt", MODEL_OPTIONS, ids=lambda opt: opt.name)
@@ -145,7 +145,7 @@ class TestModelOptionValues:
         elif way == "sweep":  # the bad value is the second of an axis
             ref = tmp_path / "ref.json"
             mas_reference().to_json(ref)
-            good = self.GOOD[opt.type] or opt.choices[0]
+            good = opt.choices[0] if opt.choices else self.GOOD[opt.type]
             argv = ["sweep", *inputs, "--model", kind, flag, f"{good},{bad}",
                     "--reference", ref, "--runs", "1"]
         else:
