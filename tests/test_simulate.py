@@ -735,7 +735,8 @@ class TestSpatialGrowthStream:
         assert run_simulation(g0, schedule, model, 6).digest() == digest
 
     # the variants the grow-spatial benchmark runs, at half its size: enough
-    # insertions to reach fine grid levels and many tail segments
+    # insertions to reach fine grid levels and many tail segments; then
+    # zero-weight ball nodes and a three-dimensional grid
     @pytest.mark.parametrize("kind, options, digest, counts", [
         pytest.param("lbm", {"gamma_regime": "log"},
                      "3cc5f06d157ac15e1efb289140c22101f8a119f131ffcfe4f170e1033b9715b9",
@@ -751,6 +752,22 @@ class TestSpatialGrowthStream:
                      {"ball_draws": 6404, "tail_draws": 37, "tail_proposed": 3758,
                       "tail_accepted": 37},
                      id="lbm-g"),
+        # zero-weight nodes (k = 0 under "total") sit in the balls
+        pytest.param("lbm", {"degree_mode": "total"},
+                     "1bddb0e7ca35f1ed2331ddc929d33de5f7479f23aff5743b90038982b118c97f",
+                     {"ball_draws": 1804, "tail_draws": 4637, "tail_proposed": 116424,
+                      "tail_accepted": 4637},
+                     id="lbm-total"),
+        pytest.param("lbm-g", {"degree_mode": "total", "sigma": 1.5, "shift_every": 12},
+                     "6af31090855b0005dd03b6fb41fe7c0796516b9ff87a67099a88299a8fe063d9",
+                     {"ball_draws": 6409, "tail_draws": 32, "tail_proposed": 4255,
+                      "tail_accepted": 32},
+                     id="lbm-g-total"),
+        pytest.param("lbm", {"dim": 3},
+                     "a1af56ce41e58c053096f4e5b442e65f69d64691d54306b9bcd870109550586d",
+                     {"ball_draws": 3509, "tail_draws": 2932, "tail_proposed": 61973,
+                      "tail_accepted": 2932},
+                     id="lbm-dim3"),
     ])
     def test_benchmark_variants_are_pinned(self, kind, options, digest, counts):
         seed = synthetic_seed()
