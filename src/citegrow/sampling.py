@@ -48,7 +48,7 @@ log E - log w when fewer than k of its keys are finite.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from contextlib import nullcontext
+from time import perf_counter
 
 import numpy as np
 
@@ -66,6 +66,8 @@ HANDOFF = 16.0
 SEGMENT = 64.0
 
 _EMPTY = np.empty(0, dtype=np.int64)
+# numpy's ufunc reductions, without the Python wrappers of ndarray.min/max/sum
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 # a weight w above this gives a finite key E / w for every E numpy's
 # exponential returns, the largest being 7.7 - log(2^-53) < 45
 _TINY = 45.0 / np.finfo(np.float64).max
@@ -171,6 +173,8 @@ class IncrementLog:
         self.n_nodes = n
         self.size = n
         self.counts = dict.fromkeys(COUNTERS, 0)
+        # seconds spent proposing and thinning lbm/lbm-g tail arrivals
+        self.tail_seconds = 0.0
 
     def add_node(self, cited, gains, weight: float) -> None:
         """Credit each distinct node i in `cited` with `gains[i]`, then
@@ -258,55 +262,70 @@ class IncrementLog:
         w = self.weights.take(nodes)
         w *= ball.decay
         rate = ball.envelope * self._cum[self.size - 1]
-        tiny = w.size >= k and w.min() <= _TINY
-        if (w.size < k or tiny and np.count_nonzero(w > _TINY) < k
-                or rate and rate * k > HANDOFF * n * w.sum()):
+        size = w.size
+        tiny = size >= k and _min(w) <= _TINY
+        if (size < k or tiny and np.count_nonzero(w > _TINY) < k
+                or rate and rate * k > HANDOFF * n * _sum(w)):
             chosen = _race_positive(self.weights[:n] * ball.decay_everywhere(), k, rng).tolist()
             counts["race_handoffs"] += 1
             counts["race_draws"] += len(chosen)
             return chosen
-        keys = rng.exponential(size=w.size)
-        # weights at most _TINY may give inf keys, which lose to the k finite ones
-        with np.errstate(divide="ignore", over="ignore") if tiny else nullcontext():
+        keys = rng.exponential(size=size)
+        if tiny:
+            # weights at most _TINY may give inf keys, which lose to the k finite ones
+            with np.errstate(divide="ignore", over="ignore"):
+                keys /= w
+        else:
             keys /= w
-        if k < w.size:
+        if k < size:
             top = keys.argpartition(k - 1)[:k]
             keys, nodes = keys.take(top), nodes.take(top)
-        chosen, from_tail = (self._tail(keys.tolist(), nodes.tolist(), rng, ball, rate) if rate
-                             else (nodes.tolist(), 0))
+        if rate:
+            # the partition puts the k-th smallest key, the largest kept, last
+            bound = keys[k - 1] if k < size else _max(keys)
+            chosen, from_tail = self._tail(keys, nodes, rng, ball, rate, float(bound))
+        else:
+            chosen, from_tail = nodes.tolist(), 0
         counts["ball_draws"] += k - from_tail
         counts["tail_draws"] += from_tail
         chosen.sort()
         return chosen
 
-    def _tail(self, keys: list, nodes: list, rng, ball, rate) -> tuple[list, int]:
-        """The k winners of the ball's best `keys` (of `nodes`) and the
-        first accepted arrival of each tail node, and how many of them came
-        from the tail.
+    def _tail(self, keys, nodes, rng, ball, rate, bound) -> tuple[list, int]:
+        """The k winners of the ball's best `keys` (of `nodes`), the largest
+        of them `bound`, and the first accepted arrival of each tail node,
+        and how many of the winners came from the tail.
 
         The arrivals in a time segment are Poisson in number and uniform
         in time, so the process is drawn one segment at a time, each
         expected to hold `SEGMENT` arrivals. The k-th best key only falls
         as arrivals are accepted, and the process stops once it passes
         that key, so no arrival that could win is left out."""
+        t0 = perf_counter()
+        step = SEGMENT / rate
+        start = 0.0
+        stop = min(bound, step)
+        count = int(rng.poisson(rate * stop))
+        if not count and stop >= bound:
+            # the usual end when the envelope is far below the ball's factors
+            self.tail_seconds += perf_counter() - t0
+            return nodes.tolist(), 0
         size = self.size
         cum = self.cum[:size]
+        owner = self.owner
         total = self._cum[size - 1]
-        bound = max(keys)
+        accept = ball.tail_acceptance
         best = None
         first: set[int] = set()
         proposed = 0
-        start = 0.0
-        while start < bound:
-            stop = min(bound, start + SEGMENT / rate)
-            count = int(rng.poisson(rate * (stop - start)))
+        while True:
             if count:
                 proposed += count
                 u = rng.random(3 * count)
                 picks = u[count:2 * count]
                 picks *= total
-                hits = self.owner.take(cum.searchsorted(picks, side="right"))
-                took = (u[2 * count:] < ball.tail_acceptance(hits)).nonzero()[0]
+                hits = owner.take(cum.searchsorted(picks, side="right"))
+                took = (u[2 * count:] < accept(hits)).nonzero()[0]
                 if took.size:
                     width = stop - start
                     # accepted arrivals in time order; a node's key is its first
@@ -317,15 +336,21 @@ class IncrementLog:
                         if node not in first:
                             first.add(node)
                             if best is None:
-                                best = sorted(zip(keys, nodes))
+                                best = sorted(zip(keys.tolist(), nodes.tolist()))
                             insort(best, (time, node))
                             best.pop()
                             bound = best[-1][0]
             start = stop
-        self.counts["tail_proposed"] += proposed
-        self.counts["tail_accepted"] += len(first)
+            if start >= bound:
+                break
+            stop = min(bound, start + step)
+            count = int(rng.poisson(rate * (stop - start)))
+        counts = self.counts
+        counts["tail_proposed"] += proposed
+        counts["tail_accepted"] += len(first)
+        self.tail_seconds += perf_counter() - t0
         if best is None:
-            return nodes, 0
+            return nodes.tolist(), 0
         return [node for _, node in best], sum(node in first for _, node in best)
 
 

@@ -27,7 +27,8 @@ When fewer than k existing nodes have positive weight, the gap is filled
 uniformly from the remaining nodes; every such fill is counted on the
 returned graph (`fallback_fills`), never silently absorbed. The graph
 also carries the sampler's counters (`sampler`), with the seconds spent
-drawing and, of those, the seconds spent finding balls.
+drawing and, of those, the seconds spent finding balls and running
+tails.
 """
 
 from __future__ import annotations
@@ -199,7 +200,8 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
         years=years, sub_years=sub_years, fitness=fitness, locations=locations,
         out_degrees=out_deg, edges=edges, n_seed=n_seed,
         fallback_fills=fallback_fills, subspace_shifts=shifts,
-        sampler={**log.counts, "seconds": sampler_s, "ball_seconds": ball_s},
+        sampler={**log.counts, "seconds": sampler_s, "ball_seconds": ball_s,
+                 "tail_seconds": log.tail_seconds},
     )
 
 

@@ -76,19 +76,17 @@ _SHAVE = 1.0 - 1e-9
 
 class Ball:
     """The ball of insertion `node`: the earlier nodes closer than `radius`
-    to `center`, their distance factors relative to the nearest of them,
-    and `envelope`, a bound on the factor of every earlier node outside
-    (0 for no tail)."""
+    to it, their distance factors relative to the nearest of them, and
+    `envelope`, a bound on the factor of every earlier node outside (0 for
+    no tail)."""
 
-    __slots__ = ("node", "nodes", "decay", "envelope", "center", "gamma", "radius",
-                 "_axes")
+    __slots__ = ("node", "nodes", "decay", "envelope", "gamma", "radius", "_axes")
 
-    def __init__(self, node, nodes, decay, envelope, center, gamma, radius, axes):
+    def __init__(self, node, nodes, decay, envelope, gamma, radius, axes):
         self.node = node
         self.nodes = nodes
         self.decay = decay
         self.envelope = envelope
-        self.center = center
         self.gamma = gamma
         self.radius = radius
         self._axes = axes
@@ -97,7 +95,8 @@ class Ball:
         """Per node outside the ball: exp(-gamma * (d - radius)), its factor
         as a share of the envelope; 0 for a node inside the ball."""
         radius = self.radius
-        x = _squared_distances(self._axes, nodes, self.center)
+        axes = self._axes
+        x = _squared_distances(axes, nodes, axes[:, self.node, None])
         outside = x >= radius * radius
         np.sqrt(x, out=x)
         np.subtract(radius, x, out=x)
@@ -111,7 +110,8 @@ class Ball:
     def decay_everywhere(self) -> np.ndarray:
         """The factor of every earlier node relative to the nearest one:
         the weights of a hand-off to the exponential race."""
-        d = np.sqrt(_squared_distances(self._axes, np.arange(self.node), self.center))
+        axes = self._axes
+        d = np.sqrt(_squared_distances(axes, np.arange(self.node), axes[:, self.node, None]))
         return np.exp(-self.gamma * (d - d.min()))
 
 
@@ -160,8 +160,7 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], flo
 
 def _all_earlier(axes: np.ndarray, node: int, gamma: float) -> Ball:
     """An empty ball with no tail: the draw races every earlier node."""
-    return Ball(node, np.empty(0, dtype=np.int64), np.empty(0), 0.0, axes[:, node, None],
-                gamma, 0.0, axes)
+    return Ball(node, np.empty(0, dtype=np.int64), np.empty(0), 0.0, gamma, 0.0, axes)
 
 
 def _squared_distances(axes: np.ndarray, nodes: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -170,34 +169,45 @@ def _squared_distances(axes: np.ndarray, nodes: np.ndarray, center: np.ndarray) 
     d = axes.take(nodes, axis=1)
     d -= center
     d *= d
-    return d.sum(axis=0)
+    return np.add.reduce(d)
 
 
 class _Grid:
     """One level: cubic cells of side `side`, node ids sorted by (cell, id)."""
 
-    def __init__(self, cells: np.ndarray, side: float, radix: int):
+    def __init__(self, cells: np.ndarray, side: float, radix: int, shift: int):
         n, dim = cells.shape
         self.side = side
-        self.n = n
+        self.shift = shift
         # looked-up cells run from -1 to 2^l + 1; +1 keeps their keys unique
         # (cells past the last one a query gathers may alias, and are masked)
         self.powers = radix ** np.arange(dim, dtype=np.int64)
-        self.keys, rank, sizes = np.unique((cells + 1) @ self.powers,
-                                           return_inverse=True, return_counts=True)
-        # rank * n + id sorts by cell, then id, and id = entry % n
-        self.order = np.sort(rank * n + np.arange(n))
-        self.starts = np.cumsum(sizes) - sizes
+        keys, rank, sizes = np.unique((cells + 1) @ self.powers, return_inverse=True,
+                                      return_counts=True)
+        # a last cell past every looked-up key, starting at n, so that every
+        # key finds a cell
+        self.keys = np.append(keys, np.iinfo(np.int64).max)
+        self.starts = np.append(np.cumsum(sizes) - sizes, n)
+        # (rank << shift) + id sorts by cell, then id, and id = entry & mask
+        self.order = np.sort((rank << shift) + np.arange(n))
 
-    def ranges(self, cells: np.ndarray, bound: np.ndarray):
-        """Where each cell's nodes with id < bound lie in `ids`: (lo, hi)
-        arrays shaped like `cells` without its last axis. Cells that hold
-        no node come out empty."""
-        keys = (cells + 1) @ self.powers
-        rank = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        lo = self.starts[rank]
-        hi = np.searchsorted(self.order, rank * self.n + bound[:, None])
-        return lo, np.where(self.keys[rank] == keys, hi, lo)
+    def ranges(self, keys: np.ndarray, bound: np.ndarray):
+        """Where the nodes with id < bound of each cell key lie in `order`:
+        (lo, hi) arrays shaped like `keys`, one row per bound. Cells that
+        hold no node come out empty."""
+        rank = self.keys.searchsorted(keys)
+        lo = self.starts.take(rank)
+        hi = self.order.searchsorted((rank << self.shift) + bound[:, None])
+        return lo, np.where(self.keys.take(rank) == keys, hi, lo)
+
+
+def _runs(levels: np.ndarray):
+    """The stable order that sorts `levels`, and the (level, start, stop)
+    of each level's run in that order."""
+    perm = levels.argsort(kind="stable")
+    ordered = levels.take(perm).tolist()
+    cuts = [j for j in range(1, len(ordered)) if ordered[j] != ordered[j - 1]]
+    return perm, [(ordered[a], a, b) for a, b in zip([0, *cuts], [*cuts, len(ordered)])]
 
 
 class _Levels:
@@ -211,6 +221,9 @@ class _Levels:
         self.span = float((locations.max(axis=0) - self.origin).max()) or 1.0
         # (2^l + 3)^dim cell keys must fit in int64
         self.top = max(0, min(MAX_LEVEL, 62 // dim - 1))
+        # node ids take the low `shift` bits of a grid entry
+        self.shift = len(locations).bit_length()
+        self.mask = (1 << self.shift) - 1
         self.grids: dict[int, _Grid] = {}
         self.used: set[int] = set()
         self.guess: int | None = None
@@ -230,7 +243,7 @@ class _Levels:
         self.used.add(level)
         if level not in self.grids:
             self.grids[level] = _Grid(self.cells(level, self.locations), self.side(level),
-                                      2 ** level + 3)
+                                      2 ** level + 3, self.shift)
         return self.grids[level]
 
     def keep_used(self) -> None:
@@ -241,12 +254,21 @@ class _Levels:
     def ranges(self, levels: np.ndarray, queries: np.ndarray, corner: np.ndarray,
                offsets: np.ndarray):
         """(lo, hi) of each query's cells `corner + offsets` at its level."""
+        perm, runs = _runs(levels)
+        if len(runs) > 1:
+            queries, corner = queries.take(perm), corner.take(perm, axis=0)
+        parts = []
+        for level, a, b in runs:
+            grid = self.grid(level)
+            # the key of cell corner + offset is the corner's plus the offset's
+            keys = ((corner[a:b] + 1) @ grid.powers)[:, None] + offsets @ grid.powers
+            parts.append(grid.ranges(keys, queries[a:b]))
+        if len(runs) == 1:
+            return parts[0]
         lo = np.empty((len(queries), len(offsets)), dtype=np.int64)
         hi = np.empty_like(lo)
-        for level in sorted(set(levels.tolist())):
-            sel = levels == level
-            cells = corner[sel][:, None, :] + offsets
-            lo[sel], hi[sel] = self.grid(level).ranges(cells, queries[sel])
+        lo[perm] = np.concatenate([part[0] for part in parts])
+        hi[perm] = np.concatenate([part[1] for part in parts])
         return lo, hi
 
     def counts(self, levels: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -255,7 +277,7 @@ class _Levels:
         side = self.side(levels)[:, None]
         corner = self.cells(levels, self.locations[queries] - side / 2)
         lo, hi = self.ranges(levels, queries, corner, self.pair)
-        return (hi - lo).sum(axis=1)
+        return np.add.reduce(hi - lo, 1)
 
     def radius(self, queries, gammas, degrees, needs) -> np.ndarray:
         """Each query's ball radius R (see the module docstring)."""
@@ -322,29 +344,30 @@ class _Levels:
     def gather(self, queries, gammas, radius, box) -> list[Ball]:
         """The balls of `queries`, in order, from their boxes."""
         levels, lo, hi = box
-        balls: list = [None] * len(queries)
-        for level in sorted(set(levels.tolist())):
-            pos = np.flatnonzero(levels == level)
-            for j, ball in zip(pos.tolist(), self._gather(
-                    self.grid(level), queries[pos], gammas[pos], radius[pos] * _SHAVE,
-                    lo[pos], hi[pos])):
-                balls[j] = ball
-        return balls
-
-    def _gather(self, grid: _Grid, queries, gammas, radius, lo, hi) -> list[Ball]:
+        # gathered one level after another: a level's candidates are a run
+        perm, runs = _runs(levels)
+        if len(runs) > 1:
+            queries, gammas, radius = queries.take(perm), gammas.take(perm), radius.take(perm)
+            lo, hi = lo.take(perm, axis=0), hi.take(perm, axis=0)
+        radius = radius * _SHAVE
         sizes = hi - lo
-        counts = sizes.sum(axis=1)
+        counts = np.add.reduce(sizes, 1)
         sizes = sizes.ravel()
+        ends = counts.cumsum()
         # the candidates of each query, cell after cell, by their place in the grid
-        entries = np.repeat(lo.ravel() - sizes.cumsum() + sizes, sizes) + np.arange(sizes.sum())
-        centers = self.axes.take(queries, axis=1)
-        nodes = grid.order.take(entries) % grid.n
-        d2 = _squared_distances(self.axes, nodes, np.repeat(centers, counts, axis=1))
+        entries = np.repeat(lo.ravel() - sizes.cumsum() + sizes, sizes) + np.arange(ends[-1])
+        nodes = np.empty_like(entries)
+        for level, a, b in runs:
+            first = ends[a - 1] if a else 0
+            self.grids[level].order.take(entries[first:ends[b - 1]], out=nodes[first:ends[b - 1]])
+        nodes &= self.mask
+        d2 = _squared_distances(self.axes, nodes,
+                                np.repeat(self.axes.take(queries, axis=1), counts, axis=1))
         inside = (d2 < np.repeat(radius * radius, counts)).nonzero()[0]
         nodes = nodes.take(inside)
         d = np.sqrt(d2.take(inside))
         # query j's ball is nodes[bounds[j]:bounds[j + 1]]
-        bounds = inside.searchsorted(np.append(0, counts.cumsum()))
+        bounds = inside.searchsorted(np.append(0, ends))
         held = np.diff(bounds)
         nearest = np.full(len(queries), np.inf)
         full = held > 0
@@ -352,8 +375,15 @@ class _Levels:
         decay = np.exp(np.repeat(-gammas, held) * (d - np.repeat(nearest, held)))
         with np.errstate(over="ignore", invalid="ignore"):
             envelope = np.where(held == queries, 0.0, np.exp(-gammas * (radius - nearest)))
-        return [Ball(n, nodes[a:b], decay[a:b], e, c, g, r, self.axes)
-                for n, a, b, e, c, g, r in zip(queries.tolist(), bounds[:-1].tolist(),
-                                               bounds[1:].tolist(), envelope.tolist(),
-                                               centers.T[:, :, None], gammas.tolist(),
-                                               radius.tolist())]
+        axes = self.axes
+        bounds = bounds.tolist()
+        balls = [Ball(n, nodes[a:b], decay[a:b], e, g, r, axes)
+                 for n, a, b, e, g, r in zip(queries.tolist(), bounds, bounds[1:],
+                                             envelope.tolist(), gammas.tolist(),
+                                             radius.tolist())]
+        if len(runs) == 1:
+            return balls
+        in_order = [None] * len(balls)
+        for j, ball in zip(perm.tolist(), balls):
+            in_order[j] = ball
+        return in_order
