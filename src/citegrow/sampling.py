@@ -263,9 +263,11 @@ class IncrementLog:
         w *= ball.decay
         rate = ball.envelope * self._cum[self.size - 1]
         size = w.size
-        tiny = size >= k and _min(w) <= _TINY
+        least = _min(w) if size >= k else 0.0
+        tiny = least <= _TINY
+        # the sum is at least the least weight, which often settles the bound
         if (size < k or tiny and np.count_nonzero(w > _TINY) < k
-                or rate and rate * k > HANDOFF * n * _sum(w)):
+                or rate and rate * k > HANDOFF * n * least and rate * k > HANDOFF * n * _sum(w)):
             chosen = _race_positive(self.weights[:n] * ball.decay_everywhere(), k, rng).tolist()
             counts["race_handoffs"] += 1
             counts["race_draws"] += len(chosen)

@@ -204,10 +204,13 @@ class _Grid:
 def _runs(levels: np.ndarray):
     """The stable order that sorts `levels`, and the (level, start, stop)
     of each level's run in that order."""
-    perm = levels.argsort(kind="stable")
-    ordered = levels.take(perm).tolist()
-    cuts = [j for j in range(1, len(ordered)) if ordered[j] != ordered[j - 1]]
-    return perm, [(ordered[a], a, b) for a, b in zip([0, *cuts], [*cuts, len(ordered)])]
+    runs = []
+    start = 0
+    for level, size in enumerate(np.bincount(levels).tolist()):
+        if size:
+            runs.append((level, start, start + size))
+            start += size
+    return levels.argsort(kind="stable"), runs
 
 
 class _Levels:

@@ -93,7 +93,8 @@ class CategoryDistribution:
     """Category proportions in canonical order (er, fr, lr, sr, ot).
 
     `counts` is present for distributions measured on a graph and None for
-    external reference distributions given as proportions only.
+    external reference distributions given as proportions only. Each
+    count's share of the total must match its proportion.
     """
 
     proportions: np.ndarray
@@ -113,6 +114,10 @@ class CategoryDistribution:
             c = np.array(self.counts, dtype=np.int64)
             if c.shape != (5,) or c.min() < 0:
                 raise ValidationError("counts must be five non-negative integers")
+            # within the rounding of a file's proportions to 6 decimals
+            if c.sum() <= 0 or np.abs(c / c.sum() - p).max() > 1e-5:
+                raise ValidationError(
+                    f"counts {c.tolist()} disagree with the proportions {p.round(6).tolist()}")
             c.flags.writeable = False
             object.__setattr__(self, "counts", c)
 

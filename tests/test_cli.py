@@ -122,6 +122,17 @@ class TestExitCodes:
         assert code == 1
         assert f"distribution file {bad}" in capsys.readouterr().err
 
+    def test_counts_that_contradict_the_proportions_are_a_bad_input(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        mas_reference().to_json(good)
+        bad.write_text(json.dumps({"er": 0.2, "fr": 0.2, "lr": 0.2, "sr": 0.2, "ot": 0.2,
+                                   "counts": {"er": 100, "fr": 0, "lr": 0, "sr": 0, "ot": 0}}))
+        code = run(["evaluate", "--distribution", bad, "--reference", good,
+                    "--out", tmp_path / "o"])
+        assert code == 1
+        assert f"distribution file {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "evaluation.json").exists()
+
 
 class TestModelOptionValues:
     """The option table is the only reader of a model option value: a bad

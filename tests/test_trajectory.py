@@ -255,6 +255,22 @@ class TestCategoryDistribution:
         with pytest.raises(ValidationError):
             CategoryDistribution.from_proportions([0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("counts", [[100, 0, 0, 0, 0], [0, 0, 0, 0, 0]])
+    def test_rejects_counts_that_contradict_the_proportions(self, tmp_path, counts):
+        with pytest.raises(ValidationError, match="disagree"):
+            CategoryDistribution(np.full(5, 0.2), counts)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"er": 0.2, "fr": 0.2, "lr": 0.2, "sr": 0.2, "ot": 0.2,
+                                    "counts": dict(zip(["er", "fr", "lr", "sr", "ot"], counts))}))
+        with pytest.raises(ValidationError, match=f"distribution file {path}"):
+            CategoryDistribution.from_json(path)
+
+    def test_counts_survive_the_rounded_proportions_of_a_file(self, tmp_path):
+        dist = CategoryDistribution.from_counts([1, 2, 3, 7, 99991])
+        dist.to_json(tmp_path / "d.json")
+        back = CategoryDistribution.from_json(tmp_path / "d.json")
+        assert back.counts.tolist() == [1, 2, 3, 7, 99991]
+
 
 class TestGraphClassification:
     def exemplar_histories(self):
