@@ -127,7 +127,7 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], flo
     queries = first + np.flatnonzero(degrees)
     degrees = degrees[queries - first]
     needs = MIN_BLOCK * (1 + degrees) // 2
-    gammas = np.array([gamma(n) for n in queries.tolist()])
+    gammas = np.fromiter(map(gamma, queries.tolist()), np.float64, len(queries))
     # one contiguous row per axis, for gathering coordinates by node
     axes = np.ascontiguousarray(locations.T)
     if locations.shape[1] > GRID_DIMS:
