@@ -157,7 +157,8 @@ class GrowthGraph:
         already-chosen node (`log_rejects`), the tail arrivals proposed and
         accepted, the hand-offs to the exponential race (`race_handoffs`,
         `dense_handoffs`), the seconds spent drawing (`seconds`) and, of
-        those, the seconds spent finding lbm/lbm-g balls (`ball_seconds`).
+        those, the seconds spent finding lbm/lbm-g balls (`ball_seconds`)
+        and running their tails (`tail_seconds`).
         Like the two counts above, it is not part of the canonical bytes or
         the digest.
 

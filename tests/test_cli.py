@@ -261,6 +261,8 @@ class TestPipeline:
         assert drawn == graph.n_edges - len(seed_edges) - params["fallback_fills"]
         assert sampler["log_draws"] == 0 and sampler["seconds"] >= 0
         assert 0 < sampler["ball_seconds"] <= sampler["seconds"]
+        assert 0 <= sampler["tail_seconds"]
+        assert sampler["ball_seconds"] + sampler["tail_seconds"] <= sampler["seconds"]
 
     def test_simulate_seeds_attributes_and_growth_apart(self, tmp_path, corpus):
         # one generator for both would hand the first grown node the seed

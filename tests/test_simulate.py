@@ -138,11 +138,13 @@ class TestSamplerCounters:
         assert s["tail_accepted"] <= s["tail_proposed"]
         assert s["race_handoffs"] <= s["race_draws"] or s["race_draws"] == 0
         assert s["seconds"] > 0
-        # the part of the drawing time spent finding lbm/lbm-g balls
+        # the parts of the drawing time spent finding lbm/lbm-g balls and
+        # running their tails
         if kind in ("lbm", "lbm-g"):
-            assert 0 < s["ball_seconds"] <= s["seconds"]
+            assert 0 < s["ball_seconds"] and 0 < s["tail_seconds"]
+            assert s["ball_seconds"] + s["tail_seconds"] <= s["seconds"]
         else:
-            assert s["ball_seconds"] == 0
+            assert s["ball_seconds"] == s["tail_seconds"] == 0
 
     def test_many_dimensions_race_all_earlier_nodes(self):
         seed = synthetic_seed(n_nodes=60, rng_seed=3)
