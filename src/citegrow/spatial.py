@@ -76,9 +76,9 @@ _SHAVE = 1.0 - 1e-9
 
 class Ball:
     """The ball of insertion `node`: the earlier nodes closer than `radius`
-    to it, their distance factors relative to the nearest of them, and
-    `envelope`, a bound on the factor of every earlier node outside (0 for
-    no tail)."""
+    to its location, their distance factors relative to the nearest of
+    them, and `envelope`, a bound on the factor of every earlier node
+    outside (0 for no tail)."""
 
     __slots__ = ("node", "nodes", "decay", "envelope", "gamma", "radius", "_axes")
 
@@ -361,8 +361,8 @@ class _Levels:
         entries = np.repeat(lo.ravel() - sizes.cumsum() + sizes, sizes) + np.arange(ends[-1])
         nodes = np.empty_like(entries)
         for level, a, b in runs:
-            first = ends[a - 1] if a else 0
-            self.grids[level].order.take(entries[first:ends[b - 1]], out=nodes[first:ends[b - 1]])
+            part = slice(ends[a - 1] if a else 0, ends[b - 1])
+            self.grids[level].order.take(entries[part], out=nodes[part])
         nodes &= self.mask
         d2 = _squared_distances(self.axes, nodes,
                                 np.repeat(self.axes.take(queries, axis=1), counts, axis=1))
