@@ -255,16 +255,22 @@ class _Levels:
         self.used = set()
 
     def ranges(self, levels: np.ndarray, queries: np.ndarray, corner: np.ndarray,
-               offsets: np.ndarray):
-        """(lo, hi) of each query's cells `corner + offsets` at its level."""
+               offsets: np.ndarray, skip: np.ndarray | None = None):
+        """(lo, hi) of each query's cells `corner + offsets` at its level;
+        the cells where `skip` holds come out empty."""
         perm, runs = _runs(levels)
         if len(runs) > 1:
             queries, corner = queries.take(perm), corner.take(perm, axis=0)
+            if skip is not None:
+                skip = skip.take(perm, axis=0)
         parts = []
         for level, a, b in runs:
             grid = self.grid(level)
             # the key of cell corner + offset is the corner's plus the offset's
             keys = ((corner[a:b] + 1) @ grid.powers)[:, None] + offsets @ grid.powers
+            if skip is not None:
+                # the last cell, past every key, holds no node
+                keys[skip[a:b]] = grid.keys[-1]
             parts.append(grid.ranges(keys, queries[a:b]))
         if len(runs) == 1:
             return parts[0]
@@ -340,9 +346,9 @@ class _Levels:
         ends = 2 ** levels[:, None]
         low = np.maximum(self.cells(levels, points - radius[:, None]), 0)
         high = np.minimum(self.cells(levels, points + radius[:, None]), ends)
-        lo, hi = self.ranges(levels, queries, low, self.spread)
         beyond = (low[:, None, :] + self.spread > high[:, None, :]).any(axis=-1)
-        return levels, lo, np.where(beyond, lo, hi)
+        lo, hi = self.ranges(levels, queries, low, self.spread, skip=beyond)
+        return levels, lo, hi
 
     def gather(self, queries, gammas, radius, box) -> list[Ball]:
         """The balls of `queries`, in order, from their boxes."""
