@@ -280,7 +280,7 @@ def count_races(monkeypatch) -> list:
     return calls
 
 
-def dominant_fitness_run() -> GrowthGraph:
+def dominant_fitness_run(schedule=None, rng_seed=8) -> GrowthGraph:
     """An mf run whose seed node 0 holds almost all of the weight and gains
     10000 per citation, so insertions that draw it first finish with the
     dense-share race."""
@@ -289,16 +289,31 @@ def dominant_fitness_run() -> GrowthGraph:
                      fitness=np.array([10000.0, 1.0, 2.0, 3.0, 1.5]),
                      locations=np.zeros((n, 0)), out_degrees=np.zeros(n, dtype=np.int64),
                      edges=np.zeros((0, 2), dtype=np.int64), n_seed=n)
-    schedule = YearSchedule({1976: [2, 3, 1, 2], 1977: [3, 2, 2, 4], 1978: [2, 3, 3, 2]})
-    return run_simulation(g0, schedule, make_model("mf"), 8)
+    if schedule is None:
+        schedule = YearSchedule({1976: [2, 3, 1, 2], 1977: [3, 2, 2, 4], 1978: [2, 3, 3, 2]})
+    return run_simulation(g0, schedule, make_model("mf"), rng_seed)
 
 
-def edgeless_total_run() -> GrowthGraph:
-    """A ba run under "total" degrees on an edgeless seed: every seed node
+def edgeless_total_run(kind="ba", schedule=None, rng_seed=9) -> GrowthGraph:
+    """A run under "total" degrees on an edgeless seed: every seed node
     starts at weight 0, so early insertions need uniform fills."""
     seed = SeedNetwork(nodes=tuple((i, 1970 + i) for i in range(6)), edges=())
-    schedule = YearSchedule({1976: [2, 3, 1], 1977: [3, 2, 4, 2], 1978: [5, 1, 3]})
-    return grow(make_model("ba", degree_mode="total"), seed, schedule, rng_seed=9)
+    if schedule is None:
+        schedule = YearSchedule({1976: [2, 3, 1], 1977: [3, 2, 4, 2], 1978: [5, 1, 3]})
+    return grow(make_model(kind, degree_mode="total"), seed, schedule, rng_seed=rng_seed)
+
+
+def random_schedule(rng_seed, k_max) -> YearSchedule:
+    """Four years of 30 insertions each, out-degrees uniform in 1..k_max."""
+    rng = np.random.default_rng(rng_seed)
+    return YearSchedule({1976 + y: rng.integers(1, k_max + 1, 30).tolist() for y in range(4)})
+
+
+def sampler_counts(graph) -> dict:
+    """Every nonzero sampler counter of a run, and its uniform fills."""
+    counts = {name: graph.sampler[name] for name in citegrow.sampling.COUNTERS
+              if graph.sampler[name]}
+    return {**counts, "fallback_fills": graph.fallback_fills}
 
 
 def insertion_weights(graph, model, node):
@@ -687,6 +702,49 @@ class TestLogGrowthStream:
         g = edgeless_total_run()
         assert g.fallback_fills > 0
         assert g.digest() == "497618a0170ee5c8312d07a542287bee397d9b6d2d80c5d2ef97f905b23ed7d6"
+
+    # runs whose log draws take hundreds to hundreds of thousands of
+    # uniforms, with dense-share races and uniform fills between them: the
+    # digest and every counter pin the stream across those other draws
+    def test_dense_share_heavy_mf_is_pinned(self):
+        # alpha 0.3 condenses the weight on a few nodes: 233 dense-share
+        # races and 460k rejected repeats in 3k insertions
+        seed = synthetic_seed()
+        model = make_model("mf", alpha=0.3)
+        g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
+        g = run_simulation(g0, corpus_like_schedule(n_nodes=3000), model, 6)
+        assert g.digest() == "abc436bbd258bfdba89b3b3c1046e91f3065d8eeb071d05206e87cca8c327bd6"
+        assert sampler_counts(g) == {"log_draws": 6441, "log_rejects": 460759,
+                                     "dense_handoffs": 233, "fallback_fills": 0}
+
+    @pytest.mark.parametrize("rng_seed, digest, counts", [
+        (11, "82d7234f367274dad21ca29843459a8374c90bc24212e3f574855197b9ccaf61",
+         {"log_draws": 301, "log_rejects": 348, "dense_handoffs": 85}),
+        (12, "7ae64792057a17e7a93ebdd55b5043e3fb81b293e024ed2140239865c014ed8e",
+         {"log_draws": 323, "log_rejects": 390, "dense_handoffs": 95}),
+        (13, "f411236ec24c4d6454b6de9273dcdbbbaaef3328a7eb3ded3bd25856b06a1c74",
+         {"log_draws": 327, "log_rejects": 398, "dense_handoffs": 96}),
+    ])
+    def test_dominant_fitness_runs_are_pinned(self, rng_seed, digest, counts):
+        g = dominant_fitness_run(random_schedule(rng_seed, 4), rng_seed)
+        assert g.digest() == digest
+        assert sampler_counts(g) == {**counts, "fallback_fills": 0}
+
+    @pytest.mark.parametrize("kind, rng_seed, digest, counts", [
+        ("ba", 21, "e36e6ca8f1c5855bb978f6817c95352eef6b0cc933b2124284b30897379888f8",
+         {"log_draws": 357, "log_rejects": 33, "dense_handoffs": 2, "fallback_fills": 3}),
+        ("ba", 22, "73d35aa6a7b7c56bb85467f58d07a7c4ecbe7befc63e917910f5eaa5a2c70156",
+         {"log_draws": 355, "log_rejects": 17, "dense_handoffs": 1, "fallback_fills": 4}),
+        ("mf", 21, "b2dfbbc041f1ef4e8a070423e24ac8e318e5b5c2609bebb6afbeb81bd8a19706",
+         {"log_draws": 357, "log_rejects": 110, "dense_handoffs": 2, "fallback_fills": 3}),
+        ("mf", 22, "8ca1ebc80c50eb9fa3ce3cb4724a82d0fb365beecc96622ec37b606cf6b3bd00",
+         {"log_draws": 355, "log_rejects": 23, "dense_handoffs": 1, "fallback_fills": 4}),
+    ])
+    def test_edgeless_total_runs_are_pinned(self, kind, rng_seed, digest, counts):
+        # seed 21 fills after the log draw of the same insertion took uniforms
+        g = edgeless_total_run(kind, random_schedule(rng_seed, 5), rng_seed)
+        assert g.digest() == digest
+        assert sampler_counts(g) == counts
 
 
 class TestSpatialGrowthStream:
