@@ -156,9 +156,11 @@ class GrowthGraph:
         `race_draws` for lbm/lbm-g), the log draws that hit an
         already-chosen node (`log_rejects`), the tail arrivals proposed and
         accepted, the hand-offs to the exponential race (`race_handoffs`,
-        `dense_handoffs`), the seconds spent drawing (`seconds`) and, of
-        those, the seconds spent finding lbm/lbm-g balls (`ball_seconds`)
-        and running their tails (`tail_seconds`).
+        `dense_handoffs`), the seconds of the insertion pass (`seconds`:
+        the draws, the uniform fills, the edge writes and the log appends
+        of every insertion) and, of those, the seconds spent finding
+        lbm/lbm-g balls (`ball_seconds`) and running their tails
+        (`tail_seconds`).
         Like the two counts above, it is not part of the canonical bytes or
         the digest.
 

@@ -24,6 +24,16 @@ the unchosen nodes. That switch depends only on the chosen set, and both
 ways draw the rest from the same conditional law, so the mix of the two
 stays exact.
 
+A whole run's insertions happen in one pass, `IncrementLog.grow`: the
+draw, the uniform fill of a short draw, the edge writes and the log
+append, with the log's arrays bound to locals. The ba, af and mf draw
+takes its uniforms from `UniformBlocks`, one `Generator.random` call per
+`BLOCK` values. `random(a)` followed by `random(b)` returns the values of
+`random(a + b)`, so the values handed out are those that one call per
+batch would return, and the stream rewinds the generator to the same
+place before any other draw: the graphs are those of one call per batch,
+bit for bit.
+
 lbm and lbm-g scale the log's weights by a distance factor g_i <= 1
 (`IncrementLog.sample_near`). The nodes of a ball around the new node
 race with their exact weights w_i = a_i * g_i. Every other node has
@@ -64,6 +74,8 @@ DENSE_SHARE = 0.999
 HANDOFF = 16.0
 # expected tail arrivals per time segment
 SEGMENT = 64.0
+# uniforms the ba/af/mf log draw takes from the generator per call
+BLOCK = 256
 
 _EMPTY = np.empty(0, dtype=np.int64)
 # numpy's ufunc reductions, without the Python wrappers of ndarray.min/max/sum
@@ -135,6 +147,54 @@ def sample_without_replacement(weights, k: int, rng: np.random.Generator) -> np.
     return chosen.astype(np.int64)
 
 
+class UniformBlocks:
+    """The uniforms on [0, 1) of a generator, drawn a block at a time and
+    handed out in the order of one long `rng.random` call.
+
+    `Generator.random` makes each value from the next 64 bits of its bit
+    generator and carries nothing from one call to the next, so
+    `random(a)` followed by `random(b)` returns the values of
+    `random(a + b)`. `take(n)` returns the next n of those values, from a
+    block of at least `BLOCK` drawn at once. The generator then stands up
+    to a block past the values handed out; `rewind` restores the state
+    saved before the block and redraws the values handed out from it,
+    which leaves the generator where direct `random` calls for the same
+    takes would have left it. Call it before any other draw from `rng`.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._values: list = []
+        self._used = 0
+        self._state = None
+
+    def take(self, n: int) -> list:
+        """The next n uniforms of the stream, as a list of floats."""
+        used = self._used
+        end = used + n
+        values = self._values
+        if end <= len(values):
+            self._used = end
+            return values[used:end]
+        rest = values[used:]
+        n -= len(rest)
+        self._state = self.rng.bit_generator.state
+        self._values = values = self.rng.random(max(n, BLOCK)).tolist()
+        self._used = n
+        return rest + values[:n]
+
+    def rewind(self) -> None:
+        """Put the generator where direct draws of the takes so far would
+        have left it, and drop the rest of the block."""
+        if self._state is not None:
+            self.rng.bit_generator.state = self._state
+            if self._used:
+                self.rng.random(self._used)
+            self._state = None
+            self._values = []
+            self._used = 0
+
+
 class IncrementLog:
     """Node weights that only grow, held as an append-only increment log.
 
@@ -144,11 +204,12 @@ class IncrementLog:
     entries with probability weight / total. A zero increment has zero
     width and is never hit.
 
-    The arrays are allocated once at capacity and never resized. The ba,
-    af and mf draw and `add_node` touch a handful of entries per
-    insertion, so they read and write them one at a time through
-    memoryviews of the same arrays, as Python floats and ints; the lbm and
-    lbm-g draws read the arrays whole, with numpy.
+    The arrays are allocated once at capacity and never resized. The
+    insertion pass (`grow`) holds the ba, af and mf draw and the append of
+    every model. They touch a handful of entries per insertion, so they
+    read and write them one at a time through memoryviews of the same
+    arrays, as Python floats and ints; the lbm and lbm-g draw
+    (`sample_near`) reads the arrays whole, with numpy.
 
     Parameters
     ----------
@@ -173,69 +234,106 @@ class IncrementLog:
         self.n_nodes = n
         self.size = n
         self.counts = dict.fromkeys(COUNTERS, 0)
-        # seconds spent proposing and thinning lbm/lbm-g tail arrivals
+        # seconds spent finding lbm/lbm-g balls, and proposing and thinning
+        # their tail arrivals
+        self.ball_seconds = 0.0
         self.tail_seconds = 0.0
 
-    def add_node(self, cited, gains, weight: float) -> None:
-        """Credit each distinct node i in `cited` with `gains[i]`, then
-        append one new node (id `n_nodes`) of initial weight `weight`."""
-        owner, cum, weights = self._owner, self._cum, self._weights
-        t = self.size
-        base = cum[t - 1] if t else 0.0
-        # running sums of the new entries, each then added to the base: the
-        # additions, in order, of a cumsum over the block plus base
-        running = 0.0
-        for node in cited:
-            gain = gains[node]
-            running += gain
-            owner[t] = node
-            cum[t] = base + running
-            weights[node] += gain
-            t += 1
-        owner[t] = self.n_nodes
-        cum[t] = base + (running + weight)
-        weights[self.n_nodes] = weight
-        self.n_nodes += 1
-        self.size = t + 1
+    def grow(self, degrees, entry, gains, cited, rng: np.random.Generator,
+             near=None) -> int:
+        """Insert one node per entry of `degrees`, in order; return the
+        number of targets filled uniformly.
 
-    def sample(self, k: int, rng: np.random.Generator) -> list:
-        """Select k distinct nodes with probability proportional to weight,
-        under the sequential law of `sample_without_replacement`.
-
-        Returns a sorted list of node ids. When fewer than k nodes have
-        positive weight, all of them are returned and the caller fills the
-        gap.
+        The j-th new node (id `n_nodes` at its insertion) draws
+        `degrees[j]` distinct earlier nodes, writes them in ascending
+        order to the next places of `cited`, credits each target i with
+        `gains[i]`, and enters with weight `entry[j]`. Without `near` (ba,
+        af, mf) it draws from the log under the sequential law of
+        `sample_without_replacement`: uniforms from a `UniformBlocks`
+        stream, binary search, repeats rejected, taken in batches of the
+        draws expected to be needed, and the race over the unchosen nodes
+        once the chosen ones hold `DENSE_SHARE` of the total. With `near`,
+        an iterator of the balls of the insertions with targets
+        (`spatial.balls`), it draws with `sample_near`. A draw that finds
+        fewer than k nodes of positive weight is completed by a uniform
+        choice among the other earlier nodes.
         """
         owner, cum, weights = self._owner, self._cum, self._weights
-        size = self.size
-        total = cum[size - 1]
-        chosen: set[int] = set()
-        chosen_w = 0.0
-        rejects = 0
-        need = k
-        while need:
-            if chosen_w >= DENSE_SHARE * total:
-                w = self.weights[:self.n_nodes].copy()
-                w[list(chosen)] = 0.0
-                chosen.update(_race_positive(w, need, rng).tolist())
-                self.counts["dense_handoffs"] += 1
-                break
-            # expected draws for `need` acceptances at the current rejection rate
-            batch = min(int(need * total / (total - chosen_w)) + 2, self.n_nodes)
-            # u < 1 makes u * total < total, so the search stays inside the log
-            for u in rng.random(batch).tolist():
-                node = owner[bisect_right(cum, u * total, 0, size)]
-                if node in chosen:
-                    rejects += 1
-                else:
-                    chosen.add(node)
-                    chosen_w += weights[node]
-                    need -= 1
-                    if not need:
+        stream = UniformBlocks(rng)
+        take, rewind = stream.take, stream.rewind
+        search, dense = bisect_right, DENSE_SHARE
+        n, t = self.n_nodes, self.size
+        total = cum[t - 1] if t else 0.0
+        e = fills = draws = rejects = handoffs = 0
+        ball_s = 0.0
+        for k, weight in zip(degrees, entry):
+            if not k:
+                targets = ()
+            elif near is None:
+                chosen: set[int] = set()
+                chosen_w = 0.0
+                need = k
+                while need:
+                    if chosen_w >= dense * total:
+                        w = self.weights[:n].copy()
+                        w[list(chosen)] = 0.0
+                        rewind()
+                        chosen.update(_race_positive(w, need, rng).tolist())
+                        handoffs += 1
                         break
-        self.counts["log_draws"] += len(chosen)
-        self.counts["log_rejects"] += rejects
-        return sorted(chosen)
+                    # expected draws for `need` acceptances at the current rejection rate
+                    batch = min(int(need * total / (total - chosen_w)) + 2, n)
+                    # u < 1 makes u * total < total, so the search stays inside the log
+                    for u in take(batch):
+                        node = owner[search(cum, u * total, 0, t)]
+                        if node in chosen:
+                            rejects += 1
+                        else:
+                            chosen.add(node)
+                            chosen_w += weights[node]
+                            need -= 1
+                            if not need:
+                                break
+                draws += len(chosen)
+                targets = sorted(chosen)
+            else:
+                t0 = perf_counter()
+                ball = next(near)
+                ball_s += perf_counter() - t0
+                self.n_nodes, self.size = n, t
+                targets = self.sample_near(k, rng, ball)
+            if len(targets) < k:
+                rewind()
+                pool = np.setdiff1d(np.arange(n, dtype=np.int64),
+                                    np.array(targets, dtype=np.int64), assume_unique=True)
+                extra = rng.choice(pool, size=k - len(targets), replace=False)
+                fills += k - len(targets)
+                targets = sorted([*targets, *extra.tolist()])
+            # running sums of the new entries, each then added to the total:
+            # the additions, in order, of a cumsum over the entries plus total
+            running = 0.0
+            for node in targets:
+                cited[e] = node
+                e += 1
+                gain = gains[node]
+                running += gain
+                owner[t] = node
+                cum[t] = total + running
+                weights[node] += gain
+                t += 1
+            owner[t] = n
+            total = cum[t] = total + (running + weight)
+            weights[n] = weight
+            n += 1
+            t += 1
+        rewind()
+        self.n_nodes, self.size = n, t
+        counts = self.counts
+        counts["log_draws"] += draws
+        counts["log_rejects"] += rejects
+        counts["dense_handoffs"] += handoffs
+        self.ball_seconds += ball_s
+        return fills
 
     def sample_near(self, k: int, rng: np.random.Generator, ball) -> list:
         """Select k distinct nodes with probability proportional to weight
@@ -254,7 +352,7 @@ class IncrementLog:
         insertion runs the exponential race over all nodes instead.
 
         Returns a sorted list of node ids; fewer than k when fewer nodes
-        have positive weight, as `sample` does.
+        have positive weight, as the log draw of `grow` does.
         """
         n = self.n_nodes
         counts = self.counts

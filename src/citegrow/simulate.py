@@ -10,13 +10,17 @@ Every model keeps its node weights in one `IncrementLog`. The
 degree/fitness part of each rule (`attachment_weights`; the mf rule for
 lbm and lbm-g) is affine in the effective degree, so a citation raises
 the cited node's weight by a fixed gain and a new node enters with its
-initial weight; the log appends both. ba, af and mf draw straight from
-the log, by binary search with repeats rejected. lbm and lbm-g weight
-the log by the distance factor exp(-gamma * (d - d_min)) to the new node,
-relative to the nearest node, and draw with `IncrementLog.sample_near`:
-an exponential race over a ball of near nodes (`spatial.balls`) plus a
-tail proposed from the log and thinned by distance. An insertion with
-k = 0 draws no targets. Every way follows the sequential law exactly.
+initial weight; the log appends both. The insertion loop itself is
+`IncrementLog.grow`, one pass over the schedule that draws, fills, writes
+the cited side of the edges and appends to the log. ba, af and mf draw
+straight from the log, by binary search with repeats rejected, on
+uniforms drawn a block at a time (`sampling.UniformBlocks`). lbm and
+lbm-g weight the log by the distance factor exp(-gamma * (d - d_min)) to
+the new node, relative to the nearest node, and draw with
+`IncrementLog.sample_near`: an exponential race over a ball of near nodes
+(`spatial.balls`) plus a tail proposed from the log and thinned by
+distance. An insertion with k = 0 draws no targets. Every way follows
+the sequential law exactly.
 
 The fitness of every scheduled node is drawn before the first insertion,
 and so are lbm and lbm-g locations: none of them depends on which nodes
@@ -26,9 +30,9 @@ spatial balls of a whole run can be found on its final locations.
 When fewer than k existing nodes have positive weight, the gap is filled
 uniformly from the remaining nodes; every such fill is counted on the
 returned graph (`fallback_fills`), never silently absorbed. The graph
-also carries the sampler's counters (`sampler`), with the seconds spent
-drawing and, of those, the seconds spent finding balls and running
-tails.
+also carries the sampler's counters (`sampler`), with the seconds of the
+insertion pass and, of those, the seconds spent finding balls and
+running tails.
 """
 
 from __future__ import annotations
@@ -168,39 +172,16 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     if model.uses_location:
         locations[n_seed:], shifts = _scheduled_locations(model, schedule, rng)
         near = balls(locations, degrees, model.gamma_at, n_seed)
-    fallback_fills = 0
-    sampler_s = ball_s = 0.0
-
-    gain = gains.tolist()
-    cited = memoryview(edges[:, 1])
-    e = m_seed
-    for n, (k, weight) in enumerate(zip(degrees.tolist(), entry[n_seed:].tolist()), n_seed):
-        targets = []
-        if k:
-            t0 = perf_counter()
-            if near is None:
-                targets = log.sample(k, rng)
-            else:
-                ball = next(near)
-                ball_s += perf_counter() - t0
-                targets = log.sample_near(k, rng, ball)
-            sampler_s += perf_counter() - t0
-        if len(targets) < k:
-            pool = np.setdiff1d(np.arange(n, dtype=np.int64),
-                                np.array(targets, dtype=np.int64), assume_unique=True)
-            extra = rng.choice(pool, size=k - len(targets), replace=False)
-            fallback_fills += k - len(targets)
-            targets = sorted(targets + extra.tolist())
-        for target in targets:
-            cited[e] = target
-            e += 1
-        log.add_node(targets, gain, weight)
+    t0 = perf_counter()
+    fallback_fills = log.grow(degrees.tolist(), entry[n_seed:].tolist(), gains.tolist(),
+                              memoryview(edges[m_seed:, 1]), rng, near)
+    seconds = perf_counter() - t0
 
     return GrowthGraph(
         years=years, sub_years=sub_years, fitness=fitness, locations=locations,
         out_degrees=out_deg, edges=edges, n_seed=n_seed,
         fallback_fills=fallback_fills, subspace_shifts=shifts,
-        sampler={**log.counts, "seconds": sampler_s, "ball_seconds": ball_s,
+        sampler={**log.counts, "seconds": seconds, "ball_seconds": log.ball_seconds,
                  "tail_seconds": log.tail_seconds},
     )
 

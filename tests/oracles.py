@@ -18,13 +18,25 @@ candidate too.
 which `citegrow.spatial` computes relative to the nearest node, and
 `entrant_expected_probability` is the entrant's side of the conservation
 identity that `citegrow.theory`'s enumeration must satisfy.
+
+`grow_reference` is the O(n^2) growth program of ba, af and mf as the
+README states it: each insertion recomputes every earlier node's weight
+from the weight table (`reference_weights`) and draws its targets one
+after another with `test_sampling.sequential_reference`, filling
+uniformly when fewer earlier nodes than it needs have weight.
+`reference_set_law` is the exact probability of a target set under that
+draw.
 """
+
+from math import comb
 
 import numpy as np
 
 from citegrow import ClassifierParams, TrajectoryCategory, ValidationError
 from citegrow.models import attachment_weights
 from citegrow.theory import TheoryGraph, _theory_kind, selection_probabilities
+
+from test_sampling import sequential_reference, set_probability
 
 
 def normalize_trajectory(counts) -> tuple[np.ndarray, bool]:
@@ -133,3 +145,68 @@ def entrant_expected_probability(model, graph: TheoryGraph,
         w1 = attachment_weights(kind, deg_after, graph.fitness)
         value += P[s] * entrant_w / (w1.sum() + entrant_w)
     return value
+
+
+def reference_weights(model, in_degrees, out_degrees, fitness):
+    """The README weight table for ba, af and mf: `D_i`, `D_i + xi_i` and
+    `D_i * xi_i`, where `D_i` is the in-degree + 1, or the in-degree +
+    out-degree under "total". Arrays broadcast, so `fitness` may hold a
+    column per run."""
+    if model.degree_mode == "in-plus-one":
+        d = np.asarray(in_degrees, dtype=np.float64) + 1.0
+    else:
+        d = np.asarray(in_degrees, dtype=np.float64) + out_degrees
+    kind = model.kind.value
+    if kind == "ba":
+        return d + 0.0 * fitness
+    if kind == "af":
+        return d + fitness
+    if kind == "mf":
+        return d * fitness
+    raise ValidationError(f"no reference weights for kind {kind}")
+
+
+def reference_draw(weights, k, rng) -> list:
+    """k distinct nodes: the sequential draw proportional to `weights`
+    while positive weights last, then a uniform choice among the rest."""
+    w = np.asarray(weights, dtype=np.float64)
+    positive = np.flatnonzero(w > 0)
+    if positive.size >= k:
+        return sorted(sequential_reference(w, k, rng))
+    rest = np.setdiff1d(np.arange(w.size), positive)
+    return sorted([*positive.tolist(), *rng.choice(rest, k - positive.size, replace=False).tolist()])
+
+
+def reference_set_law(weights, subset):
+    """P(the draw of `reference_draw` returns `subset`), exactly. Rows of
+    `weights` are nodes; a row may hold one weight per run, with the same
+    nodes positive in every run."""
+    positive = [i for i, w in enumerate(weights) if np.all(np.asarray(w) > 0)]
+    assert all(np.all(np.asarray(weights[i]) == 0)
+               for i in set(range(len(weights))) - set(positive))
+    k = len(subset)
+    if len(positive) >= k:
+        return set_probability(weights, subset)
+    if not set(positive) <= set(subset):
+        return 0.0
+    return 1.0 / comb(len(weights) - len(positive), k - len(positive))
+
+
+def grow_reference(graph, schedule, model, fitness, rng) -> np.ndarray:
+    """The (citing, cited) edges that the README's growth rule adds to
+    `graph` over `schedule`, drawn with `reference_draw` at every
+    insertion from weights recomputed over all earlier nodes. `fitness`
+    holds every node's fitness, the grown ones included (a production
+    run's), so that only the draw law is compared."""
+    degrees = [k for year in schedule.years for k in schedule.entries[year]]
+    n0 = graph.n_nodes
+    n_total = n0 + len(degrees)
+    in_deg = np.bincount(graph.edges[:, 1], minlength=n_total).astype(np.float64)
+    out_deg = np.concatenate([graph.out_degrees, degrees]).astype(np.float64)
+    edges = []
+    for node, k in enumerate(degrees, n0):
+        w = reference_weights(model, in_deg[:node], out_deg[:node], fitness[:node])
+        for target in reference_draw(w, k, rng):
+            in_deg[target] += 1
+            edges.append((node, target))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)

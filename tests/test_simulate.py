@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,11 +23,8 @@ from citegrow import (
 )
 from citegrow.sampling import IncrementLog
 
-from oracles import distance_decay
+from oracles import distance_decay, grow_reference, reference_set_law, reference_weights
 from test_sampling import set_probability
-
-
-_NONE = np.empty(0, dtype=np.int64)
 
 
 def grow(model, seed, schedule, rng_seed=0):
@@ -172,13 +170,16 @@ class TestSamplerCounters:
     def test_log_rejects_are_repeats(self):
         # a k = 2 draw from weights 2 and 1 repeats its first node until it
         # draws the other: 2/3 * (2/3) / (1/3) + 1/3 * (1/3) / (2/3) = 1.5
-        # repeats on average
-        log = IncrementLog([2.0, 1.0], max_nodes=2, max_entries=2)
-        rng = np.random.default_rng(0)
-        for _ in range(4000):
-            assert log.sample(2, rng) == [0, 1]
+        # repeats on average; the new nodes gain nothing and enter at weight
+        # 0, so every insertion draws from the same two weights
+        runs = 4000
+        log = IncrementLog([2.0, 1.0], max_nodes=2 + runs, max_entries=2 + 3 * runs)
+        cited = np.full(2 * runs, -1, dtype=np.int64)
+        fills = log.grow([2] * runs, [0.0] * runs, [0.0] * (2 + runs), memoryview(cited),
+                         np.random.default_rng(0))
+        assert fills == 0 and cited.tolist() == [0, 1] * runs
         assert log.counts["log_draws"] == 8000 and log.counts["dense_handoffs"] == 0
-        assert log.counts["log_rejects"] / 4000 == pytest.approx(1.5, rel=0.1)
+        assert log.counts["log_rejects"] / runs == pytest.approx(1.5, rel=0.1)
 
     def test_counters_stay_out_of_the_digest(self, tiny_seed, tiny_schedule):
         g = grow(make_model("lbm"), tiny_seed, tiny_schedule)
@@ -468,6 +469,105 @@ class TestIncrementLogSampler:
         assert filled == {2, 3, 4}
 
 
+class TestWholeRunLaw:
+    """The joint law of the target sets of a run's first two insertions,
+    enumerated exactly from the README weight table
+    (`oracles.reference_weights`, `oracles.reference_set_law`), against
+    the frequencies of `run_simulation` and of the O(n^2) program
+    `oracles.grow_reference`. The second insertion's law depends on the
+    gains the first one wrote and on the first new node's weight, so this
+    checks how a run composes its draws, appends, dense-share races and
+    uniform fills. The bound is fixed in advance: a chi-square statistic
+    below its quantile at a false-alarm rate of 1e-6."""
+
+    RUNS = 3000
+    FALSE_ALARM = 1e-6
+    SEED = SeedNetwork(nodes=((0, 1970), (1, 1970), (2, 1971), (3, 1972)),
+                       edges=((2, 0), (3, 0), (3, 1)))
+
+    @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
+    @pytest.mark.parametrize("kind", ["ba", "af", "mf"])
+    def test_first_two_insertions(self, kind, degree_mode):
+        model = make_model(kind, degree_mode=degree_mode)
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 2)
+        self.check(g0, model, [2, 2])
+
+    def test_dense_share_race(self):
+        # node 0 holds 10000 of 10006 of the mf weight (99.94%), and twice
+        # that after a citation, so insertions that draw it first finish
+        # with the race
+        n = 4
+        g0 = GrowthGraph(years=np.full(n, 1970), sub_years=np.zeros(n),
+                         fitness=np.array([10000.0, 1.0, 2.0, 3.0]),
+                         locations=np.zeros((n, 0)), out_degrees=np.zeros(n, dtype=np.int64),
+                         edges=np.zeros((0, 2), dtype=np.int64), n_seed=n)
+        counts = self.check(g0, make_model("mf"), [2, 2])
+        assert counts["dense_handoffs"] > self.RUNS
+
+    @pytest.mark.parametrize("kind", ["ba", "mf"])
+    def test_uniform_fill(self, kind):
+        # under "total" only nodes 0 and 1 have weight: the first insertion
+        # draws both from the log, then fills its third target uniformly
+        seed = SeedNetwork(nodes=((0, 1970), (1, 1971), (2, 1972), (3, 1972)), edges=((1, 0),))
+        model = make_model(kind, degree_mode="total")
+        g0 = init_from_seed(seed.nodes, seed.edges, model, 2)
+        counts = self.check(g0, model, [3, 2])
+        assert counts["fallback_fills"] == self.RUNS
+
+    def check(self, g0, model, degs) -> Counter:
+        """Grow `degs` (one year) `RUNS` times with each program and
+        compare the frequency of each pair of target sets with its exact
+        probability. Returns the production runs' sampler counters and
+        fills, summed."""
+        n0 = g0.n_nodes
+        k1, k2 = degs
+        schedule = YearSchedule({int(g0.years.max()) + 1: list(degs)})
+        cells = list(itertools.product(itertools.combinations(range(n0), k1),
+                                       itertools.combinations(range(n0 + 1), k2)))
+        index = {cell: i for i, cell in enumerate(cells)}
+        production, reference = np.zeros(len(cells)), np.zeros(len(cells))
+        fitness = np.empty(self.RUNS)
+        counts: Counter = Counter()
+        reference_rng = np.random.default_rng(12345)
+
+        def cell(cited):
+            return tuple(cited[:k1].tolist()), tuple(cited[k1:].tolist())
+
+        for run in range(self.RUNS):
+            g = run_simulation(g0, schedule, model, run)
+            fitness[run] = g.fitness[n0]
+            production[index[cell(g.edges[g0.n_edges:, 1])]] += 1
+            counts.update({**g.sampler, "fallback_fills": g.fallback_fills})
+            edges = grow_reference(g0, schedule, model, g.fitness, reference_rng)
+            reference[index[cell(edges[:, 1])]] += 1
+
+        # the exact law, given each run's fitness draw for the first new node
+        in_deg = np.bincount(g0.edges[:, 1], minlength=n0 + 1).astype(np.float64)
+        out_deg = np.append(g0.out_degrees, k1).astype(np.float64)
+        first = reference_weights(model, in_deg[:n0], out_deg[:n0], g0.fitness)
+        fit = np.vstack([np.repeat(g0.fitness[:, None], self.RUNS, axis=1), fitness])
+        expected = np.zeros(len(cells))
+        for s1 in itertools.combinations(range(n0), k1):
+            p1 = reference_set_law(first, s1)
+            if not p1:
+                continue
+            after = in_deg.copy()
+            after[list(s1)] += 1
+            second = reference_weights(model, after[:, None], out_deg[:, None], fit)
+            for s2 in itertools.combinations(range(n0 + 1), k2):
+                expected[index[s1, s2]] = np.sum(p1 * reference_set_law(second, s2))
+        assert expected.sum() == pytest.approx(self.RUNS)
+        for observed in (production, reference):
+            small = expected < 5
+            o = np.append(observed[~small], observed[small].sum())
+            e = np.append(expected[~small], expected[small].sum())
+            keep = e > 0
+            assert o[~keep].sum() == 0
+            stat = float((((o - e) ** 2)[keep] / e[keep]).sum())
+            assert stat < chi2.isf(self.FALSE_ALARM, keep.sum() - 1), stat
+        return counts
+
+
 class TestSpatialSampler:
     """lbm and lbm-g draw from the increment log's weights times the
     distance factor; their law must be the sequential weighted draw without
@@ -530,10 +630,13 @@ class TestNearDraw:
             locations = rng.random((9, dim))
         if weights is None:
             weights = rng.uniform(0.5, 3.0, size=8)
+        # node 3 cites nodes 0-2 (k = 3 of 3), each gaining its other half
         log = IncrementLog(weights[:3] / 2, max_nodes=8, max_entries=32)
-        for node in range(3, 8):
-            cited = np.arange(3) if node == 3 else _NONE
-            log.add_node(cited, weights[:3] / 2 if node == 3 else _NONE, weights[node])
+        gains = np.zeros(8)
+        gains[:3] = weights[:3] / 2
+        cited = np.empty(3, dtype=np.int64)
+        log.grow([3, 0, 0, 0, 0], weights[3:].tolist(), gains.tolist(), memoryview(cited), rng)
+        assert cited.tolist() == [0, 1, 2] and log.size == 11
         np.testing.assert_allclose(log.weights, weights)
         ball = next(spatial.balls(locations, np.array([k]), lambda n: gamma, 8))
         # the law's weights, relative to the nearest node's distance factor
@@ -915,7 +1018,7 @@ class TestScheduleValidation:
         def no_draw(*args):
             raise AssertionError("drew before rejecting the schedule")
 
-        monkeypatch.setattr(IncrementLog, "sample", no_draw)
+        monkeypatch.setattr(IncrementLog, "grow", no_draw)
         schedule = YearSchedule({1976: [1, 1], 1977: [2, 8]})
         with pytest.raises(SimulationError, match=re.escape(
                 "year 1977: scheduled out-degree 8 exceeds the 7 existing nodes")):
