@@ -188,8 +188,7 @@ class UniformBlocks:
         have left it, and drop the rest of the block."""
         if self._state is not None:
             self.rng.bit_generator.state = self._state
-            if self._used:
-                self.rng.random(self._used)
+            self.rng.random(self._used)
             self._state = None
             self._values = []
             self._used = 0

@@ -158,6 +158,7 @@ def reference_weights(model, in_degrees, out_degrees, fitness):
         d = np.asarray(in_degrees, dtype=np.float64) + out_degrees
     kind = model.kind.value
     if kind == "ba":
+        # ba reads no fitness; 0 * fitness gives the weights its shape
         return d + 0.0 * fitness
     if kind == "af":
         return d + fitness
