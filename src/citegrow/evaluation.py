@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -266,6 +265,9 @@ def sweep(points, seed: SeedNetwork, schedule: YearSchedule,
     ]
     # pool.map and the list both return results in task order
     if jobs > 1:
+        # imported here: the process pool pulls in multiprocessing, socket
+        # and logging, which nothing else in citegrow needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_sweep_point, tasks))
     else:

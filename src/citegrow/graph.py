@@ -152,7 +152,8 @@ class GrowthGraph:
         How many active-subspace mean shifts a growth run applied.
     sampler:
         Counters of the growth run's sampler: targets by the way they were
-        drawn (`log_draws` for ba/af/mf; `ball_draws`, `tail_draws` and
+        drawn (`log_draws` and, from the heavy list beside the log,
+        `heavy_draws` for ba/af/mf; `ball_draws`, `tail_draws` and
         `race_draws` for lbm/lbm-g), the log draws that hit an
         already-chosen node (`log_rejects`), the tail arrivals proposed and
         accepted, the hand-offs to the exponential race (`race_handoffs`,

@@ -14,25 +14,38 @@ draw.
 never decrease: it keeps an append-only log of weight increments (who
 gained, and the running total), so one draw proportional to the current
 weights is a binary search of a uniform point in the prefix sums. Without
-replacement is rejection of repeats: iid draws are taken in batches and a
-draw whose node is already chosen is discarded. The first draw not yet
-chosen is proportional to weight among the unchosen nodes, so the
-accepted draws follow the sequential law exactly. Once the chosen nodes
-hold at least `DENSE_SHARE` of the total weight, rejections would
-dominate, and the insertion is finished with the exponential race over
-the unchosen nodes. That switch depends only on the chosen set, and both
-ways draw the rest from the same conditional law, so the mix of the two
-stays exact.
+replacement is rejection of repeats: a draw whose node is already chosen
+is discarded. The first draw not yet chosen is proportional to weight
+among the unchosen nodes, so the accepted draws follow the sequential law
+exactly. Once the chosen nodes hold at least `DENSE_SHARE` of the weight
+drawn from, rejections would dominate, and the insertion is finished with
+the exponential race over the unchosen nodes. That switch depends only on
+the chosen set, and both ways draw the rest from the same conditional
+law, so the mix of the two stays exact. An insertion that needs more
+targets than there are nodes of weight gets all of them, as the
+sequential law gives it, and draws nothing.
 
 A whole run's insertions happen in one pass, `IncrementLog.grow`: the
 draw, the uniform fill of a short draw, the edge writes and the log
-append, with the log's arrays bound to locals. The ba, af and mf draw
-takes its uniforms from `UniformBlocks`, one `Generator.random` call per
-`BLOCK` values. `random(a)` followed by `random(b)` returns the values of
-`random(a + b)`, so the values handed out are those that one call per
-batch would return, and the stream rewinds the generator to the same
-place before any other draw: the graphs are those of one call per batch,
-bit for bit.
+append, with the log's arrays bound to locals. Two things keep the ba, af
+and mf draw off the repeats and the searches that condensation would
+otherwise cost:
+- Heavy nodes. A node whose gain per citation is more than `HEAVY` times
+  the mean gain (at most `HEAVY_MAX` of them; none when the gains are
+  equal, as under ba and af) keeps its weight in a short list beside the
+  log for the pass, its log entries at width 0. A draw is a uniform point
+  in the unchosen heavy weight plus the log total: below the first it is
+  the heavy node it lands on by a scan of the list, above it a point of
+  the log. A chosen heavy node leaves the weight drawn from, so it is
+  never drawn again; a node of the log still is, and is rejected.
+- A frozen prefix. With every block of `BLOCK` uniforms the log is frozen
+  as it stands, and one search finds the nodes of `BLOCK` further
+  uniform points below its total. The log only grows at its end, so a
+  point of the log that falls below the frozen total is uniform on it,
+  and its node is distributed as the node of an independent point there:
+  the draw takes the next of the nodes found. A point above the frozen
+  total is searched for among the entries appended since. Both ways keep
+  the sequential law exactly.
 
 lbm and lbm-g scale the log's weights by a distance factor g_i <= 1
 (`IncrementLog.sample_near`). The nodes of a ball around the new node
@@ -58,6 +71,7 @@ log E - log w when fewer than k of its keys are finite.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from math import inf
 from time import perf_counter
 
 import numpy as np
@@ -66,16 +80,21 @@ from .errors import ValidationError
 
 __all__ = ["IncrementLog", "sample_without_replacement"]
 
-# chosen share of the total weight from which an insertion finishes with
-# the exponential race instead of rejecting repeats
+# chosen share of the weight drawn from at which a ba/af/mf insertion
+# finishes with the exponential race instead of rejecting repeats
 DENSE_SHARE = 0.999
 # bound on the expected tail arrivals, per node, from which an lbm/lbm-g
 # insertion runs the exponential race over all nodes instead
 HANDOFF = 16.0
 # expected tail arrivals per time segment
 SEGMENT = 64.0
-# uniforms the ba/af/mf log draw takes from the generator per call
+# uniforms the ba/af/mf draw takes from the generator per call, and nodes
+# found for as many points by one search of the frozen log prefix
 BLOCK = 256
+# a node whose gain is more than HEAVY times the mean gain keeps its weight
+# beside the log during a ba/af/mf pass, up to HEAVY_MAX such nodes
+HEAVY = 16.0
+HEAVY_MAX = 32
 
 _EMPTY = np.empty(0, dtype=np.int64)
 # numpy's ufunc reductions, without the Python wrappers of ndarray.min/max/sum
@@ -84,11 +103,13 @@ _min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 # exponential returns, the largest being 7.7 - log(2^-53) < 45
 _TINY = 45.0 / np.finfo(np.float64).max
 
-# what `IncrementLog.counts` tallies: targets by the way they were drawn,
-# log draws rejected as repeats, tail arrivals proposed and accepted, and
+# what `IncrementLog.counts` tallies: targets by the way they were drawn
+# (the log, its heavy list, the ball, the tail, the race), log draws
+# rejected as repeats, tail arrivals proposed and accepted, and
 # insertions handed to the race (lbm/lbm-g) or finished by it (ba/af/mf)
-COUNTERS = ("log_draws", "ball_draws", "tail_draws", "race_draws", "log_rejects",
-            "tail_proposed", "tail_accepted", "race_handoffs", "dense_handoffs")
+COUNTERS = ("log_draws", "heavy_draws", "ball_draws", "tail_draws", "race_draws",
+            "log_rejects", "tail_proposed", "tail_accepted", "race_handoffs",
+            "dense_handoffs")
 
 
 def sample_without_replacement(weights, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -147,53 +168,6 @@ def sample_without_replacement(weights, k: int, rng: np.random.Generator) -> np.
     return chosen.astype(np.int64)
 
 
-class UniformBlocks:
-    """The uniforms on [0, 1) of a generator, drawn a block at a time and
-    handed out in the order of one long `rng.random` call.
-
-    `Generator.random` makes each value from the next 64 bits of its bit
-    generator and carries nothing from one call to the next, so
-    `random(a)` followed by `random(b)` returns the values of
-    `random(a + b)`. `take(n)` returns the next n of those values, from a
-    block of at least `BLOCK` drawn at once. The generator then stands up
-    to a block past the values handed out; `rewind` restores the state
-    saved before the block and redraws the values handed out from it,
-    which leaves the generator where direct `random` calls for the same
-    takes would have left it. Call it before any other draw from `rng`.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._values: list = []
-        self._used = 0
-        self._state = None
-
-    def take(self, n: int) -> list:
-        """The next n uniforms of the stream, as a list of floats."""
-        used = self._used
-        end = used + n
-        values = self._values
-        if end <= len(values):
-            self._used = end
-            return values[used:end]
-        rest = values[used:]
-        n -= len(rest)
-        self._state = self.rng.bit_generator.state
-        self._values = values = self.rng.random(max(n, BLOCK)).tolist()
-        self._used = n
-        return rest + values[:n]
-
-    def rewind(self) -> None:
-        """Put the generator where direct draws of the takes so far would
-        have left it, and drop the rest of the block."""
-        if self._state is not None:
-            self.rng.bit_generator.state = self._state
-            self.rng.random(self._used)
-            self._state = None
-            self._values = []
-            self._used = 0
-
-
 class IncrementLog:
     """Node weights that only grow, held as an append-only increment log.
 
@@ -208,7 +182,10 @@ class IncrementLog:
     every model. They touch a handful of entries per insertion, so they
     read and write them one at a time through memoryviews of the same
     arrays, as Python floats and ints; the lbm and lbm-g draw
-    (`sample_near`) reads the arrays whole, with numpy.
+    (`sample_near`) reads the arrays whole, with numpy. While a ba, af or
+    mf pass runs, the entries of its heavy nodes have width 0 and their
+    weight is held beside the log; at its end each heavy node's weight is
+    put back, on its first entry.
 
     Parameters
     ----------
@@ -247,23 +224,33 @@ class IncrementLog:
         `degrees[j]` distinct earlier nodes, writes them in ascending
         order to the next places of `cited`, credits each target i with
         `gains[i]`, and enters with weight `entry[j]`. Without `near` (ba,
-        af, mf) it draws from the log under the sequential law of
-        `sample_without_replacement`: uniforms from a `UniformBlocks`
-        stream, binary search, repeats rejected, taken in batches of the
-        draws expected to be needed, and the race over the unchosen nodes
-        once the chosen ones hold `DENSE_SHARE` of the total. With `near`,
-        an iterator of the balls of the insertions with targets
+        af, mf) it draws under the sequential law of
+        `sample_without_replacement`, one target at a time: a uniform point
+        in the unchosen mass of the heavy nodes (`_set_aside`), kept beside
+        the log for the pass, plus the log's total; in the log, the node
+        found for the next point of the frozen prefix or a binary search
+        of the entries appended since, a repeat rejected; and the race
+        over the unchosen nodes once the chosen ones hold `DENSE_SHARE`
+        of the mass. An insertion that needs more targets than there are
+        nodes of weight takes them all without a draw. With `near`, an
+        iterator of the balls of the insertions with targets
         (`spatial.balls`), it draws with `sample_near`. A draw that finds
         fewer than k nodes of positive weight is completed by a uniform
         choice among the other earlier nodes.
         """
         owner, cum, weights = self._owner, self._cum, self._weights
-        stream = UniformBlocks(rng)
-        take, rewind = stream.take, stream.rewind
-        search, dense = bisect_right, DENSE_SHARE
+        search, dense, block = bisect_right, DENSE_SHARE, BLOCK
         n, t = self.n_nodes, self.size
+        cut, heavy = (inf, []) if near is not None else self._set_aside(gains)
+        heavy_w = sum(self.weights.take(heavy).tolist())
+        positive = int(np.count_nonzero(self.weights[:n]))
         total = cum[t - 1] if t else 0.0
-        e = fills = draws = rejects = handoffs = 0
+        # uniforms for the draws, and the nodes found for `block` uniform
+        # points below the log total `frozen` of the first `t_frozen` entries
+        points = iter(())
+        found: list = []
+        f, t_frozen, frozen = 0, 0, 0.0
+        e = fills = draws = rejects = handoffs = heavy_draws = 0
         ball_s = 0.0
         for k, weight in zip(degrees, entry):
             if not k:
@@ -271,28 +258,63 @@ class IncrementLog:
             elif near is None:
                 chosen: set[int] = set()
                 chosen_w = 0.0
+                left = heavy_w
+                mass = left + total
+                limit = dense * mass
                 need = k
+                if k > positive:
+                    # fewer nodes have weight than the insertion needs: the
+                    # sequential law takes them all, a uniform fill the rest
+                    chosen.update(np.flatnonzero(self.weights[:n]).tolist())
+                    need = 0
                 while need:
-                    if chosen_w >= dense * total:
+                    if chosen_w >= limit:
                         w = self.weights[:n].copy()
                         w[list(chosen)] = 0.0
-                        rewind()
                         chosen.update(_race_positive(w, need, rng).tolist())
                         handoffs += 1
                         break
-                    # expected draws for `need` acceptances at the current rejection rate
-                    batch = min(int(need * total / (total - chosen_w)) + 2, n)
-                    # u < 1 makes u * total < total, so the search stays inside the log
-                    for u in take(batch):
-                        node = owner[search(cum, u * total, 0, t)]
+                    for u in points:
+                        # u < 1 makes u * mass < mass
+                        x = u * mass
+                        if x < left:
+                            # rounding that carries the scan past its end
+                            # leaves the last unchosen heavy node of weight
+                            for h in heavy:
+                                if weights[h] and h not in chosen:
+                                    node = h
+                                    x -= weights[h]
+                                    if x < 0.0:
+                                        break
+                            heavy_draws += 1
+                            chosen.add(node)
+                            left = sum([weights[h] for h in heavy if h not in chosen])
+                            mass = left + total
+                            limit = dense * mass
+                            break
+                        x -= left
+                        if x < frozen:
+                            node = found[f]
+                            f += 1
+                        elif x < total:
+                            node = owner[search(cum, x, t_frozen, t)]
+                        else:
+                            # rounding in mass - left put the point past the log
+                            continue
                         if node in chosen:
                             rejects += 1
                         else:
-                            chosen.add(node)
                             chosen_w += weights[node]
-                            need -= 1
-                            if not need:
-                                break
+                            break
+                    else:
+                        # a new block of uniforms, and the log frozen as
+                        # it stands, with a node found for each uniform
+                        points = iter(rng.random(block).tolist())
+                        if total:
+                            found, frozen, t_frozen, f = self._freeze(rng, block, t), total, t, 0
+                        continue
+                    chosen.add(node)
+                    need -= 1
                 draws += len(chosen)
                 targets = sorted(chosen)
             else:
@@ -302,37 +324,82 @@ class IncrementLog:
                 self.n_nodes, self.size = n, t
                 targets = self.sample_near(k, rng, ball)
             if len(targets) < k:
-                rewind()
                 pool = np.setdiff1d(np.arange(n, dtype=np.int64),
                                     np.array(targets, dtype=np.int64), assume_unique=True)
-                extra = rng.choice(pool, size=k - len(targets), replace=False)
+                extra = rng.choice(pool, size=k - len(targets), replace=False).tolist()
                 fills += k - len(targets)
-                targets = sorted([*targets, *extra.tolist()])
+                # a drawn node already has weight; a filled one may gain it
+                positive += sum(1 for node in extra if not weights[node] and gains[node])
+                targets = sorted([*targets, *extra])
             # running sums of the new entries, each then added to the total:
-            # the additions, in order, of a cumsum over the entries plus total
+            # the additions, in order, of a cumsum over the entries plus
+            # total; a heavy node's entries have width 0
             running = 0.0
             for node in targets:
                 cited[e] = node
                 e += 1
                 gain = gains[node]
-                running += gain
+                if gain > cut:
+                    heavy_w += gain
+                else:
+                    running += gain
                 owner[t] = node
                 cum[t] = total + running
                 weights[node] += gain
                 t += 1
             owner[t] = n
-            total = cum[t] = total + (running + weight)
             weights[n] = weight
+            if weight:
+                positive += 1
+            if gains[n] > cut:
+                heavy.append(n)
+                heavy_w += weight
+                weight = 0.0
+            total = cum[t] = total + (running + weight)
             n += 1
             t += 1
-        rewind()
         self.n_nodes, self.size = n, t
+        if heavy:
+            self._reweigh(heavy, whole=True)
         counts = self.counts
-        counts["log_draws"] += draws
+        counts["log_draws"] += draws - heavy_draws
+        counts["heavy_draws"] += heavy_draws
         counts["log_rejects"] += rejects
         counts["dense_handoffs"] += handoffs
         self.ball_seconds += ball_s
         return fills
+
+    def _set_aside(self, gains) -> tuple[float, list]:
+        """The gain above which a node is heavy, more than `HEAVY` times
+        the mean gain with at most `HEAVY_MAX` nodes above it, and the
+        heavy nodes already in the log, whose entries it sets to width 0."""
+        g = np.array(gains, dtype=np.float64)
+        cut = HEAVY * _sum(g) / max(g.size, 1)
+        if g.size > HEAVY_MAX:
+            cut = max(cut, float(np.partition(g, -HEAVY_MAX - 1)[-HEAVY_MAX - 1]))
+        heavy = np.flatnonzero(g[:self.n_nodes] > cut).tolist()
+        if heavy:
+            self._reweigh(heavy, whole=False)
+        return cut, heavy
+
+    def _freeze(self, rng: np.random.Generator, count: int, size: int) -> list:
+        """The nodes of `count` uniform points below the total of the
+        first `size` entries, found in one search."""
+        points = rng.random(count)
+        points *= self._cum[size - 1]
+        return self.owner.take(self.cum[:size].searchsorted(points, side="right")).tolist()
+
+    def _reweigh(self, nodes, whole: bool) -> None:
+        """Rebuild the running totals with the entries of `nodes` at width
+        0, or, `whole`, with each one's weight on its first entry."""
+        size = self.size
+        widths = np.diff(self.cum[:size], prepend=0.0)
+        hit = np.flatnonzero(np.isin(self.owner[:size], nodes))
+        widths[hit] = 0.0
+        if whole:
+            ids, first = np.unique(self.owner[hit], return_index=True)
+            widths[hit[first]] = self.weights[ids]
+        np.cumsum(widths, out=self.cum[:size])
 
     def sample_near(self, k: int, rng: np.random.Generator, ball) -> list:
         """Select k distinct nodes with probability proportional to weight

@@ -13,14 +13,13 @@ the cited node's weight by a fixed gain and a new node enters with its
 initial weight; the log appends both. The insertion loop itself is
 `IncrementLog.grow`, one pass over the schedule that draws, fills, writes
 the cited side of the edges and appends to the log. ba, af and mf draw
-straight from the log, by binary search with repeats rejected, on
-uniforms drawn a block at a time (`sampling.UniformBlocks`). lbm and
-lbm-g weight the log by the distance factor exp(-gamma * (d - d_min)) to
-the new node, relative to the nearest node, and draw with
-`IncrementLog.sample_near`: an exponential race over a ball of near nodes
-(`spatial.balls`) plus a tail proposed from the log and thinned by
-distance. An insertion with k = 0 draws no targets. Every way follows
-the sequential law exactly.
+from the log, with repeats rejected, and from a short list of heavy
+nodes kept beside it. lbm and lbm-g weight the log by the distance
+factor exp(-gamma * (d - d_min)) to the new node, relative to the
+nearest node, and draw with `IncrementLog.sample_near`: an exponential
+race over a ball of near nodes (`spatial.balls`) plus a tail proposed
+from the log and thinned by distance. An insertion with k = 0 draws no
+targets. Every way follows the sequential law exactly.
 
 The fitness of every scheduled node is drawn before the first insertion,
 and so are lbm and lbm-g locations: none of them depends on which nodes

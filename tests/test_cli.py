@@ -257,7 +257,7 @@ class TestPipeline:
         sampler = params["sampler"]
         graph = load_graph(out / "graph.txt")
         seed_edges = graph.edges[graph.years[graph.edges[:, 0]] <= 1975]
-        drawn = sum(sampler[f"{way}_draws"] for way in ("log", "ball", "tail", "race"))
+        drawn = sum(sampler[f"{way}_draws"] for way in ("log", "heavy", "ball", "tail", "race"))
         assert drawn == graph.n_edges - len(seed_edges) - params["fallback_fills"]
         assert sampler["log_draws"] == 0 and sampler["seconds"] >= 0
         assert 0 < sampler["ball_seconds"] <= sampler["seconds"]

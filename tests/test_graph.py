@@ -216,7 +216,7 @@ class TestDumpPins:
     SEED = synthetic_seed(n_nodes=40, rng_seed=3)
     SCHEDULE = corpus_like_schedule(n_nodes=160, end_year=1985, rng_seed=3)
     PINS = {
-        "ba": "73c8b9babccae492b302335e6ebf7e1d56a3948b1c0b15f39727978e181d2101",
+        "ba": "449ed15a51cd2fef03161804fad7ad1f75153c916b86c98acbc84cb0ad772b8d",
         "lbm-dim1": "7ac8002af09fe7e39ed5c9c3856dc669b3f90a01075c0a6f01bf9c958ef24774",
         "lbm-dim4": "1396e08d629cfeacbcb9f576e9d677a9344ece29bdb9f67e6cfa177c3e675eac",
         "lbm-g-dim2": "1c04a8bd4580bdfb89a04bf571977c0cdad78c935c7135b206406bda71887db6",

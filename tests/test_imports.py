@@ -2,7 +2,8 @@
 
 scipy costs about half a second and 30 MiB at import; the library and
 the command line must not need it (only the tests use it, as an
-oracle)."""
+oracle). The process pool of a parallel sweep pulls in multiprocessing,
+socket and logging, so only `sweep` with more than one job imports it."""
 
 import os
 import subprocess
@@ -31,3 +32,12 @@ def test_growing_an_lbmg_graph_loads_no_scipy():
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_citegrow_loads_no_process_pool():
+    program = ("import sys, citegrow, citegrow.cli; "
+               "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "False"

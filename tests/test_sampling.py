@@ -12,9 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import citegrow.sampling
 from citegrow import ValidationError, sample_without_replacement
-from citegrow.sampling import BLOCK, UniformBlocks
 
 
 def sequential_reference(weights, k, rng):
@@ -157,58 +155,3 @@ def test_rejects_non_finite():
     with pytest.raises(ValidationError):
         sample_without_replacement([1.0, np.inf], 1, rng)
 
-
-class TestUniformBlocks:
-    """The block stream hands out the generator's own uniforms, and after a
-    rewind the generator stands where direct `random` calls for the same
-    takes would have left it."""
-
-    # takes of mixed sizes, empty ones and ones longer than a block among
-    # them, with a rewind after the takes of each group
-    TAKES = [[3, 0, 1, 17], [5, BLOCK + 40, 2], [BLOCK - 1, 1, 1], [0], [2 * BLOCK + 3]]
-
-    @pytest.mark.parametrize("block", [BLOCK, 4])
-    @pytest.mark.parametrize("prelude", ["none", "integers", "choice"])
-    def test_takes_are_the_direct_draws(self, block, prelude, monkeypatch):
-        monkeypatch.setattr(citegrow.sampling, "BLOCK", block)
-        rng, twin = np.random.default_rng(17), np.random.default_rng(17)
-        for gen in (rng, twin):
-            # integers and choice leave half of a 64-bit output pending
-            if prelude == "integers":
-                gen.integers(0, 10, size=3, dtype=np.int32)
-            elif prelude == "choice":
-                gen.choice(np.arange(9), 2, replace=False)
-        if prelude != "none":
-            assert twin.bit_generator.state["has_uint32"] == 1
-        stream = UniformBlocks(rng)
-        for group in self.TAKES:
-            for n in group:
-                assert stream.take(n) == twin.random(n).tolist()
-            stream.rewind()
-            assert rng.bit_generator.state == twin.bit_generator.state
-            # any other draw then continues the same stream
-            assert rng.integers(0, 1000, size=2).tolist() == twin.integers(0, 1000, size=2).tolist()
-            assert rng.exponential(size=3).tolist() == twin.exponential(size=3).tolist()
-        stream.rewind()
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-    def test_draws_a_block_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(citegrow.sampling, "BLOCK", 8)
-        calls = []
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng, self.bit_generator = rng, rng.bit_generator
-
-            def random(self, n):
-                calls.append(n)
-                return self.rng.random(n)
-
-        stream = UniformBlocks(Counting(np.random.default_rng(0)))
-        for n in [3, 3, 2, 1, 20, 0, 5]:
-            stream.take(n)
-        stream.rewind()
-        # a block for the first 8 values and one for the ninth; the take of
-        # 20 hands out the 7 left and draws the 13 it still needs at once; a
-        # block for the last take, and the redraw of its 5 values
-        assert calls == [8, 8, 13, 8, 5]

@@ -128,9 +128,12 @@ class TestSamplerCounters:
                                         rng_seed=4)
         g = grow(make_model(kind), seed, schedule, rng_seed=2)
         s = g.sampler
-        drawn = s["log_draws"] + s["ball_draws"] + s["tail_draws"] + s["race_draws"]
+        drawn = (s["log_draws"] + s["heavy_draws"] + s["ball_draws"] + s["tail_draws"]
+                 + s["race_draws"])
         assert drawn == g.n_edges - seed.n_edges - g.fallback_fills
         assert (s["log_draws"] == 0) == (kind in ("lbm", "lbm-g"))
+        # ba and af gains are all equal, so only mf can keep heavy nodes
+        assert s["heavy_draws"] == 0 or kind == "mf"
         if kind in ("lbm", "lbm-g"):
             assert s["log_rejects"] == 0 and s["dense_handoffs"] == 0
         assert s["tail_accepted"] <= s["tail_proposed"]
@@ -281,18 +284,55 @@ def count_races(monkeypatch) -> list:
     return calls
 
 
+def count_freezes(monkeypatch) -> list:
+    """Record the size of the log prefix at every freeze of a ba/af/mf
+    pass."""
+    freeze = IncrementLog._freeze
+    calls = []
+
+    def counted(self, rng, count, size):
+        calls.append(size)
+        return freeze(self, rng, count, size)
+
+    monkeypatch.setattr(IncrementLog, "_freeze", counted)
+    return calls
+
+
+def two_sample_chi2(a, b) -> tuple[float, int]:
+    """The chi-square statistic of two samples of small integers, with its
+    degrees of freedom: values are pooled, in order, into bins that hold
+    at least 10 of the two samples together."""
+    values = np.union1d(a, b)
+    ca = np.array([np.count_nonzero(a == v) for v in values])
+    cb = np.array([np.count_nonzero(b == v) for v in values])
+    bins, start = [], 0
+    for end in range(1, values.size + 1):
+        if (ca[start:end] + cb[start:end]).sum() >= 10:
+            bins.append((start, end))
+            start = end
+    if start < values.size:
+        # a short last bin joins the one before it
+        bins[-1] = (bins[-1][0], values.size)
+    oa = np.array([ca[i:j].sum() for i, j in bins])
+    ob = np.array([cb[i:j].sum() for i, j in bins])
+    both = oa + ob
+    ea, eb = both * len(a) / (len(a) + len(b)), both * len(b) / (len(a) + len(b))
+    return float(((oa - ea) ** 2 / ea + (ob - eb) ** 2 / eb).sum()), len(bins) - 1
+
+
 def dominant_fitness_run(schedule=None, rng_seed=8) -> GrowthGraph:
-    """An mf run whose seed node 0 holds almost all of the weight and gains
-    10000 per citation, so insertions that draw it first finish with the
+    """An af run whose seed node 0 has fitness 1e7, almost all of the
+    weight. Every af node gains 1 per citation, so none is heavy and node
+    0 stays in the log: insertions that draw it first finish with the
     dense-share race."""
     n = 5
     g0 = GrowthGraph(years=np.full(n, 1970), sub_years=np.zeros(n),
-                     fitness=np.array([10000.0, 1.0, 2.0, 3.0, 1.5]),
+                     fitness=np.array([1e7, 1.0, 2.0, 3.0, 1.5]),
                      locations=np.zeros((n, 0)), out_degrees=np.zeros(n, dtype=np.int64),
                      edges=np.zeros((0, 2), dtype=np.int64), n_seed=n)
     if schedule is None:
         schedule = YearSchedule({1976: [2, 3, 1, 2], 1977: [3, 2, 2, 4], 1978: [2, 3, 3, 2]})
-    return run_simulation(g0, schedule, make_model("mf"), rng_seed)
+    return run_simulation(g0, schedule, make_model("af"), rng_seed)
 
 
 def edgeless_total_run(kind="ba", schedule=None, rng_seed=9) -> GrowthGraph:
@@ -434,6 +474,23 @@ class TestIncrementLogSampler:
         assert len(calls) > 0.99 * runs
         assert set(calls) <= {1, 2}
 
+    def test_heavy_weights_return_to_the_log(self, monkeypatch):
+        # seed node 0 and the second new node gain more than twice the mean
+        # gain: the pass holds their weight beside the log, then puts it back
+        monkeypatch.setattr(citegrow.sampling, "HEAVY", 2.0)
+        gains = [50.0, 1.0, 1.0, 1.0, 2.0, 60.0, 1.0]
+        log = IncrementLog([50.0, 1.0, 2.0, 3.0], max_nodes=7, max_entries=7 + 6)
+        cited = np.empty(6, dtype=np.int64)
+        log.grow([1, 2, 3], [2.0, 60.0, 1.0], gains, memoryview(cited),
+                 np.random.default_rng(4))
+        assert log.counts["heavy_draws"] > 0
+        widths = np.diff(log.cum[:log.size], prepend=0.0)
+        credited = np.bincount(log.owner[:log.size], weights=widths, minlength=7)
+        np.testing.assert_allclose(credited, log.weights, rtol=1e-12)
+        expected = np.array([50.0, 1.0, 2.0, 3.0, 2.0, 60.0, 1.0])
+        np.add.at(expected, cited, np.take(gains, cited))
+        np.testing.assert_allclose(log.weights, expected)
+
     @pytest.mark.parametrize("kind", ["ba", "mf"])
     def test_zero_weight_nodes_are_never_drawn(self, kind):
         # under "total" only nodes 0 and 1 have a degree, so nodes 2-4
@@ -513,6 +570,59 @@ class TestWholeRunLaw:
         g0 = init_from_seed(seed.nodes, seed.edges, model, 2)
         counts = self.check(g0, model, [3, 2])
         assert counts["fallback_fills"] == self.RUNS
+
+    @pytest.mark.parametrize("heavy_max", [citegrow.sampling.HEAVY_MAX, 1])
+    @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
+    def test_heavy_nodes_and_refills(self, degree_mode, heavy_max, monkeypatch):
+        # HEAVY 1 puts every node whose gain, its fitness, is above the mean
+        # gain on the heavy list, the first new node too when it draws a
+        # high fitness, and HEAVY_MAX 1 keeps only the largest; BLOCK 1
+        # freezes the log again before every draw
+        monkeypatch.setattr(citegrow.sampling, "HEAVY", 1.0)
+        monkeypatch.setattr(citegrow.sampling, "HEAVY_MAX", heavy_max)
+        monkeypatch.setattr(citegrow.sampling, "BLOCK", 1)
+        freezes = count_freezes(monkeypatch)
+        model = make_model("mf", degree_mode=degree_mode)
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 2)
+        counts = self.check(g0, model, [2, 2])
+        assert counts["heavy_draws"] > 0 and counts["log_draws"] > 0
+        assert len(freezes) > 2 * self.RUNS
+
+    @pytest.mark.parametrize("kind", ["ba", "af", "mf"])
+    def test_final_in_degrees(self, kind, monkeypatch):
+        """Each node's final in-degree after ten insertions into a 20-node
+        seed, `run_simulation` against `grow_reference`: a two-sample
+        chi-square test per node, its bound fixed at a false-alarm rate of
+        1e-6 over all nodes. Seed node 0 has fitness 200, heavy under mf,
+        and BLOCK 4 freezes the log again every four draws."""
+        monkeypatch.setattr(citegrow.sampling, "BLOCK", 4)
+        freezes = count_freezes(monkeypatch)
+        model = make_model(kind)
+        seed = synthetic_seed(n_nodes=20, rng_seed=7)
+        g = init_from_seed(seed.nodes, seed.edges, model, 3)
+        fitness = g.fitness.copy()
+        fitness[0] = 200.0
+        g0 = GrowthGraph(g.years, g.sub_years, fitness, g.locations, g.out_degrees, g.edges,
+                         g.n_seed)
+        schedule = YearSchedule({1980: [2, 3, 1, 4, 2], 1981: [3, 2, 4, 1, 3]})
+        n = g0.n_nodes + schedule.total_nodes
+        production = np.zeros((self.RUNS, n), dtype=np.int64)
+        reference = np.zeros((self.RUNS, n), dtype=np.int64)
+        heavy_draws = 0
+        reference_rng = np.random.default_rng(54321)
+        for run in range(self.RUNS):
+            grown = run_simulation(g0, schedule, model, run)
+            heavy_draws += grown.sampler["heavy_draws"]
+            production[run] = np.bincount(grown.edges[:, 1], minlength=n)
+            edges = grow_reference(g0, schedule, model, grown.fitness, reference_rng)
+            reference[run] = np.bincount(np.append(g0.edges[:, 1], edges[:, 1]), minlength=n)
+        assert (heavy_draws > 0) == (kind == "mf")
+        assert len(freezes) > self.RUNS
+        varied = [i for i in range(n) if np.ptp(np.append(production[:, i], reference[:, i]))]
+        assert len(varied) > 20
+        for i in varied:
+            stat, df = two_sample_chi2(production[:, i], reference[:, i])
+            assert stat < chi2.isf(self.FALSE_ALARM / len(varied), df), (i, stat, df)
 
     def check(self, g0, model, degs) -> Counter:
         """Grow `degs` (one year) `RUNS` times with each program and
@@ -763,28 +873,28 @@ class TestNearDraw:
 
 
 class TestLogGrowthStream:
-    """ba, af and mf draw only from the increment log; the lbm/lbm-g
-    sampler must leave their random stream, and so their graphs, as they
-    are."""
+    """ba, af and mf draw only from the increment log and the heavy nodes
+    beside it; the lbm/lbm-g sampler must leave their random stream, and
+    so their graphs, as they are."""
 
     @pytest.mark.parametrize("kind, degree_mode, digest", [
         pytest.param("ba", "in-plus-one",
-                     "c1448378d378bf4dcb22e33f7ec22bc90b0341eeebc614ee48c3cb1bb994e7e9",
+                     "aedc5e8a827fa961c28b845ec9b813abe1cef8f3a9c7e1371cbb50b1ada5cabb",
                      id="ba-in-plus-one"),
         pytest.param("ba", "total",
-                     "aa6ebf86fe2e872ed17138a8632bd205856ed21e3bc3c8ca1496772899e5d5d3",
+                     "03abff59b2cbfca48f522fc25b2bb6520b8591016092059016277933ed5534cb",
                      id="ba-total"),
         pytest.param("af", "in-plus-one",
-                     "e5efc32a75d03ba2583b1f7ea206d26deea24c7eb50151cf6e8849924403cafb",
+                     "eb00faaccd2d0d0225c49eb2d634d0a913211c40df9f3d93fae199deb47a4fe4",
                      id="af-in-plus-one"),
         pytest.param("af", "total",
-                     "a90ac7f491245f01df104b111174d1027d16cabf92f151c85602def121628e0c",
+                     "6fa19dfed5431b508df9ec9ff5b7942ea64310af2c2a0c292877cd3adae3804f",
                      id="af-total"),
         pytest.param("mf", "in-plus-one",
-                     "089cb49659af32a852c7b17a16cc68a736d3c771c388636fabe43cec8015e290",
+                     "6cd16471e2cc4b15d88051ea88f71685d146a49b7642b99fb9f692bee8982506",
                      id="mf-in-plus-one"),
         pytest.param("mf", "total",
-                     "b2234ecbdf294b5dc7dda1ad5d9fabb97c37cdab95eabda406bd41995dbb23a8",
+                     "1c5aa37563373573e106a731c86447cf3a113e98f4fa0495d4cc4a94bf5c7d7c",
                      id="mf-total"),
     ])
     def test_digest_is_pinned(self, kind, degree_mode, digest):
@@ -798,35 +908,37 @@ class TestLogGrowthStream:
     def test_dense_share_finish_is_pinned(self, monkeypatch):
         calls = count_races(monkeypatch)
         g = dominant_fitness_run()
-        assert g.digest() == "72a8fc811b5c95c91b58870b2e2c0ff2ced3e3e6088726aea04b5afc3b90655e"
+        assert g.digest() == "57872fe478621f5530ac9f6524ba0467357555e892c22cfaa42ecb5d8e126e64"
         assert len(calls) > 0
 
     def test_uniform_fills_are_pinned(self):
         g = edgeless_total_run()
         assert g.fallback_fills > 0
-        assert g.digest() == "497618a0170ee5c8312d07a542287bee397d9b6d2d80c5d2ef97f905b23ed7d6"
+        assert g.digest() == "249e4f63c1f9e14c33524ea96ebd42960955e4267c209fb4c942232e861984a5"
 
-    # runs whose log draws take hundreds to hundreds of thousands of
-    # uniforms, with dense-share races and uniform fills between them: the
-    # digest and every counter pin the stream across those other draws
+    # runs whose draws span many blocks of uniforms, with heavy draws,
+    # dense-share races and uniform fills between them: the digest and
+    # every counter pin the stream across those other draws
     def test_dense_share_heavy_mf_is_pinned(self):
-        # alpha 0.3 condenses the weight on a few nodes: 233 dense-share
-        # races and 460k rejected repeats in 3k insertions
+        # alpha 0.3 condenses the weight on nodes that the heavy rule
+        # leaves in the log: 70 dense-share races and 183k rejected repeats
+        # in 3k insertions, beside 3,475 heavy draws
         seed = synthetic_seed()
         model = make_model("mf", alpha=0.3)
         g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
         g = run_simulation(g0, corpus_like_schedule(n_nodes=3000), model, 6)
-        assert g.digest() == "abc436bbd258bfdba89b3b3c1046e91f3065d8eeb071d05206e87cca8c327bd6"
-        assert sampler_counts(g) == {"log_draws": 6441, "log_rejects": 460759,
-                                     "dense_handoffs": 233, "fallback_fills": 0}
+        assert g.digest() == "c30ba0d892dcf4976c7848b4f6565f693055785abc8fdce0ec24df8f696861f4"
+        assert sampler_counts(g) == {"log_draws": 2966, "heavy_draws": 3475,
+                                     "log_rejects": 183028, "dense_handoffs": 70,
+                                     "fallback_fills": 0}
 
     @pytest.mark.parametrize("rng_seed, digest, counts", [
-        (11, "82d7234f367274dad21ca29843459a8374c90bc24212e3f574855197b9ccaf61",
-         {"log_draws": 301, "log_rejects": 348, "dense_handoffs": 85}),
-        (12, "7ae64792057a17e7a93ebdd55b5043e3fb81b293e024ed2140239865c014ed8e",
-         {"log_draws": 323, "log_rejects": 390, "dense_handoffs": 95}),
-        (13, "f411236ec24c4d6454b6de9273dcdbbbaaef3328a7eb3ded3bd25856b06a1c74",
-         {"log_draws": 327, "log_rejects": 398, "dense_handoffs": 96}),
+        pytest.param(11, "0a28f275a8e563c1c519dd20ab802db7f593d4e44345f0315f2c097ab9e2dd1f",
+                     {"log_draws": 301, "dense_handoffs": 86}, id="11"),
+        pytest.param(12, "5679de5efa55408413e320a1849d5d6ac2bc81cdcfc8cea5b190707b5ca37a6b",
+                     {"log_draws": 323, "dense_handoffs": 95}, id="12"),
+        pytest.param(13, "a6f841e43bd8e5e875040a4d2915cf09e14f8b8a4356fa4b6cb883fe4cbac5dc",
+                     {"log_draws": 327, "dense_handoffs": 97}, id="13"),
     ])
     def test_dominant_fitness_runs_are_pinned(self, rng_seed, digest, counts):
         g = dominant_fitness_run(random_schedule(rng_seed, 4), rng_seed)
@@ -834,17 +946,16 @@ class TestLogGrowthStream:
         assert sampler_counts(g) == {**counts, "fallback_fills": 0}
 
     @pytest.mark.parametrize("kind, rng_seed, digest, counts", [
-        ("ba", 21, "e36e6ca8f1c5855bb978f6817c95352eef6b0cc933b2124284b30897379888f8",
-         {"log_draws": 357, "log_rejects": 33, "dense_handoffs": 2, "fallback_fills": 3}),
-        ("ba", 22, "73d35aa6a7b7c56bb85467f58d07a7c4ecbe7befc63e917910f5eaa5a2c70156",
-         {"log_draws": 355, "log_rejects": 17, "dense_handoffs": 1, "fallback_fills": 4}),
-        ("mf", 21, "b2dfbbc041f1ef4e8a070423e24ac8e318e5b5c2609bebb6afbeb81bd8a19706",
-         {"log_draws": 357, "log_rejects": 110, "dense_handoffs": 2, "fallback_fills": 3}),
-        ("mf", 22, "8ca1ebc80c50eb9fa3ce3cb4724a82d0fb365beecc96622ec37b606cf6b3bd00",
-         {"log_draws": 355, "log_rejects": 23, "dense_handoffs": 1, "fallback_fills": 4}),
+        pytest.param("ba", 21, "35c8e690ecdc820ae6a0d7c98f3d9406a10f29558a53da1ab1ad4e12fc8e223d",
+                     {"log_draws": 357, "log_rejects": 18, "fallback_fills": 3}, id="ba-21"),
+        pytest.param("ba", 22, "3dc827d0aaff812e35bd0ab2b7189e59ad7453b2ffe33ab660f1a4b6537868c5",
+                     {"log_draws": 355, "log_rejects": 42, "fallback_fills": 4}, id="ba-22"),
+        pytest.param("mf", 21, "267c35ea8eb38525a95656e2732f0c62dac63f721e157ed4d0489e520a898a8d",
+                     {"log_draws": 357, "log_rejects": 138, "fallback_fills": 3}, id="mf-21"),
+        pytest.param("mf", 22, "4480dd83dfb29872dd442802df84acf0c2ee317b0839573ed0c1a0ed6b143e38",
+                     {"log_draws": 355, "log_rejects": 22, "fallback_fills": 4}, id="mf-22"),
     ])
     def test_edgeless_total_runs_are_pinned(self, kind, rng_seed, digest, counts):
-        # seed 21 fills after the log draw of the same insertion took uniforms
         g = edgeless_total_run(kind, random_schedule(rng_seed, 5), rng_seed)
         assert g.digest() == digest
         assert sampler_counts(g) == counts
