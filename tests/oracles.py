@@ -19,11 +19,12 @@ which `citegrow.spatial` computes relative to the nearest node, and
 `entrant_expected_probability` is the entrant's side of the conservation
 identity that `citegrow.theory`'s enumeration must satisfy.
 
-`grow_reference` is the O(n^2) growth program of ba, af and mf as the
-README states it: each insertion recomputes every earlier node's weight
-from the weight table (`reference_weights`) and draws its targets one
-after another with `test_sampling.sequential_reference`, filling
-uniformly when fewer earlier nodes than it needs have weight.
+`grow_reference` is the O(n^2) growth program as the README states it:
+each insertion recomputes every earlier node's weight from the weight
+table (`reference_weights`), times `distance_decay` at `gamma_at(n)` for
+lbm and lbm-g, and draws its targets one after another with
+`test_sampling.sequential_reference`, filling uniformly when fewer earlier
+nodes than it needs have weight.
 `reference_set_law` is the exact probability of a target set under that
 draw.
 """
@@ -148,10 +149,11 @@ def entrant_expected_probability(model, graph: TheoryGraph,
 
 
 def reference_weights(model, in_degrees, out_degrees, fitness):
-    """The README weight table for ba, af and mf: `D_i`, `D_i + xi_i` and
-    `D_i * xi_i`, where `D_i` is the in-degree + 1, or the in-degree +
-    out-degree under "total". Arrays broadcast, so `fitness` may hold a
-    column per run."""
+    """The README weight table without the distance factor: `D_i`, `D_i +
+    xi_i` and `D_i * xi_i` for ba, af and mf, and `D_i * xi_i` for lbm and
+    lbm-g, where `D_i` is the in-degree + 1, or the in-degree + out-degree
+    under "total". Arrays broadcast, so `fitness` may hold a column per
+    run."""
     if model.degree_mode == "in-plus-one":
         d = np.asarray(in_degrees, dtype=np.float64) + 1.0
     else:
@@ -162,7 +164,7 @@ def reference_weights(model, in_degrees, out_degrees, fitness):
         return d + 0.0 * fitness
     if kind == "af":
         return d + fitness
-    if kind == "mf":
+    if kind in ("mf", "lbm", "lbm-g"):
         return d * fitness
     raise ValidationError(f"no reference weights for kind {kind}")
 
@@ -193,12 +195,13 @@ def reference_set_law(weights, subset):
     return 1.0 / comb(len(weights) - len(positive), k - len(positive))
 
 
-def grow_reference(graph, schedule, model, fitness, rng) -> np.ndarray:
+def grow_reference(graph, schedule, model, fitness, rng, locations=None) -> np.ndarray:
     """The (citing, cited) edges that the README's growth rule adds to
     `graph` over `schedule`, drawn with `reference_draw` at every
     insertion from weights recomputed over all earlier nodes. `fitness`
-    holds every node's fitness, the grown ones included (a production
-    run's), so that only the draw law is compared."""
+    and, for lbm and lbm-g, `locations` hold every node's values, the
+    grown ones included (a production run's, whose locations carry the
+    lbm-g walk), so that only the draw law is compared."""
     degrees = [k for year in schedule.years for k in schedule.entries[year]]
     n0 = graph.n_nodes
     n_total = n0 + len(degrees)
@@ -207,6 +210,8 @@ def grow_reference(graph, schedule, model, fitness, rng) -> np.ndarray:
     edges = []
     for node, k in enumerate(degrees, n0):
         w = reference_weights(model, in_deg[:node], out_deg[:node], fitness[:node])
+        if model.uses_location:
+            w = w * distance_decay(locations[:node], locations[node], model.gamma_at(node))
         for target in reference_draw(w, k, rng):
             in_deg[target] += 1
             edges.append((node, target))

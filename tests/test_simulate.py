@@ -529,7 +529,8 @@ class TestIncrementLogSampler:
 class TestWholeRunLaw:
     """The joint law of the target sets of a run's first two insertions,
     enumerated exactly from the README weight table
-    (`oracles.reference_weights`, `oracles.reference_set_law`), against
+    (`oracles.reference_weights`, `oracles.reference_set_law`) and, for
+    lbm and lbm-g, the distance factor at each run's locations, against
     the frequencies of `run_simulation` and of the O(n^2) program
     `oracles.grow_reference`. The second insertion's law depends on the
     gains the first one wrote and on the first new node's weight, so this
@@ -541,6 +542,31 @@ class TestWholeRunLaw:
     FALSE_ALARM = 1e-6
     SEED = SeedNetwork(nodes=((0, 1970), (1, 1970), (2, 1971), (3, 1972)),
                        edges=((2, 0), (3, 0), (3, 1)))
+    # the location models under each decay and walk clock; each runs once
+    # on the draw its settings pick and once on the ball draw, with fewer
+    # runs, as a location-model run costs more
+    NEAR_RUNS = 1000
+    NEAR = [
+        pytest.param("lbm", {}, id="lbm-log"),
+        pytest.param("lbm", {"degree_mode": "total"}, id="lbm-log-total"),
+        pytest.param("lbm", {"gamma_regime": "const"}, id="lbm-const"),
+        pytest.param("lbm", {"gamma_regime": "const", "degree_mode": "total"},
+                     id="lbm-const-total"),
+        pytest.param("lbm-g", {}, id="lbm-g-months"),
+        pytest.param("lbm-g", {"shift_unit": "nodes", "shift_every": 1}, id="lbm-g-nodes"),
+    ]
+
+    @pytest.fixture(params=["picked", "balls"])
+    def path(self, request, monkeypatch):
+        """"balls" sends every location-model run to the ball draw, on
+        one-node blocks so that the grid, the ball race and the tail all
+        run; "picked" leaves the draw to the run's settings."""
+        if request.param == "balls":
+            # raising=False: where the ball draw is the only one, there is
+            # no cell rule to turn off
+            monkeypatch.setattr(spatial, "CELL_DECAY", -1.0, raising=False)
+            monkeypatch.setattr(spatial, "MIN_BLOCK", 1)
+        return request.param
 
     @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
     @pytest.mark.parametrize("kind", ["ba", "af", "mf"])
@@ -597,7 +623,26 @@ class TestWholeRunLaw:
         and BLOCK 4 freezes the log again every four draws."""
         monkeypatch.setattr(citegrow.sampling, "BLOCK", 4)
         freezes = count_freezes(monkeypatch)
-        model = make_model(kind)
+        counts = self.check_final_in_degrees(make_model(kind))
+        assert (counts["heavy_draws"] > 0) == (kind == "mf")
+        assert len(freezes) > self.RUNS
+
+    @pytest.mark.parametrize("kind, options", NEAR)
+    def test_first_two_insertions_near(self, kind, options, path):
+        model = make_model(kind, **options)
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 2)
+        self.check(g0, model, [2, 2], self.NEAR_RUNS)
+
+    @pytest.mark.parametrize("kind, options", NEAR)
+    def test_final_in_degrees_near(self, kind, options, path):
+        """As `test_final_in_degrees`, with `grow_reference` weighting by
+        distance at each production run's locations."""
+        self.check_final_in_degrees(make_model(kind, **options), self.NEAR_RUNS)
+
+    def check_final_in_degrees(self, model, runs=RUNS) -> Counter:
+        """The final in-degree test of `test_final_in_degrees` under
+        `model`, over `runs` runs; returns the production runs' sampler
+        counters, summed."""
         seed = synthetic_seed(n_nodes=20, rng_seed=7)
         g = init_from_seed(seed.nodes, seed.edges, model, 3)
         fitness = g.fitness.copy()
@@ -606,26 +651,26 @@ class TestWholeRunLaw:
                          g.n_seed)
         schedule = YearSchedule({1980: [2, 3, 1, 4, 2], 1981: [3, 2, 4, 1, 3]})
         n = g0.n_nodes + schedule.total_nodes
-        production = np.zeros((self.RUNS, n), dtype=np.int64)
-        reference = np.zeros((self.RUNS, n), dtype=np.int64)
-        heavy_draws = 0
+        production = np.zeros((runs, n), dtype=np.int64)
+        reference = np.zeros((runs, n), dtype=np.int64)
+        counts: Counter = Counter()
         reference_rng = np.random.default_rng(54321)
-        for run in range(self.RUNS):
+        for run in range(runs):
             grown = run_simulation(g0, schedule, model, run)
-            heavy_draws += grown.sampler["heavy_draws"]
+            counts.update(grown.sampler)
             production[run] = np.bincount(grown.edges[:, 1], minlength=n)
-            edges = grow_reference(g0, schedule, model, grown.fitness, reference_rng)
+            edges = grow_reference(g0, schedule, model, grown.fitness, reference_rng,
+                                   grown.locations)
             reference[run] = np.bincount(np.append(g0.edges[:, 1], edges[:, 1]), minlength=n)
-        assert (heavy_draws > 0) == (kind == "mf")
-        assert len(freezes) > self.RUNS
         varied = [i for i in range(n) if np.ptp(np.append(production[:, i], reference[:, i]))]
         assert len(varied) > 20
         for i in varied:
             stat, df = two_sample_chi2(production[:, i], reference[:, i])
             assert stat < chi2.isf(self.FALSE_ALARM / len(varied), df), (i, stat, df)
+        return counts
 
-    def check(self, g0, model, degs) -> Counter:
-        """Grow `degs` (one year) `RUNS` times with each program and
+    def check(self, g0, model, degs, runs=RUNS) -> Counter:
+        """Grow `degs` (one year) `runs` times with each program and
         compare the frequency of each pair of target sets with its exact
         probability. Returns the production runs' sampler counters and
         fills, summed."""
@@ -636,37 +681,50 @@ class TestWholeRunLaw:
                                        itertools.combinations(range(n0 + 1), k2)))
         index = {cell: i for i, cell in enumerate(cells)}
         production, reference = np.zeros(len(cells)), np.zeros(len(cells))
-        fitness = np.empty(self.RUNS)
+        fitness = np.empty(runs)
+        locations = np.empty((runs, n0 + 2, g0.dim))
         counts: Counter = Counter()
         reference_rng = np.random.default_rng(12345)
 
         def cell(cited):
             return tuple(cited[:k1].tolist()), tuple(cited[k1:].tolist())
 
-        for run in range(self.RUNS):
+        for run in range(runs):
             g = run_simulation(g0, schedule, model, run)
             fitness[run] = g.fitness[n0]
+            locations[run] = g.locations
             production[index[cell(g.edges[g0.n_edges:, 1])]] += 1
             counts.update({**g.sampler, "fallback_fills": g.fallback_fills})
-            edges = grow_reference(g0, schedule, model, g.fitness, reference_rng)
+            edges = grow_reference(g0, schedule, model, g.fitness, reference_rng, g.locations)
             reference[index[cell(edges[:, 1])]] += 1
 
+        def decay(node):
+            """Per run (a column each), the distance factor of the nodes
+            before `node` at `node`'s insertion; 1 without locations."""
+            if not model.uses_location:
+                return np.ones((node, 1))
+            d = np.sqrt(((locations[:, :node] - locations[:, node, None]) ** 2).sum(axis=2))
+            return np.exp(-model.gamma_at(node) * d).T
+
         # the exact law, given each run's fitness draw for the first new node
+        # and its locations
         in_deg = np.bincount(g0.edges[:, 1], minlength=n0 + 1).astype(np.float64)
         out_deg = np.append(g0.out_degrees, k1).astype(np.float64)
         first = reference_weights(model, in_deg[:n0], out_deg[:n0], g0.fitness)
-        fit = np.vstack([np.repeat(g0.fitness[:, None], self.RUNS, axis=1), fitness])
+        first = first[:, None] * decay(n0)
+        fit = np.vstack([np.repeat(g0.fitness[:, None], runs, axis=1), fitness])
+        later = decay(n0 + 1)
         expected = np.zeros(len(cells))
         for s1 in itertools.combinations(range(n0), k1):
             p1 = reference_set_law(first, s1)
-            if not p1:
+            if not np.any(p1):
                 continue
             after = in_deg.copy()
             after[list(s1)] += 1
-            second = reference_weights(model, after[:, None], out_deg[:, None], fit)
+            second = reference_weights(model, after[:, None], out_deg[:, None], fit) * later
             for s2 in itertools.combinations(range(n0 + 1), k2):
                 expected[index[s1, s2]] = np.sum(p1 * reference_set_law(second, s2))
-        assert expected.sum() == pytest.approx(self.RUNS)
+        assert expected.sum() == pytest.approx(runs)
         for observed in (production, reference):
             small = expected < 5
             o = np.append(observed[~small], observed[small].sum())
