@@ -47,36 +47,55 @@ otherwise cost:
   total is searched for among the entries appended since. Both ways keep
   the sequential law exactly.
 
-lbm and lbm-g scale the log's weights by a distance factor g_i <= 1
-(`IncrementLog.sample_near`). The nodes of a ball around the new node
-race with their exact weights w_i = a_i * g_i. Every other node has
-g_j <= c, a bound the ball supplies, so its race key E_j / w_j is the
-first arrival of a Poisson process of rate w_j. Those processes are one
-thinned process: arrivals at rate c * A (A the log total) propose node j
-with probability a_j / A, a proposal inside the ball is dropped, and one
-outside is kept with probability g_j / c. Superposition and thinning give
-each tail node a Poisson process of rate a_j * g_j, independent of the
-others and of the ball's keys, so the first kept arrival of each tail
-node is distributed as its race key, and the k smallest keys of ball and
-tail are the race's winners: the sequential law, exactly. Only arrivals
-before the k-th smallest key found so far can win, so the process stops
-there. The ball, c and the choice to hand an insertion to the full race
-(when the ball holds fewer than k weights above `_TINY`, or the tail
-would need too many proposals) are fixed before the first draw, so they
-cannot bias it. A weight at most `_TINY`, 0 included, can overflow its
-key E / w to inf, and inf keys would tie; the race ranks by
-log E - log w when fewer than k of its keys are finite.
-"""
+lbm and lbm-g scale the log's weights by a distance factor g_i <= 1 and
+draw one of two ways, chosen per run before its first draw from its
+locations, out-degrees and decay alone (`spatial.choose_draw`), so the
+choice cannot bias the draw.
+
+By cells, when the factor varies by at most a factor e along the side of
+a fixed grid of about 256 cells (`spatial.Cells`). Each cell keeps an
+append-only increment log of its own nodes, appended in the same pass as
+the run's log. A try draws a cell c in proportion to its weight total
+A_c times e_c = exp(-gamma * dist(x, c)), an envelope of every factor in
+the cell, then a node j of c in proportion to a_j from c's log, and keeps
+j with probability g_j / e_c. A try therefore keeps node j with
+probability a_j * g_j / sum_c(A_c * e_c), and rejecting repeats of chosen
+nodes, as the log draw does, gives the sequential law exactly. A failed
+try, an envelope miss or a repeat, says nothing of which node the next
+kept try brings, so after `CELL_TRIES` failed tries per target the
+insertion is finished by the exponential race over the unchosen nodes,
+from the same conditional law.
+
+By ball and tail (`IncrementLog.sample_near`), otherwise. The nodes of a
+ball around the new node race with their exact weights w_i = a_i * g_i.
+Every other node has g_j <= c, a bound the ball supplies, so its race
+key E_j / w_j is the first arrival of a Poisson process of rate w_j.
+Those processes are one thinned process: arrivals at rate c * A (A the
+log total) propose node j with probability a_j / A, a proposal inside
+the ball is dropped, and one outside is kept with probability g_j / c.
+Superposition and thinning give each tail node a Poisson process of rate
+a_j * g_j, independent of the others and of the ball's keys, so the
+first kept arrival of each tail node is distributed as its race key, and
+the k smallest keys of ball and tail are the race's winners: the
+sequential law, exactly. Only arrivals before the k-th smallest key
+found so far can win, so the process stops there. The ball, c and the
+choice to hand an insertion to the full race (when the ball holds fewer
+than k weights above `_TINY`, or the tail would need too many proposals)
+are fixed before the first draw, so they cannot bias it. A weight at
+most `_TINY`, 0 included, can overflow its key E / w to inf, and inf
+keys would tie; the race ranks by log E - log w when fewer than k of its
+keys are finite."""
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from math import inf
+from math import dist, exp, inf
 from time import perf_counter
 
 import numpy as np
 
 from .errors import ValidationError
+from .spatial import Cells
 
 __all__ = ["IncrementLog", "sample_without_replacement"]
 
@@ -95,21 +114,27 @@ BLOCK = 256
 # beside the log during a ba/af/mf pass, up to HEAVY_MAX such nodes
 HEAVY = 16.0
 HEAVY_MAX = 32
+# failed tries per target after which a cell draw finishes its insertion
+# with the exponential race over the unchosen nodes
+CELL_TRIES = 64
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY_VIEW = memoryview(np.empty(0))
 # numpy's ufunc reductions, without the Python wrappers of ndarray.min/max/sum
 _min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+_mul, _accumulate = np.multiply, np.add.accumulate
 # a weight w above this gives a finite key E / w for every E numpy's
 # exponential returns, the largest being 7.7 - log(2^-53) < 45
 _TINY = 45.0 / np.finfo(np.float64).max
 
 # what `IncrementLog.counts` tallies: targets by the way they were drawn
-# (the log, its heavy list, the ball, the tail, the race), log draws
-# rejected as repeats, tail arrivals proposed and accepted, and
-# insertions handed to the race (lbm/lbm-g) or finished by it (ba/af/mf)
-COUNTERS = ("log_draws", "heavy_draws", "ball_draws", "tail_draws", "race_draws",
-            "log_rejects", "tail_proposed", "tail_accepted", "race_handoffs",
-            "dense_handoffs")
+# (the log, its heavy list, the ball, the tail, the cells, the race), log
+# draws rejected as repeats, failed cell tries (envelope misses and
+# repeats), tail arrivals proposed and accepted, and insertions handed to
+# or finished by the race (lbm/lbm-g) or finished by it (ba/af/mf)
+COUNTERS = ("log_draws", "heavy_draws", "ball_draws", "tail_draws", "cell_draws",
+            "race_draws", "log_rejects", "cell_rejects", "tail_proposed", "tail_accepted",
+            "race_handoffs", "dense_handoffs")
 
 
 def sample_without_replacement(weights, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,11 +203,12 @@ class IncrementLog:
     width and is never hit.
 
     The arrays are allocated once at capacity and never resized. The
-    insertion pass (`grow`) holds the ba, af and mf draw and the append of
-    every model. They touch a handful of entries per insertion, so they
-    read and write them one at a time through memoryviews of the same
-    arrays, as Python floats and ints; the lbm and lbm-g draw
-    (`sample_near`) reads the arrays whole, with numpy. While a ba, af or
+    insertion pass (`grow`) holds the ba, af and mf draw, the lbm and
+    lbm-g cell draw and the append of every model. They touch a handful
+    of entries per insertion, so they read and write them one at a time
+    through memoryviews of the same arrays, as Python floats and ints; the
+    lbm and lbm-g ball draw (`sample_near`) reads the arrays whole, with
+    numpy. While a ba, af or
     mf pass runs, the entries of its heavy nodes have width 0 and their
     weight is held beside the log; at its end each heavy node's weight is
     put back, on its first entry.
@@ -232,16 +258,20 @@ class IncrementLog:
         of the entries appended since, a repeat rejected; and the race
         over the unchosen nodes once the chosen ones hold `DENSE_SHARE`
         of the mass. An insertion that needs more targets than there are
-        nodes of weight takes them all without a draw. With `near`, an
-        iterator of the balls of the insertions with targets
-        (`spatial.balls`), it draws with `sample_near`. A draw that finds
-        fewer than k nodes of positive weight is completed by a uniform
-        choice among the other earlier nodes.
+        nodes of weight takes them all without a draw. With `near`, the
+        draw `spatial.choose_draw` picked for an lbm or lbm-g run, it draws
+        by cells from per-cell logs appended in this pass (`_CellLogs`),
+        or, given an iterator of the balls of the insertions with targets
+        (`spatial.balls`), with `sample_near`. A draw that finds fewer than
+        k nodes of positive weight is completed by a uniform choice among
+        the other earlier nodes.
         """
         owner, cum, weights = self._owner, self._cum, self._weights
         search, dense, block = bisect_right, DENSE_SHARE, BLOCK
         n, t = self.n_nodes, self.size
         cut, heavy = (inf, []) if near is not None else self._set_aside(gains)
+        cells = _CellLogs(self, near) if isinstance(near, Cells) else None
+        append = cells.append if cells is not None else None
         heavy_w = sum(self.weights.take(heavy).tolist())
         positive = int(np.count_nonzero(self.weights[:n]))
         total = cum[t - 1] if t else 0.0
@@ -317,6 +347,8 @@ class IncrementLog:
                     need -= 1
                 draws += len(chosen)
                 targets = sorted(chosen)
+            elif cells is not None:
+                targets = cells.draw(k, n, rng, positive)
             else:
                 t0 = perf_counter()
                 ball = next(near)
@@ -346,9 +378,13 @@ class IncrementLog:
                 owner[t] = node
                 cum[t] = total + running
                 weights[node] += gain
+                if append is not None:
+                    append(node, gain)
                 t += 1
             owner[t] = n
             weights[n] = weight
+            if append is not None:
+                append(n, weight)
             if weight:
                 positive += 1
             if gains[n] > cut:
@@ -366,6 +402,9 @@ class IncrementLog:
         counts["heavy_draws"] += heavy_draws
         counts["log_rejects"] += rejects
         counts["dense_handoffs"] += handoffs
+        if cells is not None:
+            for name, value in cells.counts.items():
+                counts[name] += value
         self.ball_seconds += ball_s
         return fills
 
@@ -518,6 +557,146 @@ class IncrementLog:
         if best is None:
             return nodes.tolist(), 0
         return [node for _, node in best], sum(node in first for _, node in best)
+
+
+class _CellLogs:
+    """The cell draw of an lbm/lbm-g pass over `cells` (a `spatial.Cells`).
+
+    Each cell keeps an append-only increment log of its nodes, like the
+    run's, in numpy arrays read and written through memoryviews: entry t
+    of cell c credits `owner[c][t]`, `cum[c][t]` is the running total and
+    `totals[c]` the last one, so a uniform point below a cell's total
+    finds one of its nodes in proportion to weight. A cell starts with one
+    entry per node of weight; its arrays are made when it first needs them,
+    with room for its share of the run's entries, and doubled when full.
+    `counts` tallies the cell draw's counters for the pass."""
+
+    def __init__(self, log: IncrementLog, cells: Cells):
+        n = log.n_nodes
+        self.log = log
+        self.cells = cells
+        self.count = count = cells.count
+        self.cell = cells.cell.tolist()
+        self.points = cells.points
+        self.gammas = cells.gammas.tolist()
+        per_node = len(log.cum) / max(len(log.weights), 1)
+        self.room = (np.bincount(cells.cell, minlength=count) * per_node + 16).astype(np.int64)
+        held = np.flatnonzero(log.weights[:n])
+        by_cell = held[np.argsort(cells.cell[held], kind="stable")]
+        sizes = np.bincount(cells.cell[held], minlength=count)
+        self.size = sizes.tolist()
+        self.owner = [_EMPTY_VIEW] * count
+        self.cum = [_EMPTY_VIEW] * count
+        self.totals = np.zeros(count)
+        start = 0
+        for c in np.flatnonzero(sizes).tolist():
+            size = self.size[c]
+            owner = np.empty(size + self.room[c], dtype=np.int64)
+            cum = np.empty(size + self.room[c])
+            owner[:size] = by_cell[start:start + size]
+            np.cumsum(log.weights.take(owner[:size]), out=cum[:size])
+            self.totals[c] = cum[size - 1]
+            self.owner[c], self.cum[c] = memoryview(owner), memoryview(cum)
+            start += size
+        self._totals = memoryview(self.totals)
+        # the next query: the next insertion with targets
+        self.q = 0
+        self.env = np.empty(count)
+        self.cenv = np.empty(count)
+        self._cenv = memoryview(self.cenv)
+        self.tries = iter(())
+        self.counts = {"cell_draws": 0, "cell_rejects": 0, "race_draws": 0,
+                       "race_handoffs": 0}
+
+    def append(self, node: int, gain: float) -> None:
+        """Credit `node` with `gain` in its cell's log."""
+        if not gain:
+            return
+        c = self.cell[node]
+        t = self.size[c]
+        if t == len(self.cum[c]):
+            self._widen(c)
+        total = self._totals[c] + gain
+        self.owner[c][t] = node
+        self.cum[c][t] = total
+        self._totals[c] = total
+        self.size[c] = t + 1
+
+    def _widen(self, c: int) -> None:
+        """Give cell c's log twice its room, or its share when it has none."""
+        t = self.size[c]
+        for views, dtype in ((self.owner, np.int64), (self.cum, np.float64)):
+            wider = np.empty(max(2 * t, int(self.room[c])), dtype=dtype)
+            wider[:t] = views[c][:t]
+            views[c] = memoryview(wider)
+
+    def draw(self, k: int, node: int, rng: np.random.Generator, positive: int) -> list:
+        """The k targets of insertion `node`, the next query, under the
+        sequential law for weight times exp(-gamma * d), as a sorted list;
+        all `positive` nodes of weight when k exceeds them.
+
+        A try draws a cell in proportion to its total times its factor
+        exp(-gamma * dist(x, cell)), a node of the cell from its log, and
+        keeps the node with probability exp(-gamma * (d - dist(x, cell)))
+        unless it is already chosen. After `CELL_TRIES` failed tries per
+        target, or when the envelope underflows to 0, the race over the
+        unchosen nodes draws the rest: a try fails independently of which
+        node the next kept try brings, so the switch cannot bias it."""
+        q = self.q
+        self.q = q + 1
+        counts = self.counts
+        if k > positive:
+            chosen = np.flatnonzero(self.log.weights[:node]).tolist()
+            counts["cell_draws"] += len(chosen)
+            return chosen
+        distances, base, factors = self.cells.row(q)
+        count = self.count
+        _mul(self.totals, factors, out=self.env)
+        _accumulate(self.env, out=self.cenv)
+        cenv, mass = self._cenv, self._cenv[count - 1]
+        gamma = self.gammas[q]
+        point = self.points[node]
+        points, owners, cums, totals, sizes = (self.points, self.owner, self.cum,
+                                              self._totals, self.size)
+        search = bisect_right
+        chosen: set[int] = set()
+        need = k
+        fails = 0
+        limit = CELL_TRIES * k if mass > 0.0 else 0
+        tries = self.tries
+        while need and fails < limit:
+            for u, v, w in tries:
+                c = search(cenv, u * mass, 0, count)
+                # rounding may put a point at the total it is a share of
+                if c < count:
+                    size = sizes[c]
+                    t = search(cums[c], v * totals[c], 0, size)
+                    if t < size:
+                        i = owners[c][t]
+                        if i not in chosen and w < exp(
+                                gamma * (distances[base + c] - dist(points[i], point))):
+                            chosen.add(i)
+                            need -= 1
+                            if not need:
+                                break
+                        else:
+                            fails += 1
+                            if fails == limit:
+                                break
+            else:
+                # three uniforms a try, `BLOCK` tries at a time
+                tries = zip(*[iter(rng.random(3 * BLOCK).tolist())] * 3)
+        self.tries = tries
+        counts["cell_draws"] += len(chosen)
+        counts["cell_rejects"] += fails
+        if len(chosen) < k:
+            w = self.log.weights[:node] * self.cells.decay_everywhere(node, gamma)
+            w[list(chosen)] = 0.0
+            more = _race_positive(w, k - len(chosen), rng).tolist()
+            counts["race_handoffs"] += 1
+            counts["race_draws"] += len(more)
+            chosen.update(more)
+        return sorted(chosen)
 
 
 def _race_positive(w: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,23 +15,29 @@ initial weight; the log appends both. The insertion loop itself is
 the cited side of the edges and appends to the log. ba, af and mf draw
 from the log, with repeats rejected, and from a short list of heavy
 nodes kept beside it. lbm and lbm-g weight the log by the distance
-factor exp(-gamma * (d - d_min)) to the new node, relative to the
-nearest node, and draw with `IncrementLog.sample_near`: an exponential
-race over a ball of near nodes (`spatial.balls`) plus a tail proposed
-from the log and thinned by distance. An insertion with k = 0 draws no
-targets. Every way follows the sequential law exactly.
+factor exp(-gamma * d) to the new node and draw one of two ways, which
+`spatial.choose_draw` picks for the whole run before its first draw. When
+every insertion's gamma times the side of a grid of about 256 cells is at
+most 1, a target is a cell drawn by its weight times a bound on the
+factor across it, then a node of the cell drawn from a per-cell log and
+kept with the ratio of its factor to the bound. Otherwise the insertion
+runs `IncrementLog.sample_near`: an exponential race over a ball of near
+nodes (`spatial.balls`), with factors relative to the nearest node, plus
+a tail proposed from the log and thinned by distance. An insertion with
+k = 0 draws no targets. Every way follows the sequential law exactly.
 
 The fitness of every scheduled node is drawn before the first insertion,
 and so are lbm and lbm-g locations: none of them depends on which nodes
 get cited, and the lbm-g walk clock reads only the schedule. So the
-spatial balls of a whole run can be found on its final locations.
+cells or the balls of a whole run can be found on its final locations,
+and each insertion's gamma is computed once, by `spatial.choose_draw`.
 
 When fewer than k existing nodes have positive weight, the gap is filled
 uniformly from the remaining nodes; every such fill is counted on the
 returned graph (`fallback_fills`), never silently absorbed. The graph
 also carries the sampler's counters (`sampler`), with the seconds of the
 insertion pass and, of those, the seconds spent finding balls and
-running tails.
+running tails (both 0 on the cell draw).
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .models import (
     sample_location_uniform,
 )
 from .sampling import IncrementLog
-from .spatial import balls
+from .spatial import choose_draw
 
 __all__ = ["init_from_seed", "run_simulation"]
 
@@ -170,7 +176,7 @@ def run_simulation(seed: GrowthGraph, schedule: YearSchedule, model: ModelSpec,
     near = None
     if model.uses_location:
         locations[n_seed:], shifts = _scheduled_locations(model, schedule, rng)
-        near = balls(locations, degrees, model.gamma_at, n_seed)
+        near = choose_draw(locations, degrees, model.gamma_at, n_seed)
     t0 = perf_counter()
     fallback_fills = log.grow(degrees.tolist(), entry[n_seed:].tolist(), gains.tolist(),
                               memoryview(edges[m_seed:, 1]), rng, near)

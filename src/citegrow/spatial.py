@@ -1,15 +1,34 @@
-"""Balls of near earlier nodes: the spatial half of the lbm and lbm-g draw.
+"""Cells and balls of near earlier nodes: the spatial half of the lbm and
+lbm-g draw.
 
 An lbm or lbm-g insertion at location x draws k earlier nodes with
 probability proportional to `a_i * exp(-gamma * d_i)`, where a_i is the
-node's degree/fitness weight and d_i its distance to x. The draw
-(`IncrementLog.sample_near`) splits the earlier nodes into a ball
-B = {i : d_i < R}, whose exact weights race, and a tail, which it proposes
-from the increment log and thins by distance. This module supplies each
-insertion's ball and radius R.
+node's degree/fitness weight and d_i its distance to x. The locations of
+a whole run are drawn before its first insertion, so `choose_draw` picks
+one of two draws for the run from its final locations, its out-degrees
+and its decay alone, before the first draw:
 
-The locations of a whole run are drawn before its first insertion, so
-the balls are found on grids over the final locations, for a window of
+- Cells, when every insertion's gamma times the side of a fixed grid of
+  about `CELLS` cubic cells over the final locations is at most
+  `CELL_DECAY`. The distance factor then varies by at most a factor
+  e^CELL_DECAY along a cell side, and a flat envelope per cell is tight
+  (after the cell samplers of Bringmann, Keusch & Lengler, "Sampling
+  geometric inhomogeneous random graphs in linear time", ESA 2017): a
+  target is a cell drawn in proportion to its weight total times
+  exp(-gamma * dist(x, cell)), then a node of that cell drawn in
+  proportion to its weight and kept with probability
+  exp(-gamma * (d_i - dist(x, cell))) (`sampling.IncrementLog.grow`).
+  `Cells` supplies each node's cell and each insertion's distance to
+  every cell, a window of `CELL_WINDOW` insertions at a time. A cell
+  distance is shaved by a margin far above rounding, so no node of a
+  cell is closer than it, and every acceptance is at most 1.
+- Balls otherwise (`balls`). The draw (`IncrementLog.sample_near`) splits
+  the earlier nodes into a ball B = {i : d_i < R}, whose exact weights
+  race, and a tail, which it proposes from the increment log and thins by
+  distance. The rest of this docstring is about the balls and their
+  radius R.
+
+The balls are found on grids over the final locations, for a window of
 up to `MAX_QUERIES` insertions at a time:
 
 - Levels. Level l cuts the bounding cube of all locations into cells of
@@ -33,9 +52,10 @@ up to `MAX_QUERIES` insertions at a time:
   races all earlier nodes; so does every insertion with more than
   `GRID_DIMS` dimensions.
 
-None of this looks at the weights or at the draw, so none of it can bias
-the draw. A window's balls are gathered in pieces of at most
-`MAX_ENTRIES` nodes, so memory stays bounded whatever the run's length.
+None of this, and neither the choice between cells and balls, looks at
+the weights or at the draw, so none of it can bias the draw. A window's
+balls are gathered in pieces of at most `MAX_ENTRIES` nodes, so memory
+stays bounded whatever the run's length.
 Ball, tail and race take every squared distance from
 `_squared_distances`, so they agree to the bit on which nodes lie inside.
 Ball factors are relative to the nearest ball node,
@@ -53,6 +73,13 @@ import numpy as np
 
 __all__ = ["Ball", "balls"]
 
+# cells of the cell draw's grid, about: CELLS ** (1 / dim) a side, rounded
+CELLS = 256
+# a run draws by cells when every insertion's gamma times the cell side is
+# at most CELL_DECAY
+CELL_DECAY = 1.0
+# insertions whose distances to every cell are computed together
+CELL_WINDOW = 256
 # gathered nodes held at once
 MAX_ENTRIES = 1 << 14
 # insertions whose radii and cells are chosen together
@@ -110,9 +137,81 @@ class Ball:
     def decay_everywhere(self) -> np.ndarray:
         """The factor of every earlier node relative to the nearest one:
         the weights of a hand-off to the exponential race."""
-        axes = self._axes
-        d = np.sqrt(_squared_distances(axes, np.arange(self.node), axes[:, self.node, None]))
-        return np.exp(-self.gamma * (d - d.min()))
+        return _decay_everywhere(self._axes, self.node, self.gamma)
+
+
+class Cells:
+    """The grid of the cell draw: `count` cells, `per_side` a side, over
+    the cube of side `span` from `origin` that holds a run's final
+    `locations`; `cell[i]` is the cell of node i and `points[i]` its
+    location.
+
+    `queries` are the insertions with targets, in order, and `gammas`
+    their decay strengths. `row(q)` gives query q its distances to every
+    cell, computed for a window of `CELL_WINDOW` queries at a time."""
+
+    def __init__(self, locations: np.ndarray, queries: np.ndarray, gammas: np.ndarray,
+                 origin: np.ndarray, span: float, per_side: int):
+        dim = locations.shape[1]
+        self.count = per_side ** dim
+        # co-located nodes share one cell of any width
+        width = (span or 1.0) / per_side
+        coords = np.minimum(((locations - origin) / width).astype(np.int64), per_side - 1)
+        self.cell = coords @ per_side ** np.arange(dim, dtype=np.int64)
+        # each axis's cell edges, widened by a margin far above the rounding
+        # of a cell index or a distance, so that no node of a cell is closer
+        # to a query than the shaved cell distance
+        margin = 1e-9 * (width + float(np.abs(origin).max()))
+        edges = origin[:, None] + width * np.arange(per_side + 1)
+        self.lo, self.hi = edges[:, :-1] - margin, edges[:, 1:] + margin
+        self.queries = queries
+        self.gammas = gammas
+        self.axes = np.ascontiguousarray(locations.T)
+        self.points = locations.tolist()
+        self.start = self.end = 0
+
+    def row(self, q: int):
+        """Query q's shaved distances to every cell box, as a flat
+        memoryview of its window and the offset of q's row there, and its
+        factors exp(-gamma * distance)."""
+        if not self.start <= q < self.end:
+            self.start, self.end = q, min(q + CELL_WINDOW, len(self.queries))
+            nodes = self.queries[self.start:self.end]
+            d2 = np.zeros((len(nodes), 1))
+            for lo, hi, axis in zip(self.lo, self.hi, self.axes):
+                x = axis.take(nodes)[:, None]
+                gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+                gap *= gap
+                # cell c of the axes before this one and i on it is cell
+                # c + i * per_side^axis
+                d2 = (gap[:, :, None] + d2[:, None, :]).reshape(len(nodes), -1)
+            distances = np.sqrt(d2)
+            self.factors = np.exp(-self.gammas[self.start:self.end, None] * distances)
+            self.distances = memoryview(distances.reshape(-1))
+        r = q - self.start
+        return self.distances, r * self.count, self.factors[r]
+
+    def decay_everywhere(self, node: int, gamma: float) -> np.ndarray:
+        """The factor of every node before `node` relative to the nearest
+        one: the weights of a finish with the exponential race."""
+        return _decay_everywhere(self.axes, node, gamma)
+
+
+def choose_draw(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], float],
+                first: int):
+    """The draw of a run whose insertions `first`, `first + 1`, ... have
+    out-degrees `degrees` and decay strengths `gamma(n)` at network size
+    n: its `Cells` when every insertion's gamma times their side is at
+    most `CELL_DECAY`, else its balls (`balls`). `locations` holds every
+    node of the run. Each insertion's gamma is computed here, once, and
+    no random number is read."""
+    queries, out_degrees, gammas = _decays(degrees, gamma, first)
+    per_side = max(1, round(CELLS ** (1 / locations.shape[1])))
+    origin = locations.min(axis=0)
+    span = float((locations.max(axis=0) - origin).max())
+    if gammas.max(initial=0.0) * span / per_side <= CELL_DECAY:
+        return Cells(locations, queries, gammas, origin, span, per_side)
+    return _balls(locations, queries, out_degrees, gammas)
 
 
 def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], float],
@@ -124,10 +223,21 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], flo
     out-degree of node `first + j`, and `gamma(n)` is the decay strength
     when node n is inserted.
     """
+    return _balls(locations, *_decays(degrees, gamma, first))
+
+
+def _decays(degrees: np.ndarray, gamma: Callable[[int], float], first: int):
+    """The insertions with out-degree above 0, their out-degrees and their
+    decay strengths."""
     queries = first + np.flatnonzero(degrees)
-    degrees = degrees[queries - first]
-    needs = MIN_BLOCK * (1 + degrees) // 2
     gammas = np.fromiter(map(gamma, queries.tolist()), np.float64, len(queries))
+    return queries, degrees[queries - first], gammas
+
+
+def _balls(locations: np.ndarray, queries: np.ndarray, degrees: np.ndarray,
+           gammas: np.ndarray) -> Iterator[Ball]:
+    """The balls of `queries`, whose out-degrees are `degrees`."""
+    needs = MIN_BLOCK * (1 + degrees) // 2
     # one contiguous row per axis, for gathering coordinates by node
     axes = np.ascontiguousarray(locations.T)
     if locations.shape[1] > GRID_DIMS:
@@ -161,6 +271,12 @@ def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], flo
 def _all_earlier(axes: np.ndarray, node: int, gamma: float) -> Ball:
     """An empty ball with no tail: the draw races every earlier node."""
     return Ball(node, np.empty(0, dtype=np.int64), np.empty(0), 0.0, gamma, 0.0, axes)
+
+
+def _decay_everywhere(axes: np.ndarray, node: int, gamma: float) -> np.ndarray:
+    """exp(-gamma * (d - d_min)) for every node before `node`."""
+    d = np.sqrt(_squared_distances(axes, np.arange(node), axes[:, node, None]))
+    return np.exp(-gamma * (d - d.min()))
 
 
 def _squared_distances(axes: np.ndarray, nodes: np.ndarray, center: np.ndarray) -> np.ndarray:

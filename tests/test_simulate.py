@@ -121,27 +121,37 @@ class TestSamplerCounters:
     counted uniform fill; the counters describe a run and stay out of its
     digest."""
 
-    @pytest.mark.parametrize("kind", ["ba", "af", "mf", "lbm", "lbm-g"])
-    def test_draws_add_up_to_the_grown_edges(self, kind):
+    # lbm's log decay takes the cell draw at these sizes, lbm-g's spread
+    # walk the ball draw; "lbm-balls" is lbm sent to the ball draw
+    @pytest.mark.parametrize("kind", ["ba", "af", "mf", "lbm", "lbm-g", "lbm-balls"])
+    def test_draws_add_up_to_the_grown_edges(self, kind, monkeypatch):
+        if kind == "lbm-balls":
+            kind = "lbm"
+            force_balls(monkeypatch)
         seed = synthetic_seed(n_nodes=60, rng_seed=3)
         schedule = corpus_like_schedule(n_nodes=600, start_year=1976, end_year=1985,
                                         rng_seed=4)
         g = grow(make_model(kind), seed, schedule, rng_seed=2)
         s = g.sampler
         drawn = (s["log_draws"] + s["heavy_draws"] + s["ball_draws"] + s["tail_draws"]
-                 + s["race_draws"])
+                 + s["cell_draws"] + s["race_draws"])
         assert drawn == g.n_edges - seed.n_edges - g.fallback_fills
         assert (s["log_draws"] == 0) == (kind in ("lbm", "lbm-g"))
         # ba and af gains are all equal, so only mf can keep heavy nodes
         assert s["heavy_draws"] == 0 or kind == "mf"
         if kind in ("lbm", "lbm-g"):
             assert s["log_rejects"] == 0 and s["dense_handoffs"] == 0
+        cells = s["cell_draws"] > 0
+        assert cells == (kind == "lbm" and spatial.CELL_DECAY > 0)
+        # a cell draw tries about twice per target here, each failed try
+        # an envelope miss or a repeat
+        assert 0 < s["cell_rejects"] < 2 * s["cell_draws"] if cells else s["cell_rejects"] == 0
         assert s["tail_accepted"] <= s["tail_proposed"]
         assert s["race_handoffs"] <= s["race_draws"] or s["race_draws"] == 0
         assert s["seconds"] > 0
         # the parts of the drawing time spent finding lbm/lbm-g balls and
-        # running their tails
-        if kind in ("lbm", "lbm-g"):
+        # running their tails; a cell draw finds neither
+        if kind in ("lbm", "lbm-g") and not cells:
             assert 0 < s["ball_seconds"] and 0 < s["tail_seconds"]
             assert s["ball_seconds"] + s["tail_seconds"] <= s["seconds"]
         else:
@@ -157,12 +167,18 @@ class TestSamplerCounters:
         assert s["race_handoffs"] == np.count_nonzero(g.out_degrees[seed.n_nodes:])
         assert s["race_draws"] == g.n_edges - seed.n_edges - g.fallback_fills
 
-    def test_fills_are_not_draws(self):
-        # an edgeless seed under "total" gives every node weight 0
+    def test_fills_are_not_draws(self, monkeypatch):
+        # an edgeless seed under "total" gives every node weight 0: the cell
+        # draw takes the nodes of weight, none, and the ball draw hands the
+        # insertion to a race that draws nothing
         seed = SeedNetwork(nodes=((0, 1970), (1, 1971)), edges=())
-        g = grow(make_model("lbm", degree_mode="total"), seed, YearSchedule({1976: [2]}))
-        assert g.fallback_fills == 2
-        assert g.sampler["race_handoffs"] == 1 and g.sampler["race_draws"] == 0
+        for balls in (False, True):
+            if balls:
+                force_balls(monkeypatch)
+            g = grow(make_model("lbm", degree_mode="total"), seed, YearSchedule({1976: [2]}))
+            assert g.fallback_fills == 2
+            assert g.sampler["race_handoffs"] == balls and g.sampler["race_draws"] == 0
+            assert g.sampler["cell_draws"] == g.sampler["ball_draws"] == 0
 
     def test_dense_handoffs_finish_with_the_race(self, monkeypatch):
         calls = count_races(monkeypatch)
@@ -269,6 +285,23 @@ class TestSelectionMechanics:
         schedule = YearSchedule({1976: [5]})
         with pytest.raises(SimulationError, match="5"):
             grow(make_model("ba"), tiny_seed, schedule)
+
+
+def force_balls(monkeypatch) -> None:
+    """Send every location-model run to the ball draw."""
+    monkeypatch.setattr(spatial, "CELL_DECAY", -1.0)
+
+
+def on_both_draws(monkeypatch, check) -> dict:
+    """Run `check`, which returns summed sampler counters, on the draw the
+    run's settings pick and, when that is the cell draw, once more on the
+    ball draw. Returns the first run's counters."""
+    counts = check()
+    if counts["cell_draws"]:
+        with monkeypatch.context() as patch:
+            force_balls(patch)
+            assert check()["cell_draws"] == 0
+    return counts
 
 
 def count_races(monkeypatch) -> list:
@@ -639,6 +672,17 @@ class TestWholeRunLaw:
         distance at each production run's locations."""
         self.check_final_in_degrees(make_model(kind, **options), self.NEAR_RUNS)
 
+    @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
+    def test_cell_race_finish(self, degree_mode, monkeypatch):
+        # CELL_TRIES 1: as many failed cell tries as the insertion has
+        # targets hand the rest of it to the race over the unchosen nodes
+        monkeypatch.setattr(citegrow.sampling, "CELL_TRIES", 1)
+        model = make_model("lbm", degree_mode=degree_mode)
+        g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 2)
+        counts = self.check(g0, model, [2, 2], self.NEAR_RUNS)
+        assert counts["cell_draws"] > 0 and counts["race_draws"] > 0
+        assert 0 < counts["race_handoffs"] < self.NEAR_RUNS
+
     def check_final_in_degrees(self, model, runs=RUNS) -> Counter:
         """The final in-degree test of `test_final_in_degrees` under
         `model`, over `runs` runs; returns the production runs' sampler
@@ -739,7 +783,7 @@ class TestWholeRunLaw:
 class TestSpatialSampler:
     """lbm and lbm-g draw from the increment log's weights times the
     distance factor; their law must be the sequential weighted draw without
-    replacement, exactly."""
+    replacement, exactly, on the cell draw and on the ball draw."""
 
     SEED = TestIncrementLogSampler.SEED
     # const decay keeps lbm's distance factor the same at every network
@@ -751,33 +795,42 @@ class TestSpatialSampler:
 
     @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
     @pytest.mark.parametrize("kind", ["lbm", "lbm-g"])
-    def test_matches_exact_enumeration(self, kind, degree_mode):
+    def test_matches_exact_enumeration(self, kind, degree_mode, monkeypatch):
         model = make_model(kind, degree_mode=degree_mode, **self.OPTIONS[kind])
         g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 1)
-        assert_last_insertion_law(g0, model, [3], runs=self.RUNS)
+        counts = on_both_draws(
+            monkeypatch, lambda: assert_last_insertion_law(g0, model, [3], runs=self.RUNS))
+        # const decay 1 over the unit square is far below the cells' bound
+        assert counts["cell_draws"] > 0 or kind == "lbm-g"
 
-    def test_later_insertion_sees_gains_and_new_node(self):
+    def test_later_insertion_sees_gains_and_new_node(self, monkeypatch):
         # the second insertion's law depends on the first insertion's gains
         # and on the first new node's weight: the fitness it drew at its
         # insertion times its out-degree
         model = make_model("lbm", degree_mode="total", **self.OPTIONS["lbm"])
         g0 = init_from_seed(self.SEED.nodes[:4], self.SEED.edges[:3], model, 2)
-        assert_last_insertion_law(g0, model, [2, 2], runs=self.RUNS)
+        counts = on_both_draws(
+            monkeypatch, lambda: assert_last_insertion_law(g0, model, [2, 2], runs=self.RUNS))
+        assert counts["cell_draws"] > 0
 
     def test_grid_balls_and_tail_in_growth(self, monkeypatch):
         # one-node blocks send these runs through the grid, the ball race
         # and the tail; the second insertion sees the first one's gains
+        force_balls(monkeypatch)
         monkeypatch.setattr(spatial, "MIN_BLOCK", 1)
         model = make_model("lbm", **self.OPTIONS["lbm"])
         g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 3)
         counts = assert_last_insertion_law(g0, model, [2, 2], runs=self.RUNS // 2)
         assert counts["ball_draws"] > 0 and counts["tail_draws"] > 0
 
-    def test_co_located_nodes(self):
-        # sigma 0 (and so rho 0) puts every node on the subspace mean
+    def test_co_located_nodes(self, monkeypatch):
+        # sigma 0 (and so rho 0) puts every node on the subspace mean, in
+        # one cell
         model = make_model("lbm-g", sigma=0.0, **self.OPTIONS["lbm-g"])
         g0 = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 1)
-        assert_last_insertion_law(g0, model, [3], runs=self.RUNS)
+        counts = on_both_draws(
+            monkeypatch, lambda: assert_last_insertion_law(g0, model, [3], runs=self.RUNS))
+        assert counts["cell_draws"] > 0
 
 
 class TestNearDraw:
@@ -1021,19 +1074,74 @@ class TestLogGrowthStream:
 
 class TestSpatialGrowthStream:
     """lbm and lbm-g draw every fitness value and location before the first
-    insertion, then each insertion races its ball and runs its thinned tail;
-    k = 0 insertions consume no random numbers. The digests pin that random
-    stream; a change to it changes them."""
+    insertion, then each insertion draws by cells, or races its ball and
+    runs its thinned tail; k = 0 insertions consume no random numbers. The
+    digests pin that random stream; a change to it changes them."""
+
+    # which draw each pinned setting takes, on the runs of
+    # `test_digest_is_pinned` ("small") and `test_benchmark_variants_are_pinned`
+    @pytest.mark.parametrize("size, kind, options, cells", [
+        pytest.param("small", "lbm", {}, True, id="lbm"),
+        pytest.param("small", "lbm-g", {}, False, id="lbm-g"),
+        pytest.param("small", "lbm", {"gamma_regime": "const"}, True, id="lbm-const"),
+        pytest.param("small", "lbm", {"gamma_regime": "linear"}, False, id="lbm-linear"),
+        pytest.param("small", "lbm", {"gamma_regime": "sqrt"}, False, id="lbm-sqrt"),
+        pytest.param("small", "lbm", {"dim": 1}, True, id="lbm-dim1"),
+        pytest.param("small", "lbm", {"dim": 4}, False, id="lbm-dim4"),
+        pytest.param("small", "lbm-g", {"sigma": 0.0}, True, id="lbm-g-sigma0"),
+        pytest.param("small", "lbm-g", {"rho": 0.0}, False, id="lbm-g-rho0"),
+        pytest.param("small", "lbm-g", {"shift_unit": "nodes", "shift_every": 5}, False,
+                     id="lbm-g-nodes"),
+        pytest.param("benchmark", "lbm", {"gamma_regime": "log"}, True, id="bench-lbm-log"),
+        pytest.param("benchmark", "lbm", {"gamma_regime": "linear"}, False,
+                     id="bench-lbm-linear"),
+        pytest.param("benchmark", "lbm-g", {"sigma": 1.5, "shift_every": 12}, False,
+                     id="bench-lbm-g"),
+        pytest.param("benchmark", "lbm", {"degree_mode": "total"}, True, id="bench-lbm-total"),
+        pytest.param("benchmark", "lbm-g", {"degree_mode": "total", "sigma": 1.5,
+                                            "shift_every": 12}, False, id="bench-lbm-g-total"),
+        pytest.param("benchmark", "lbm", {"dim": 3}, False, id="bench-lbm-dim3"),
+    ])
+    def test_draw_choice_is_pinned(self, size, kind, options, cells, monkeypatch):
+        """The draw `choose_draw` picks, and the generator's state when the
+        insertion pass starts, recorded without growing: the same on the
+        ball draw, so the choice reads no random number."""
+        if size == "small":
+            seed = synthetic_seed(n_nodes=50, rng_seed=3)
+            schedule = corpus_like_schedule(n_nodes=400, start_year=1976, end_year=1985,
+                                            rng_seed=4)
+        else:
+            seed = synthetic_seed()
+            schedule = corpus_like_schedule(n_nodes=3000)
+        model = make_model(kind, **options)
+        g0 = init_from_seed(seed.nodes, seed.edges, model, 5)
+        passes = []
+
+        class Started(Exception):
+            pass
+
+        def start(log, degrees, entry, gains, cited, rng, near=None):
+            passes.append((isinstance(near, spatial.Cells), rng.bit_generator.state))
+            raise Started
+
+        monkeypatch.setattr(IncrementLog, "grow", start)
+        for balls in (False, True):
+            if balls:
+                force_balls(monkeypatch)
+            with pytest.raises(Started):
+                run_simulation(g0, schedule, model, 6)
+        assert [took for took, _ in passes] == [cells, False]
+        assert passes[0][1] == passes[1][1]
 
     @pytest.mark.parametrize("kind, options, digest", [
         pytest.param("lbm", {},
-                     "78372b2b662da68fe3060860657c9496bd63ab672668b74a2ab5c921ef92bef4",
+                     "4a502491d0edf6073e1889cb8233df4e7cef1ae4af454492e58654b6ac6f4682",
                      id="lbm"),
         pytest.param("lbm-g", {},
                      "61866bc308c7dc2422e78d139881c727a483d38be0676bd70bd665b1d52c492a",
                      id="lbm-g"),
         pytest.param("lbm", {"gamma_regime": "const"},
-                     "db3e0b97a369572166ba1504e04f53847fbd5965238fc0d4fd843f89db490dc4",
+                     "a4ede85a36e494314ebfc0f53522c5d8762195b12126e1e4ddf9d096ce48d418",
                      id="lbm-const"),
         pytest.param("lbm", {"gamma_regime": "linear"},
                      "b874efbe04491c6db14d812ebae4d6ee1b875a54c347ba2e6f490ac397566af3",
@@ -1042,13 +1150,13 @@ class TestSpatialGrowthStream:
                      "79f0718984c494c266034fa889cc84b5e9bf9380b6770b597b9c54a96f08f6c2",
                      id="lbm-sqrt"),
         pytest.param("lbm", {"dim": 1},
-                     "5d646327647ff85f02b2dd07052f4d372a21639ef4eee1833565bba199023a49",
+                     "7c215b50a629a9cf663feb2be0ffa33a28d3f06383e06c8d347c6bc77c5ad8f0",
                      id="lbm-dim1"),
         pytest.param("lbm", {"dim": 4},
                      "1097dc4fc2c2691c2ec3941cc5e3739907851c2ab7cf044bf234d61290b15004",
                      id="lbm-dim4"),
         pytest.param("lbm-g", {"sigma": 0.0},
-                     "c9efacd64f7fc73b3968efb6be58b464a138aedf8729b04c3eee7287f0819c26",
+                     "aaf8c2d47aaa489d73f632b23e8dcc5d9e61bdb4a2de1b3d7c58887948f8d83d",
                      id="lbm-g-sigma0"),
         pytest.param("lbm-g", {"rho": 0.0},
                      "57c2e8838e93048bdee06e974c36929be28a655a410946b822bcf6e78d0ec414",
@@ -1067,13 +1175,13 @@ class TestSpatialGrowthStream:
         assert run_simulation(g0, schedule, model, 6).digest() == digest
 
     # the variants the grow-spatial benchmark runs, at half its size: enough
-    # insertions to reach fine grid levels and many tail segments; then
-    # zero-weight ball nodes and a three-dimensional grid
+    # insertions to reach fine grid levels and many tail segments, or many
+    # windows of cell distances; then zero-weight nodes and a
+    # three-dimensional grid
     @pytest.mark.parametrize("kind, options, digest, counts", [
         pytest.param("lbm", {"gamma_regime": "log"},
-                     "3cc5f06d157ac15e1efb289140c22101f8a119f131ffcfe4f170e1033b9715b9",
-                     {"ball_draws": 1665, "tail_draws": 4776, "tail_proposed": 126255,
-                      "tail_accepted": 4776},
+                     "28a0e1bb4df787363eb8a60a9c4cf8a7dfdbfc6657d3fb0a5e4114a0aba156c7",
+                     {"cell_draws": 6441, "cell_rejects": 5877},
                      id="lbm-log"),
         pytest.param("lbm", {"gamma_regime": "linear"},
                      "bf3e64679d04a086b5d8e1550efb91ef539c43397a4c5e01e3d4478a718846ea",
@@ -1086,9 +1194,8 @@ class TestSpatialGrowthStream:
                      id="lbm-g"),
         # zero-weight nodes (k = 0 under "total") sit in the balls
         pytest.param("lbm", {"degree_mode": "total"},
-                     "1bddb0e7ca35f1ed2331ddc929d33de5f7479f23aff5743b90038982b118c97f",
-                     {"ball_draws": 1804, "tail_draws": 4637, "tail_proposed": 116424,
-                      "tail_accepted": 4637},
+                     "c3d844a80d6c2ac92b1133ad8b6be3aabcc318184d115d8482ea3377c04726e0",
+                     {"cell_draws": 6441, "cell_rejects": 4535},
                      id="lbm-total"),
         pytest.param("lbm-g", {"degree_mode": "total", "sigma": 1.5, "shift_every": 12},
                      "6af31090855b0005dd03b6fb41fe7c0796516b9ff87a67099a88299a8fe063d9",
