@@ -217,7 +217,7 @@ class TestDumpPins:
     SCHEDULE = corpus_like_schedule(n_nodes=160, end_year=1985, rng_seed=3)
     PINS = {
         "ba": "449ed15a51cd2fef03161804fad7ad1f75153c916b86c98acbc84cb0ad772b8d",
-        "lbm-dim1": "7ac8002af09fe7e39ed5c9c3856dc669b3f90a01075c0a6f01bf9c958ef24774",
+        "lbm-dim1": "06b66611b6b29bf711c88ddf850656b7828c95c059e57f5ff8299ce31a1e63d9",
         "lbm-dim4": "1396e08d629cfeacbcb9f576e9d677a9344ece29bdb9f67e6cfa177c3e675eac",
         "lbm-g-dim2": "1c04a8bd4580bdfb89a04bf571977c0cdad78c935c7135b206406bda71887db6",
         "seed-only": "f4b6acc424da3c950b307e3bd6b403633e0c483fc4eae4822e71051a0a45f595",
