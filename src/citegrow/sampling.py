@@ -270,8 +270,8 @@ class IncrementLog:
         search, dense, block = bisect_right, DENSE_SHARE, BLOCK
         n, t = self.n_nodes, self.size
         cut, heavy = (inf, []) if near is not None else self._set_aside(gains)
-        cells = _CellLogs(self, near) if isinstance(near, Cells) else None
-        append = cells.append if cells is not None else None
+        cell_logs = _CellLogs(self, near) if isinstance(near, Cells) else None
+        append = cell_logs.append if cell_logs is not None else None
         heavy_w = sum(self.weights.take(heavy).tolist())
         positive = int(np.count_nonzero(self.weights[:n]))
         total = cum[t - 1] if t else 0.0
@@ -347,8 +347,8 @@ class IncrementLog:
                     need -= 1
                 draws += len(chosen)
                 targets = sorted(chosen)
-            elif cells is not None:
-                targets = cells.draw(k, n, rng, positive)
+            elif cell_logs is not None:
+                targets = cell_logs.draw(k, n, rng, positive)
             else:
                 t0 = perf_counter()
                 ball = next(near)
@@ -402,8 +402,8 @@ class IncrementLog:
         counts["heavy_draws"] += heavy_draws
         counts["log_rejects"] += rejects
         counts["dense_handoffs"] += handoffs
-        if cells is not None:
-            for name, value in cells.counts.items():
+        if cell_logs is not None:
+            for name, value in cell_logs.counts.items():
                 counts[name] += value
         self.ball_seconds += ball_s
         return fills
