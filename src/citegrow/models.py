@@ -179,19 +179,25 @@ class ModelSpec:
     def uses_location(self) -> bool:
         return self.kind in _LOCATION_KINDS
 
-    def gamma_at(self, n: int) -> float:
-        """The lbm/lbm-g decay strength gamma at network size `n`.
+    def gamma_at(self, n):
+        """The lbm/lbm-g decay strength gamma at network size `n`, an int;
+        or, for a 1-D int array `n`, an array holding the gamma of each of
+        its sizes, to the bit.
 
-        math.sqrt and math.log of the int n, not numpy's: numpy's log can
-        differ from math.log by one ulp, which would move every graph."""
+        math.log of the int n, not numpy's: numpy's log can differ from
+        math.log by one ulp, which would move every graph. np.sqrt rounds
+        correctly, as math.sqrt does."""
+        many = np.ndim(n) > 0
         if self.gamma_regime == "const":
-            return self.gamma_const
+            return np.full(np.shape(n), self.gamma_const) if many else self.gamma_const
         if self.gamma_regime == "linear":
-            return float(n)
+            return np.asarray(n, dtype=np.float64) if many else float(n)
         if self.gamma_regime == "sqrt":
-            return math.sqrt(n)
-        if n < 2:
+            return np.sqrt(np.asarray(n, dtype=np.float64)) if many else math.sqrt(n)
+        if np.any(np.less(n, 2)):
             raise ValidationError("log gamma regime needs at least 2 nodes")
+        if many:
+            return np.fromiter(map(math.log, np.asarray(n).tolist()), np.float64, np.size(n))
         return math.log(n)
 
     def to_config_text(self) -> str:

@@ -70,18 +70,24 @@ By ball and tail (`IncrementLog.sample_near`), otherwise. The nodes of a
 ball around the new node race with their exact weights w_i = a_i * g_i.
 Every other node has g_j <= c, a bound the ball supplies, so its race
 key E_j / w_j is the first arrival of a Poisson process of rate w_j.
-Those processes are one thinned process: arrivals at rate c * A (A the
-log total) propose node j with probability a_j / A, a proposal inside
-the ball is dropped, and one outside is kept with probability g_j / c.
+Those processes are one thinned process (Lewis & Shedler, "Simulation
+of nonhomogeneous Poisson processes by thinning", 1979): arrivals at
+rate c * A (A the log total) propose node j with probability a_j / A, a
+proposal inside the ball is dropped, and one outside is kept with
+probability g_j / c.
 Superposition and thinning give each tail node a Poisson process of rate
 a_j * g_j, independent of the others and of the ball's keys, so the
 first kept arrival of each tail node is distributed as its race key, and
 the k smallest keys of ball and tail are the race's winners: the
 sequential law, exactly. Only arrivals before the k-th smallest key
-found so far can win, so the process stops there. The ball, c and the
-choice to hand an insertion to the full race (when the ball holds fewer
-than k weights above `_TINY`, or the tail would need too many proposals)
-are fixed before the first draw, so they cannot bias it. A weight at
+found so far can win, so the process stops there. A segment's count is
+numpy's Poisson draw, except that a mean whose exp(-mean) rounds to 1
+(below about 1.1e-16) gives 0 without reading the generator: numpy's
+inversion would return 0 for every uniform there, so only the random
+numbers consumed change. The ball, c and the choice to hand an
+insertion to the full race (when the ball holds fewer than k weights
+above `_TINY`, or the tail would need too many proposals) are fixed
+before the first draw, so they cannot bias it. A weight at
 most `_TINY`, 0 included, can overflow its key E / w to inf, and inf
 keys would tie; the race ranks by log E - log w when fewer than k of its
 keys are finite."""
@@ -510,7 +516,7 @@ class IncrementLog:
         step = SEGMENT / rate
         start = 0.0
         stop = min(bound, step)
-        count = int(rng.poisson(rate * stop))
+        count = _poisson(rng, rate * stop)
         if not count and stop >= bound:
             # the usual end when the envelope is far below the ball's factors
             self.tail_seconds += perf_counter() - t0
@@ -549,7 +555,7 @@ class IncrementLog:
             if start >= bound:
                 break
             stop = min(bound, start + step)
-            count = int(rng.poisson(rate * (stop - start)))
+            count = _poisson(rng, rate * (stop - start))
         counts = self.counts
         counts["tail_proposed"] += proposed
         counts["tail_accepted"] += len(first)
@@ -697,6 +703,14 @@ class _CellLogs:
             counts["race_draws"] += len(more)
             chosen.update(more)
         return sorted(chosen)
+
+
+def _poisson(rng: np.random.Generator, mean: float) -> int:
+    """A Poisson count of mean `mean`, as `rng.poisson` draws it. When
+    exp(-mean) rounds to 1, numpy's inversion returns 0 for every uniform
+    it could read (their running product stays below exp(-mean)), so the
+    count is 0 and no random number is read."""
+    return int(rng.poisson(mean)) if exp(-mean) != 1.0 else 0
 
 
 def _race_positive(w: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

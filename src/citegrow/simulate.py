@@ -203,32 +203,60 @@ def _scheduled_locations(model: ModelSpec, schedule: YearSchedule,
     node's location comes from the subspace current at its insertion."""
     if model.kind is ModelKind.LBM:
         return sample_location_uniform(rng, model.dim, schedule.total_nodes), 0
-    months = model.shift_unit == "months"
-    every = model.shift_every
+    shifts = _shifts_owed(model, schedule)
+    total = int(shifts[-1]) if shifts.size else 0
     means = [_walk_start(model)]
-    sizes = [0]
-    last_shift_time = float(schedule.years[0])
-    nodes_since_shift = 0
-    for year in schedule.years:
-        m = len(schedule.entries[year])
-        for j in range(m):
-            sizes[-1] += 1
-            nodes_since_shift += 1
-            t_now = year + (j + 1) / m
-            # the tolerance absorbs float error in the (j+1)/m sub-year clock
-            while (t_now - last_shift_time >= every / 12.0 - 1e-12 if months
-                   else nodes_since_shift >= every):
-                # a step of scale rho 0 keeps the mean but still counts
-                means.append(means[-1] if model.rho == 0.0
-                             else rng.normal(means[-1], model.rho))
-                sizes.append(0)
-                if months:
-                    last_shift_time += every / 12.0
-                else:
-                    nodes_since_shift = 0
-    locations = [sample_location_active(rng, mean, model.sigma, size)
-                 for mean, size in zip(means, sizes)]
-    return np.concatenate(locations), len(means) - 1
+    for _ in range(total):
+        # a step of scale rho 0 keeps the mean but still counts
+        means.append(means[-1] if model.rho == 0.0 else rng.normal(means[-1], model.rho))
+    # a node takes the mean current at its insertion: the one after the
+    # steps owed by the node before it
+    current = np.stack(means)[np.concatenate(([0], shifts))[:-1]]
+    if model.sigma == 0.0:
+        return current, total
+    # N(mean, sigma^2 I), node after node, as `sample_location_active`
+    # draws each mean's nodes
+    return rng.normal(current, model.sigma), total
+
+
+def _shifts_owed(model: ModelSpec, schedule: YearSchedule) -> np.ndarray:
+    """The lbm-g walk steps owed in all after each scheduled insertion.
+
+    The clock starts at the first scheduled year and is checked after
+    every insertion. By nodes, a step is owed every `shift_every` nodes.
+    By months, the j-th of a year's m nodes is at time year + (j + 1) / m,
+    and steps are owed while that time is at least `shift_every` months
+    past the clock, less a tolerance for float error in the sub-year
+    time; each step moves the clock on by `shift_every` months."""
+    sizes = [len(schedule.entries[year]) for year in schedule.years]
+    n = sum(sizes)
+    if model.shift_unit == "nodes":
+        return np.arange(1, n + 1) // int(model.shift_every)
+    if not n:
+        return np.zeros(0, dtype=np.int64)
+    start = float(schedule.years[0])
+    step = model.shift_every / 12.0
+    least = step - 1e-12
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    now = (np.repeat(np.array(schedule.years, dtype=np.float64), sizes)
+           + (np.arange(1, n + 1) - first) / np.repeat(sizes, sizes))
+    # the clock after each step, summed one step at a time, as far as a
+    # step the last node does not owe
+    count = int((now[-1] - start) / step) + 2
+    while True:
+        clock = np.add.accumulate(np.append(start, np.full(count, step)))
+        if now[-1] - clock[-1] < least:
+            break
+        count *= 2
+    # the steps owed after node i are the clock readings c with
+    # now[i] - c >= least, which hold up to some reading: found by bisection
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, clock.size - 1)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        owed = now - clock.take(mid) >= least
+        lo, hi = np.where(owed, mid + 1, lo), np.where(owed, hi, mid)
+    return lo
 
 
 def _walk_start(model: ModelSpec) -> np.ndarray:

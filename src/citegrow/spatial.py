@@ -29,7 +29,8 @@ and its decay alone, before the first draw:
   radius R.
 
 The balls are found on grids over the final locations, for a window of
-up to `MAX_QUERIES` insertions at a time:
+up to `MAX_QUERIES` (1024) insertions at a time, whose radius walks, boxes
+and grid levels are found together:
 
 - Levels. Level l cuts the bounding cube of all locations into cells of
   side h = span / 2^l. A level's node ids are sorted by (cell, id), so the
@@ -39,10 +40,11 @@ up to `MAX_QUERIES` insertions at a time:
 - Radius. R trades ball size against tail proposals. A fine level at
   which the 2^dim cells nearest x still hold `MIN_BLOCK * (k + 1) / 2`
   earlier nodes (walked to from the last window's level) gives the local
-  density and the smallest R, that level's cell side. Above it, R minimizes the expected ball size plus `ARRIVAL_COST`
-  times the expected proposals, `k * exp(-gamma * R) * A / W`, with the
-  ratio of total weight to decayed weight A / W estimated as if the local
-  density held everywhere.
+  density and the smallest R, that level's cell side. Above it, R
+  minimizes the expected ball size plus `ARRIVAL_COST` times the expected
+  proposals, `k * exp(-gamma * R) * A / W`, with the ratio of total
+  weight to decayed weight A / W estimated as if the local density held
+  everywhere.
 - Ball. B is gathered from the cells that meet the cube of half-width R
   around x, at the finest level where at most `GATHER_WIDTH` cells a side
   do (3 above two dimensions); every earlier node outside those cells is
@@ -82,8 +84,9 @@ CELL_DECAY = 1.0
 CELL_WINDOW = 256
 # gathered nodes held at once
 MAX_ENTRIES = 1 << 14
-# insertions whose radii and cells are chosen together
-MAX_QUERIES = 256
+# insertions whose radii, boxes and balls are found together: each window
+# pays one radius walk, one box lookup per level and the level builds
+MAX_QUERIES = 1024
 # the cells that set the smallest radius hold MIN_BLOCK * (k + 1) / 2
 # earlier nodes
 MIN_BLOCK = 16
@@ -197,14 +200,13 @@ class Cells:
         return _decay_everywhere(self.axes, node, gamma)
 
 
-def choose_draw(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], float],
-                first: int):
+def choose_draw(locations: np.ndarray, degrees: np.ndarray, gamma: Callable, first: int):
     """The draw of a run whose insertions `first`, `first + 1`, ... have
-    out-degrees `degrees` and decay strengths `gamma(n)` at network size
-    n: its `Cells` when every insertion's gamma times their side is at
-    most `CELL_DECAY`, else its balls (`balls`). `locations` holds every
-    node of the run. Each insertion's gamma is computed here, once, and
-    no random number is read."""
+    out-degrees `degrees` and decay strengths `gamma(sizes)` at the
+    network sizes of an int array: its `Cells` when every insertion's
+    gamma times their side is at most `CELL_DECAY`, else its balls
+    (`balls`). `locations` holds every node of the run. Each insertion's
+    gamma is computed here, once, and no random number is read."""
     queries, out_degrees, gammas = _decays(degrees, gamma, first)
     per_side = max(1, round(CELLS ** (1 / locations.shape[1])))
     origin = locations.min(axis=0)
@@ -214,24 +216,25 @@ def choose_draw(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int
     return _balls(locations, queries, out_degrees, gammas)
 
 
-def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable[[int], float],
+def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable,
           first: int) -> Iterator[Ball]:
     """The balls of insertions `first`, `first + 1`, ... in order, skipping
     those with out-degree 0.
 
     `locations` holds every node of the run, `degrees[j]` is the
-    out-degree of node `first + j`, and `gamma(n)` is the decay strength
-    when node n is inserted.
+    out-degree of node `first + j`, and `gamma(nodes)` gives the decay
+    strength when each node of the int array `nodes` is inserted: an
+    array like `nodes`, or one float for all of them.
     """
     return _balls(locations, *_decays(degrees, gamma, first))
 
 
-def _decays(degrees: np.ndarray, gamma: Callable[[int], float], first: int):
+def _decays(degrees: np.ndarray, gamma: Callable, first: int):
     """The insertions with out-degree above 0, their out-degrees and their
     decay strengths."""
     queries = first + np.flatnonzero(degrees)
-    gammas = np.fromiter(map(gamma, queries.tolist()), np.float64, len(queries))
-    return queries, degrees[queries - first], gammas
+    return queries, degrees[queries - first], np.full(queries.shape, gamma(queries),
+                                                      dtype=np.float64)
 
 
 def _balls(locations: np.ndarray, queries: np.ndarray, degrees: np.ndarray,

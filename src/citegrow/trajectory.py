@@ -183,14 +183,15 @@ def _history_matrix(graph: GrowthGraph, horizon_year: int) -> np.ndarray:
     counting only citations from papers published up to the horizon."""
     n = graph.n_nodes
     width = int(horizon_year) - int(graph.years.min()) + 1
-    hist = np.zeros((n, max(width, 1)), dtype=np.int64)
-    if graph.n_edges:
-        citing_years = graph.years[graph.edges[:, 0]]
-        keep = citing_years <= horizon_year
-        cited = graph.edges[keep, 1]
-        offsets = citing_years[keep] - graph.years[cited]
-        np.add.at(hist, (cited, offsets), 1)
-    return hist
+    width = max(width, 1)
+    if not graph.n_edges:
+        return np.zeros((n, width), dtype=np.int64)
+    citing_years = graph.years[graph.edges[:, 0]]
+    keep = citing_years <= horizon_year
+    cited = graph.edges[keep, 1]
+    offsets = citing_years[keep] - graph.years[cited]
+    # one count per (cited, offset) cell of the flat matrix
+    return np.bincount(cited * width + offsets, minlength=n * width).reshape(n, width)
 
 
 # Decision-rule codes of the array classifier, one per classified node.

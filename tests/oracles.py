@@ -27,6 +27,9 @@ lbm and lbm-g, and draws its targets one after another with
 nodes than it needs have weight.
 `reference_set_law` is the exact probability of a target set under that
 draw.
+
+`walk_reference` runs the lbm-g walk clock one insertion at a time, as
+`citegrow.simulate` states it, for the array form there to match.
 """
 
 from math import comb
@@ -34,7 +37,7 @@ from math import comb
 import numpy as np
 
 from citegrow import ClassifierParams, TrajectoryCategory, ValidationError
-from citegrow.models import attachment_weights
+from citegrow.models import attachment_weights, sample_location_active
 from citegrow.theory import TheoryGraph, _theory_kind, selection_probabilities
 
 from test_sampling import sequential_reference, set_probability
@@ -216,3 +219,35 @@ def grow_reference(graph, schedule, model, fitness, rng, locations=None) -> np.n
             in_deg[target] += 1
             edges.append((node, target))
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def walk_reference(model, schedule, rng):
+    """The locations of every scheduled lbm-g node and the number of walk
+    steps: a clock that starts at the first scheduled year is checked after
+    every insertion, taking as many steps as the elapsed time (or node
+    count) owes; every step is drawn before the first location, and each
+    node's location comes from the mean current at its insertion."""
+    months = model.shift_unit == "months"
+    every = model.shift_every
+    means = [np.full(model.dim, 0.5)]
+    sizes = [0]
+    last_shift_time = float(schedule.years[0])
+    nodes_since_shift = 0
+    for year in schedule.years:
+        m = len(schedule.entries[year])
+        for j in range(m):
+            sizes[-1] += 1
+            nodes_since_shift += 1
+            t_now = year + (j + 1) / m
+            while (t_now - last_shift_time >= every / 12.0 - 1e-12 if months
+                   else nodes_since_shift >= every):
+                means.append(means[-1] if model.rho == 0.0
+                             else rng.normal(means[-1], model.rho))
+                sizes.append(0)
+                if months:
+                    last_shift_time += every / 12.0
+                else:
+                    nodes_since_shift = 0
+    locations = [sample_location_active(rng, mean, model.sigma, size)
+                 for mean, size in zip(means, sizes)]
+    return np.concatenate(locations), len(means) - 1

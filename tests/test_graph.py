@@ -219,7 +219,7 @@ class TestDumpPins:
         "ba": "449ed15a51cd2fef03161804fad7ad1f75153c916b86c98acbc84cb0ad772b8d",
         "lbm-dim1": "06b66611b6b29bf711c88ddf850656b7828c95c059e57f5ff8299ce31a1e63d9",
         "lbm-dim4": "1396e08d629cfeacbcb9f576e9d677a9344ece29bdb9f67e6cfa177c3e675eac",
-        "lbm-g-dim2": "1c04a8bd4580bdfb89a04bf571977c0cdad78c935c7135b206406bda71887db6",
+        "lbm-g-dim2": "b33c1778a5635490c841bf97c1b582ae656054ffd4a2619c8115e33d897d8a2a",
         "seed-only": "f4b6acc424da3c950b307e3bd6b403633e0c483fc4eae4822e71051a0a45f595",
         "awkward": "accf74ec527616d8cf58b07cd6007cdcb7128558be2cb7aa0cc7fe8846f01f67",
     }

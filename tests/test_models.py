@@ -40,6 +40,20 @@ class TestGamma:
     def test_log_needs_two_nodes(self):
         with pytest.raises(ValidationError):
             make_model("lbm-g").gamma_at(1)
+        with pytest.raises(ValidationError):
+            make_model("lbm-g").gamma_at(np.array([5, 1]))
+
+    @pytest.mark.parametrize("options", [{"gamma_regime": "const", "gamma_const": 2.5},
+                                         {"gamma_regime": "linear"}, {"gamma_regime": "sqrt"},
+                                         {"gamma_regime": "log"}])
+    def test_array_of_sizes_matches_each_size(self, options):
+        # the growth loop computes a run's gammas as one array; each must
+        # equal the int size's gamma to the bit
+        model = make_model("lbm", **options)
+        sizes = np.append(np.arange(2, 30_000, 7), 9170)
+        gammas = model.gamma_at(sizes)
+        assert gammas.dtype == np.float64 and gammas.shape == sizes.shape
+        assert gammas.tolist() == [model.gamma_at(n) for n in sizes.tolist()]
 
 
 class TestFitnessSampler:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import citegrow.sampling
+import citegrow.simulate
 from citegrow import spatial
 from citegrow import (
     GrowthGraph,
@@ -23,7 +25,13 @@ from citegrow import (
 )
 from citegrow.sampling import IncrementLog
 
-from oracles import distance_decay, grow_reference, reference_set_law, reference_weights
+from oracles import (
+    distance_decay,
+    grow_reference,
+    reference_set_law,
+    reference_weights,
+    walk_reference,
+)
 from test_sampling import set_probability
 
 
@@ -887,6 +895,39 @@ class TestNearDraw:
         counts = self.check(log, ball, exact, 2)
         assert counts["tail_draws"] == 0 and counts["race_handoffs"] == 0
 
+    @pytest.mark.parametrize("mean", [1e-17, 1e-80, 5e-324])
+    def test_poisson_is_zero_when_its_exponential_rounds_to_one(self, mean):
+        # the premise of the tail's skip: numpy's inversion multiplies
+        # uniforms below 1 until their product is at most exp(-mean), so
+        # at 1.0 the first uniform ends it with a count of 0
+        assert math.exp(-mean) == 1.0
+        rng = np.random.default_rng(0)
+        assert not np.random.default_rng(0).poisson(mean, size=200_000).any()
+        assert citegrow.sampling._poisson(rng, mean) == 0
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_ball_only_tail_reads_no_random_number(self, monkeypatch):
+        # the ball of `test_ball_only`: its tail's expected arrivals are far
+        # below a uniform's resolution, so the tail ends without reading
+        # the generator, and the law still holds
+        tail = IncrementLog._tail
+        states = []
+
+        def recorded(log, keys, nodes, rng, ball, rate, bound):
+            before = rng.bit_generator.state
+            result = tail(log, keys, nodes, rng, ball, rate, bound)
+            states.append(before == rng.bit_generator.state)
+            return result
+
+        monkeypatch.setattr(IncrementLog, "_tail", recorded)
+        locations = np.array([[0.5, 0.501], [0.1, 0.9], [0.5012, 0.5], [0.9, 0.1],
+                              [0.9, 0.9], [0.1, 0.1], [0.4986, 0.5], [0.2, 0.5],
+                              [0.5, 0.5]])
+        log, ball, exact = self.state(2, 300.0, 2, locations=locations)
+        counts = self.check(log, ball, exact, 2)
+        assert counts["tail_draws"] == 0 and counts["tail_proposed"] == 0
+        assert len(states) == self.RUNS and all(states)
+
     @pytest.mark.parametrize("dim, seed", [(1, 4), (2, 0), (3, 2)])
     def test_ball_and_tail(self, dim, seed):
         # gentle decay: every node outside the ball keeps a large share
@@ -981,6 +1022,62 @@ class TestNearDraw:
             assert np.all((outside > 0.0) & (outside <= 1.0))
             tails += bool(ball.nodes.size) and bool(outside.size)
         assert tails > 100
+
+
+class TestBallGeometry:
+    """Every ball `spatial.balls` finds, checked against all earlier nodes
+    by brute force, across the windows of insertions whose balls are found
+    together and the pieces they are gathered in."""
+
+    # past the first window of the default size
+    NODES = spatial.MAX_QUERIES + 200
+
+    @pytest.mark.parametrize("max_queries", [7, spatial.MAX_QUERIES])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_balls_match_brute_force(self, dim, max_queries, monkeypatch):
+        monkeypatch.setattr(spatial, "MAX_QUERIES", max_queries)
+        monkeypatch.setattr(spatial, "MAX_ENTRIES", 64)
+        gather = spatial._Levels.gather
+        pieces = []
+
+        def counted(levels, queries, *args):
+            pieces.append(len(queries))
+            return gather(levels, queries, *args)
+
+        monkeypatch.setattr(spatial._Levels, "gather", counted)
+        n, first = self.NODES, 40
+        locations = np.random.default_rng(dim).random((n, dim))
+        degrees = np.random.default_rng(dim + 10).integers(0, 4, n - first)
+        tails = 0
+        found = []
+        # a decay steep enough that radii often clear their floor, the
+        # cell side of the level that sets the local density
+        for ball in spatial.balls(locations, degrees, lambda nodes: nodes / 10.0, first):
+            node = ball.node
+            found.append(node)
+            assert ball.gamma == node / 10.0
+            # squared distances summed axis by axis, as the grid sums them
+            d2 = sum((locations[:node, a] - locations[node, a]) ** 2 for a in range(dim))
+            inside = np.flatnonzero(d2 < ball.radius * ball.radius)
+            assert np.array_equal(np.sort(ball.nodes), inside)
+            if not inside.size:
+                # an empty ball hands the insertion to the race over all
+                continue
+            d = np.sqrt(d2)
+            factor = np.exp(-ball.gamma * (d - d[inside].min()))
+            np.testing.assert_array_max_ulp(ball.decay, factor[ball.nodes], maxulp=1)
+            outside = np.ones(node, dtype=bool)
+            outside[inside] = False
+            if outside.any():
+                # d >= radius up to the rounding of d2 and its root
+                assert factor[outside].max() <= ball.envelope * (1 + 1e-12)
+                tails += 1
+            else:
+                assert ball.envelope == 0.0
+        assert found == (first + np.flatnonzero(degrees)).tolist()
+        assert tails > 500
+        windows = -(-np.count_nonzero(degrees) // max_queries)
+        assert len(pieces) > windows and max(pieces) < max_queries
 
 
 class TestLogGrowthStream:
@@ -1138,16 +1235,16 @@ class TestSpatialGrowthStream:
                      "4a502491d0edf6073e1889cb8233df4e7cef1ae4af454492e58654b6ac6f4682",
                      id="lbm"),
         pytest.param("lbm-g", {},
-                     "61866bc308c7dc2422e78d139881c727a483d38be0676bd70bd665b1d52c492a",
+                     "673db28192139cb0f54127817b3a1c612c1184a53170fd1d3c6e754e121d9bd6",
                      id="lbm-g"),
         pytest.param("lbm", {"gamma_regime": "const"},
                      "a4ede85a36e494314ebfc0f53522c5d8762195b12126e1e4ddf9d096ce48d418",
                      id="lbm-const"),
         pytest.param("lbm", {"gamma_regime": "linear"},
-                     "b874efbe04491c6db14d812ebae4d6ee1b875a54c347ba2e6f490ac397566af3",
+                     "9d41f498c5d67b89115c8f39e892b9736f89b8741a83690ac653ee15580b169a",
                      id="lbm-linear"),
         pytest.param("lbm", {"gamma_regime": "sqrt"},
-                     "79f0718984c494c266034fa889cc84b5e9bf9380b6770b597b9c54a96f08f6c2",
+                     "beae2b0789e0e8c7b7ed45bd6baca4c1175befb3cf6a9bdc56dce4fb4b3cf8e2",
                      id="lbm-sqrt"),
         pytest.param("lbm", {"dim": 1},
                      "7c215b50a629a9cf663feb2be0ffa33a28d3f06383e06c8d347c6bc77c5ad8f0",
@@ -1159,10 +1256,10 @@ class TestSpatialGrowthStream:
                      "aaf8c2d47aaa489d73f632b23e8dcc5d9e61bdb4a2de1b3d7c58887948f8d83d",
                      id="lbm-g-sigma0"),
         pytest.param("lbm-g", {"rho": 0.0},
-                     "57c2e8838e93048bdee06e974c36929be28a655a410946b822bcf6e78d0ec414",
+                     "da5c3e360d86ae9ca68f857583410bff0dfe6d89ad0a2d70298bfc1b0bc814cf",
                      id="lbm-g-rho0"),
         pytest.param("lbm-g", {"shift_unit": "nodes", "shift_every": 5},
-                     "bb5d88c666e55abb4cb69862ec33478adaa50e6e633995ae740d880d925c1d52",
+                     "8a0afc654b3d0061fcbb9efc69ca1b71e21f537263fc69475607af77b9c0ef8c",
                      id="lbm-g-nodes"),
     ])
     def test_digest_is_pinned(self, kind, options, digest):
@@ -1184,13 +1281,13 @@ class TestSpatialGrowthStream:
                      {"cell_draws": 6441, "cell_rejects": 5877},
                      id="lbm-log"),
         pytest.param("lbm", {"gamma_regime": "linear"},
-                     "bf3e64679d04a086b5d8e1550efb91ef539c43397a4c5e01e3d4478a718846ea",
+                     "c02666aa026b5bb963a04fd24eb8ee9ad258394d98b6104a873f446a0be80359",
                      {"ball_draws": 6441},
                      id="lbm-linear"),
         pytest.param("lbm-g", {"sigma": 1.5, "shift_every": 12},
-                     "65cf4d0b0fa0132e4c828282e62318f452ea3539889c21f1d2c8b169bb23018c",
-                     {"ball_draws": 6404, "tail_draws": 37, "tail_proposed": 3758,
-                      "tail_accepted": 37},
+                     "d5818af7f276f7df018f0ad5c724969e11754dc09733d3d93e147069c5d40289",
+                     {"ball_draws": 6390, "tail_draws": 51, "tail_proposed": 3863,
+                      "tail_accepted": 51},
                      id="lbm-g"),
         # zero-weight nodes (k = 0 under "total") sit in the balls
         pytest.param("lbm", {"degree_mode": "total"},
@@ -1198,14 +1295,14 @@ class TestSpatialGrowthStream:
                      {"cell_draws": 6441, "cell_rejects": 4535},
                      id="lbm-total"),
         pytest.param("lbm-g", {"degree_mode": "total", "sigma": 1.5, "shift_every": 12},
-                     "6af31090855b0005dd03b6fb41fe7c0796516b9ff87a67099a88299a8fe063d9",
-                     {"ball_draws": 6409, "tail_draws": 32, "tail_proposed": 4255,
-                      "tail_accepted": 32},
+                     "3085b2bb7e7818d5d760193c99d667a745602703ce8b91beefd9f614c1ef960f",
+                     {"ball_draws": 6403, "tail_draws": 38, "tail_proposed": 4169,
+                      "tail_accepted": 38},
                      id="lbm-g-total"),
         pytest.param("lbm", {"dim": 3},
-                     "a1af56ce41e58c053096f4e5b442e65f69d64691d54306b9bcd870109550586d",
-                     {"ball_draws": 3509, "tail_draws": 2932, "tail_proposed": 61973,
-                      "tail_accepted": 2932},
+                     "4aa4f8f3e90cd6e20bdc62d8c41af421c34a4e5d55da60587257cc44154373ed",
+                     {"ball_draws": 3519, "tail_draws": 2922, "tail_proposed": 62568,
+                      "tail_accepted": 2922},
                      id="lbm-dim3"),
     ])
     def test_benchmark_variants_are_pinned(self, kind, options, digest, counts):
@@ -1277,6 +1374,30 @@ class TestSubspaceShifts:
     def test_plain_lbm_never_shifts(self, tiny_seed, tiny_schedule):
         g = grow(make_model("lbm"), tiny_seed, tiny_schedule)
         assert g.subspace_shifts == 0
+
+    @pytest.mark.parametrize("schedule, options", [
+        pytest.param(corpus_like_schedule(n_nodes=3000), {"sigma": 1.5, "shift_every": 12},
+                     id="benchmark"),
+        pytest.param(corpus_like_schedule(n_nodes=3000), {}, id="monthly"),
+        pytest.param(YearSchedule({1976: [1] * 12}), {"shift_every": 2}, id="tolerance"),
+        pytest.param(YearSchedule({1975: [], 1976: [1] * 12, 1979: [1], 1980: [], 1981: [2] * 7}),
+                     {"shift_every": 0.5, "dim": 3}, id="gap-and-empty-years"),
+        pytest.param(YearSchedule({1976: [1] * 50, 1977: [0] * 13}),
+                     {"shift_unit": "nodes", "shift_every": 3}, id="nodes"),
+        pytest.param(YearSchedule({1976: [1] * 40}), {"rho": 0.0, "dim": 1}, id="rho0"),
+        pytest.param(YearSchedule({1976: [1] * 40}), {"sigma": 0.0}, id="sigma0"),
+        pytest.param(YearSchedule({1976: []}), {}, id="no-insertions"),
+    ])
+    def test_clock_matches_the_insertion_walk(self, schedule, options):
+        # the clock and the draws run over arrays; the locations, the step
+        # count and the generator state after them are the walk's
+        model = make_model("lbm-g", **options)
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        locations, shifts = citegrow.simulate._scheduled_locations(model, schedule, rng)
+        expected, expected_shifts = walk_reference(model, schedule, reference_rng)
+        assert shifts == expected_shifts
+        assert locations.shape == expected.shape and np.array_equal(locations, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestScheduleValidation:
