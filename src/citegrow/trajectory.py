@@ -182,10 +182,7 @@ def _history_matrix(graph: GrowthGraph, horizon_year: int) -> np.ndarray:
     """(n_nodes, max_offset+1) matrix of citation counts by year offset,
     counting only citations from papers published up to the horizon."""
     n = graph.n_nodes
-    width = int(horizon_year) - int(graph.years.min()) + 1
-    width = max(width, 1)
-    if not graph.n_edges:
-        return np.zeros((n, width), dtype=np.int64)
+    width = max(int(horizon_year) - int(graph.years.min()) + 1, 1)
     citing_years = graph.years[graph.edges[:, 0]]
     keep = citing_years <= horizon_year
     cited = graph.edges[keep, 1]

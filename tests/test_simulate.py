@@ -907,9 +907,9 @@ class TestNearDraw:
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_ball_only_tail_reads_no_random_number(self, monkeypatch):
-        # the ball of `test_ball_only`: its tail's expected arrivals are far
-        # below a uniform's resolution, so the tail ends without reading
-        # the generator, and the law still holds
+        # `test_ball_only`, whose tail's expected arrivals are far below a
+        # uniform's resolution: the tail ends without reading the
+        # generator, and the law still holds
         tail = IncrementLog._tail
         states = []
 
@@ -920,12 +920,7 @@ class TestNearDraw:
             return result
 
         monkeypatch.setattr(IncrementLog, "_tail", recorded)
-        locations = np.array([[0.5, 0.501], [0.1, 0.9], [0.5012, 0.5], [0.9, 0.1],
-                              [0.9, 0.9], [0.1, 0.1], [0.4986, 0.5], [0.2, 0.5],
-                              [0.5, 0.5]])
-        log, ball, exact = self.state(2, 300.0, 2, locations=locations)
-        counts = self.check(log, ball, exact, 2)
-        assert counts["tail_draws"] == 0 and counts["tail_proposed"] == 0
+        self.test_ball_only()
         assert len(states) == self.RUNS and all(states)
 
     @pytest.mark.parametrize("dim, seed", [(1, 4), (2, 0), (3, 2)])
