@@ -153,15 +153,16 @@ class GrowthGraph:
     sampler:
         Counters of the growth run's sampler: targets by the way they were
         drawn (`log_draws` and, from the heavy list beside the log,
-        `heavy_draws` for ba/af/mf; `ball_draws`, `tail_draws` and
-        `race_draws` for lbm/lbm-g), the log draws that hit an
-        already-chosen node (`log_rejects`), the tail arrivals proposed and
-        accepted, the hand-offs to the exponential race (`race_handoffs`,
-        `dense_handoffs`), the seconds of the insertion pass (`seconds`:
-        the draws, the uniform fills, the edge writes and the log appends
-        of every insertion) and, of those, the seconds spent finding
-        lbm/lbm-g balls (`ball_seconds`) and running their tails
-        (`tail_seconds`).
+        `heavy_draws` for ba/af/mf; `cell_draws`, `ball_draws`,
+        `tail_draws` and `race_draws` for lbm/lbm-g), the log draws that
+        hit an already-chosen node (`log_rejects`), the failed cell tries,
+        envelope misses and repeats (`cell_rejects`), the tail arrivals
+        proposed and accepted, the hand-offs to the exponential race
+        (`race_handoffs`, `dense_handoffs`), the seconds of the insertion
+        pass (`seconds`: the draws, the uniform fills, the edge writes and
+        the log appends of every insertion) and, of those, the seconds
+        spent finding lbm/lbm-g balls (`ball_seconds`) and running their
+        tails (`tail_seconds`).
         Like the two counts above, it is not part of the canonical bytes or
         the digest.
 

@@ -21,15 +21,16 @@ exactly. Once the chosen nodes hold at least `DENSE_SHARE` of the weight
 drawn from, rejections would dominate, and the insertion is finished with
 the exponential race over the unchosen nodes. That switch depends only on
 the chosen set, and both ways draw the rest from the same conditional
-law, so the mix of the two stays exact. An insertion that needs more
-targets than there are nodes of weight gets all of them, as the
-sequential law gives it, and draws nothing.
+law, so the mix of the two stays exact.
 
 A whole run's insertions happen in one pass, `IncrementLog.grow`: the
 draw, the uniform fill of a short draw, the edge writes and the log
-append, with the log's arrays bound to locals. Two things keep the ba, af
-and mf draw off the repeats and the searches that condensation would
-otherwise cost:
+append, with the log's arrays bound to locals. Under every model, an
+insertion that needs more targets than there are nodes of weight gets
+all of them, as the sequential law gives it, and reads no random
+number: the pass counts the nodes of weight and takes them before any
+draw. Two things keep the ba, af and mf draw off the repeats and the
+searches that condensation would otherwise cost:
 - Heavy nodes. A node whose gain per citation is more than `HEAVY` times
   the mean gain (at most `HEAVY_MAX` of them; none when the gains are
   equal, as under ba and af) keeps its weight in a short list beside the
@@ -101,7 +102,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import ValidationError
-from .spatial import Cells
+from .spatial import Cells, earlier_decay
 
 __all__ = ["IncrementLog", "sample_without_replacement"]
 
@@ -263,14 +264,15 @@ class IncrementLog:
         found for the next point of the frozen prefix or a binary search
         of the entries appended since, a repeat rejected; and the race
         over the unchosen nodes once the chosen ones hold `DENSE_SHARE`
-        of the mass. An insertion that needs more targets than there are
-        nodes of weight takes them all without a draw. With `near`, the
-        draw `spatial.choose_draw` picked for an lbm or lbm-g run, it draws
-        by cells from per-cell logs appended in this pass (`_CellLogs`),
-        or, given an iterator of the balls of the insertions with targets
-        (`spatial.balls`), with `sample_near`. A draw that finds fewer than
-        k nodes of positive weight is completed by a uniform choice among
-        the other earlier nodes.
+        of the mass. With `near`, the draw `spatial.choose_draw` picked
+        for an lbm or lbm-g run, it draws by cells from per-cell logs
+        appended in this pass (`_CellLogs.draw`), or, given an iterator of
+        the balls of the insertions with targets, with `sample_near`. Every
+        insertion with targets takes the next query of either draw. An
+        insertion that needs more targets than there are nodes of weight
+        takes them all without a draw, whichever the draw. A draw that
+        finds fewer than k nodes of positive weight is completed by a
+        uniform choice among the other earlier nodes.
         """
         owner, cum, weights = self._owner, self._cum, self._weights
         search, dense, block = bisect_right, DENSE_SHARE, BLOCK
@@ -278,6 +280,10 @@ class IncrementLog:
         cut, heavy = (inf, []) if near is not None else self._set_aside(gains)
         cell_logs = _CellLogs(self, near) if isinstance(near, Cells) else None
         append = cell_logs.append if cell_logs is not None else None
+        balls = near is not None and cell_logs is None
+        # the counter of the targets an insertion takes when it needs more
+        # than there are nodes of weight
+        way = "log_draws" if near is None else "ball_draws" if balls else "cell_draws"
         heavy_w = sum(self.weights.take(heavy).tolist())
         positive = int(np.count_nonzero(self.weights[:n]))
         total = cum[t - 1] if t else 0.0
@@ -286,11 +292,25 @@ class IncrementLog:
         points = iter(())
         found: list = []
         f, t_frozen, frozen = 0, 0, 0.0
-        e = fills = draws = rejects = handoffs = heavy_draws = 0
+        e = fills = draws = rejects = handoffs = heavy_draws = taken = 0
         ball_s = 0.0
+        # the query of the cell or ball draw: the place of the insertion
+        # among those with targets
+        q = -1
         for k, weight in zip(degrees, entry):
+            if k and near is not None:
+                q += 1
+                if balls:
+                    t0 = perf_counter()
+                    ball = next(near)
+                    ball_s += perf_counter() - t0
             if not k:
                 targets = ()
+            elif k > positive:
+                # fewer nodes have weight than the insertion needs: the
+                # sequential law takes them all, a uniform fill the rest
+                targets = np.flatnonzero(self.weights[:n]).tolist()
+                taken += len(targets)
             elif near is None:
                 chosen: set[int] = set()
                 chosen_w = 0.0
@@ -298,11 +318,6 @@ class IncrementLog:
                 mass = left + total
                 limit = dense * mass
                 need = k
-                if k > positive:
-                    # fewer nodes have weight than the insertion needs: the
-                    # sequential law takes them all, a uniform fill the rest
-                    chosen.update(np.flatnonzero(self.weights[:n]).tolist())
-                    need = 0
                 while need:
                     if chosen_w >= limit:
                         w = self.weights[:n].copy()
@@ -354,13 +369,9 @@ class IncrementLog:
                 draws += len(chosen)
                 targets = sorted(chosen)
             elif cell_logs is not None:
-                targets = cell_logs.draw(k, n, rng, positive)
+                targets = cell_logs.draw(k, q, n, rng)
             else:
-                t0 = perf_counter()
-                ball = next(near)
-                ball_s += perf_counter() - t0
-                self.n_nodes, self.size = n, t
-                targets = self.sample_near(k, rng, ball)
+                targets = self.sample_near(k, n, t, rng, ball)
             if len(targets) < k:
                 pool = np.setdiff1d(np.arange(n, dtype=np.int64),
                                     np.array(targets, dtype=np.int64), assume_unique=True)
@@ -405,6 +416,7 @@ class IncrementLog:
             self._reweigh(heavy, whole=True)
         counts = self.counts
         counts["log_draws"] += draws - heavy_draws
+        counts[way] += taken
         counts["heavy_draws"] += heavy_draws
         counts["log_rejects"] += rejects
         counts["dense_handoffs"] += handoffs
@@ -446,8 +458,9 @@ class IncrementLog:
             widths[hit[first]] = self.weights[ids]
         np.cumsum(widths, out=self.cum[:size])
 
-    def sample_near(self, k: int, rng: np.random.Generator, ball) -> list:
-        """Select k distinct nodes with probability proportional to weight
+    def sample_near(self, k: int, n: int, t: int, rng: np.random.Generator, ball) -> list:
+        """Select k distinct nodes of the first n, whose weights the first t
+        entries of the log hold, with probability proportional to weight
         times a distance factor, under the sequential law.
 
         `ball` (a `spatial.Ball`) gives the factor: `ball.decay` for the
@@ -463,21 +476,21 @@ class IncrementLog:
         insertion runs the exponential race over all nodes instead.
 
         Returns a sorted list of node ids; fewer than k when fewer nodes
-        have positive weight, as the log draw of `grow` does.
+        have a factor times weight above 0.
         """
-        n = self.n_nodes
         counts = self.counts
         nodes = ball.nodes
         w = self.weights.take(nodes)
         w *= ball.decay
-        rate = ball.envelope * self._cum[self.size - 1]
+        rate = ball.envelope * self._cum[t - 1]
         size = w.size
         least = _min(w) if size >= k else 0.0
         tiny = least <= _TINY
         # the sum is at least the least weight, which often settles the bound
         if (size < k or tiny and np.count_nonzero(w > _TINY) < k
                 or rate and rate * k > HANDOFF * n * least and rate * k > HANDOFF * n * _sum(w)):
-            chosen = _race_positive(self.weights[:n] * ball.decay_everywhere(), k, rng).tolist()
+            w = self.weights[:n] * earlier_decay(ball.axes, n, ball.gamma)
+            chosen = _race_positive(w, k, rng).tolist()
             counts["race_handoffs"] += 1
             counts["race_draws"] += len(chosen)
             return chosen
@@ -494,7 +507,7 @@ class IncrementLog:
         if rate:
             # the partition puts the k-th smallest key, the largest kept, last
             bound = keys[k - 1] if k < size else _max(keys)
-            chosen, from_tail = self._tail(keys, nodes, rng, ball, rate, float(bound))
+            chosen, from_tail = self._tail(keys, nodes, t, rng, ball, rate, float(bound))
         else:
             chosen, from_tail = nodes.tolist(), 0
         counts["ball_draws"] += k - from_tail
@@ -502,10 +515,11 @@ class IncrementLog:
         chosen.sort()
         return chosen
 
-    def _tail(self, keys, nodes, rng, ball, rate, bound) -> tuple[list, int]:
+    def _tail(self, keys, nodes, t, rng, ball, rate, bound) -> tuple[list, int]:
         """The k winners of the ball's best `keys` (of `nodes`), the largest
-        of them `bound`, and the first accepted arrival of each tail node,
-        and how many of the winners came from the tail.
+        of them `bound`, and the first accepted arrival of each tail node
+        proposed from the first t entries of the log, and how many of the
+        winners came from the tail.
 
         The arrivals in a time segment are Poisson in number and uniform
         in time, so the process is drawn one segment at a time, each
@@ -521,10 +535,9 @@ class IncrementLog:
             # the usual end when the envelope is far below the ball's factors
             self.tail_seconds += perf_counter() - t0
             return nodes.tolist(), 0
-        size = self.size
-        cum = self.cum[:size]
+        cum = self.cum[:t]
         owner = self.owner
-        total = self._cum[size - 1]
+        total = self._cum[t - 1]
         accept = ball.tail_acceptance
         best = None
         first: set[int] = set()
@@ -573,12 +586,12 @@ class _CellLogs:
     of cell c credits `owner[c][t]`, `cum[c][t]` is the running total and
     `totals[c]` the last one, so a uniform point below a cell's total
     finds one of its nodes in proportion to weight. A cell starts with one
-    entry per node of weight; its arrays are made when it first needs them,
-    with room for its share of the run's entries, and doubled when full.
-    `counts` tallies the cell draw's counters for the pass."""
+    entry per node of weight, appended in node order; its arrays are made
+    when it first needs them, with room for its share of the run's
+    entries, and doubled when full. `counts` tallies the cell draw's
+    counters for the pass."""
 
     def __init__(self, log: IncrementLog, cells: Cells):
-        n = log.n_nodes
         self.log = log
         self.cells = cells
         self.count = count = cells.count
@@ -587,26 +600,13 @@ class _CellLogs:
         self.gammas = cells.gammas.tolist()
         per_node = len(log.cum) / max(len(log.weights), 1)
         self.room = (np.bincount(cells.cell, minlength=count) * per_node + 16).astype(np.int64)
-        held = np.flatnonzero(log.weights[:n])
-        by_cell = held[np.argsort(cells.cell[held], kind="stable")]
-        sizes = np.bincount(cells.cell[held], minlength=count)
-        self.size = sizes.tolist()
+        self.size = [0] * count
         self.owner = [_EMPTY_VIEW] * count
         self.cum = [_EMPTY_VIEW] * count
         self.totals = np.zeros(count)
-        start = 0
-        for c in np.flatnonzero(sizes).tolist():
-            size = self.size[c]
-            owner = np.empty(size + self.room[c], dtype=np.int64)
-            cum = np.empty(size + self.room[c])
-            owner[:size] = by_cell[start:start + size]
-            np.cumsum(log.weights.take(owner[:size]), out=cum[:size])
-            self.totals[c] = cum[size - 1]
-            self.owner[c], self.cum[c] = memoryview(owner), memoryview(cum)
-            start += size
         self._totals = memoryview(self.totals)
-        # the next query: the next insertion with targets
-        self.q = 0
+        for node, weight in enumerate(log.weights[:log.n_nodes].tolist()):
+            self.append(node, weight)
         self.env = np.empty(count)
         self.cenv = np.empty(count)
         self._cenv = memoryview(self.cenv)
@@ -636,10 +636,9 @@ class _CellLogs:
             wider[:t] = views[c][:t]
             views[c] = memoryview(wider)
 
-    def draw(self, k: int, node: int, rng: np.random.Generator, positive: int) -> list:
-        """The k targets of insertion `node`, the next query, under the
-        sequential law for weight times exp(-gamma * d), as a sorted list;
-        all `positive` nodes of weight when k exceeds them.
+    def draw(self, k: int, q: int, node: int, rng: np.random.Generator) -> list:
+        """The k targets of insertion `node`, query q of `cells`, under the
+        sequential law for weight times exp(-gamma * d), as a sorted list.
 
         A try draws a cell in proportion to its total times its factor
         exp(-gamma * dist(x, cell)), a node of the cell from its log, and
@@ -648,13 +647,7 @@ class _CellLogs:
         target, or when the envelope underflows to 0, the race over the
         unchosen nodes draws the rest: a try fails independently of which
         node the next kept try brings, so the switch cannot bias it."""
-        q = self.q
-        self.q = q + 1
         counts = self.counts
-        if k > positive:
-            chosen = np.flatnonzero(self.log.weights[:node]).tolist()
-            counts["cell_draws"] += len(chosen)
-            return chosen
         distances, base, factors = self.cells.row(q)
         count = self.count
         _mul(self.totals, factors, out=self.env)
@@ -696,7 +689,7 @@ class _CellLogs:
         counts["cell_draws"] += len(chosen)
         counts["cell_rejects"] += fails
         if len(chosen) < k:
-            w = self.log.weights[:node] * self.cells.decay_everywhere(node, gamma)
+            w = self.log.weights[:node] * earlier_decay(self.cells.axes, node, gamma)
             w[list(chosen)] = 0.0
             more = _race_positive(w, k - len(chosen), rng).tolist()
             counts["race_handoffs"] += 1

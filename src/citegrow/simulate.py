@@ -22,9 +22,10 @@ most 1, a target is a cell drawn by its weight times a bound on the
 factor across it, then a node of the cell drawn from a per-cell log and
 kept with the ratio of its factor to the bound. Otherwise the insertion
 runs `IncrementLog.sample_near`: an exponential race over a ball of near
-nodes (`spatial.balls`), with factors relative to the nearest node, plus
-a tail proposed from the log and thinned by distance. An insertion with
-k = 0 draws no targets. Every way follows the sequential law exactly.
+nodes, with factors relative to the nearest node, plus a tail proposed
+from the log and thinned by distance. An insertion with k = 0 draws no
+targets, and one with more than there are nodes of weight takes them all
+without a draw. Every way follows the sequential law exactly.
 
 The fitness of every scheduled node is drawn before the first insertion,
 and so are lbm and lbm-g locations: none of them depends on which nodes

@@ -17,12 +17,12 @@ and its decay alone, before the first draw:
   target is a cell drawn in proportion to its weight total times
   exp(-gamma * dist(x, cell)), then a node of that cell drawn in
   proportion to its weight and kept with probability
-  exp(-gamma * (d_i - dist(x, cell))) (`sampling.IncrementLog.grow`).
+  exp(-gamma * (d_i - dist(x, cell))) (`sampling._CellLogs.draw`).
   `Cells` supplies each node's cell and each insertion's distance to
   every cell, a window of `CELL_WINDOW` insertions at a time. A cell
   distance is shaved by a margin far above rounding, so no node of a
   cell is closer than it, and every acceptance is at most 1.
-- Balls otherwise (`balls`). The draw (`IncrementLog.sample_near`) splits
+- Balls otherwise. The draw (`IncrementLog.sample_near`) splits
   the earlier nodes into a ball B = {i : d_i < R}, whose exact weights
   race, and a tail, which it proposes from the increment log and thins by
   distance. The rest of this docstring is about the balls and their
@@ -73,7 +73,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["Ball", "balls"]
+__all__ = ["Ball"]
 
 # cells of the cell draw's grid, about: CELLS ** (1 / dim) a side, rounded
 CELLS = 256
@@ -110,7 +110,7 @@ class Ball:
     them, and `envelope`, a bound on the factor of every earlier node
     outside (0 for no tail)."""
 
-    __slots__ = ("node", "nodes", "decay", "envelope", "gamma", "radius", "_axes")
+    __slots__ = ("node", "nodes", "decay", "envelope", "gamma", "radius", "axes")
 
     def __init__(self, node, nodes, decay, envelope, gamma, radius, axes):
         self.node = node
@@ -119,13 +119,13 @@ class Ball:
         self.envelope = envelope
         self.gamma = gamma
         self.radius = radius
-        self._axes = axes
+        self.axes = axes
 
     def tail_acceptance(self, nodes: np.ndarray) -> np.ndarray:
         """Per node outside the ball: exp(-gamma * (d - radius)), its factor
         as a share of the envelope; 0 for a node inside the ball."""
         radius = self.radius
-        axes = self._axes
+        axes = self.axes
         x = _squared_distances(axes, nodes, axes[:, self.node, None])
         outside = x >= radius * radius
         np.sqrt(x, out=x)
@@ -136,11 +136,6 @@ class Ball:
         np.exp(x, out=x)
         x *= outside
         return x
-
-    def decay_everywhere(self) -> np.ndarray:
-        """The factor of every earlier node relative to the nearest one:
-        the weights of a hand-off to the exponential race."""
-        return _decay_everywhere(self._axes, self.node, self.gamma)
 
 
 class Cells:
@@ -194,47 +189,25 @@ class Cells:
         r = q - self.start
         return self.distances, r * self.count, self.factors[r]
 
-    def decay_everywhere(self, node: int, gamma: float) -> np.ndarray:
-        """The factor of every node before `node` relative to the nearest
-        one: the weights of a finish with the exponential race."""
-        return _decay_everywhere(self.axes, node, gamma)
-
 
 def choose_draw(locations: np.ndarray, degrees: np.ndarray, gamma: Callable, first: int):
     """The draw of a run whose insertions `first`, `first + 1`, ... have
-    out-degrees `degrees` and decay strengths `gamma(sizes)` at the
-    network sizes of an int array: its `Cells` when every insertion's
-    gamma times their side is at most `CELL_DECAY`, else its balls
-    (`balls`). `locations` holds every node of the run. Each insertion's
+    out-degrees `degrees`: its `Cells` when every insertion's gamma times
+    their side is at most `CELL_DECAY`, else an iterator of the balls of
+    its insertions with out-degree above 0, in order.
+
+    `locations` holds every node of the run, and `gamma(nodes)` gives the
+    decay strength when each node of the int array `nodes` is inserted:
+    an array like `nodes`, or one float for all of them. Each insertion's
     gamma is computed here, once, and no random number is read."""
-    queries, out_degrees, gammas = _decays(degrees, gamma, first)
+    queries = first + np.flatnonzero(degrees)
+    gammas = np.full(queries.shape, gamma(queries), dtype=np.float64)
     per_side = max(1, round(CELLS ** (1 / locations.shape[1])))
     origin = locations.min(axis=0)
     span = float((locations.max(axis=0) - origin).max())
     if gammas.max(initial=0.0) * span / per_side <= CELL_DECAY:
         return Cells(locations, queries, gammas, origin, span, per_side)
-    return _balls(locations, queries, out_degrees, gammas)
-
-
-def balls(locations: np.ndarray, degrees: np.ndarray, gamma: Callable,
-          first: int) -> Iterator[Ball]:
-    """The balls of insertions `first`, `first + 1`, ... in order, skipping
-    those with out-degree 0.
-
-    `locations` holds every node of the run, `degrees[j]` is the
-    out-degree of node `first + j`, and `gamma(nodes)` gives the decay
-    strength when each node of the int array `nodes` is inserted: an
-    array like `nodes`, or one float for all of them.
-    """
-    return _balls(locations, *_decays(degrees, gamma, first))
-
-
-def _decays(degrees: np.ndarray, gamma: Callable, first: int):
-    """The insertions with out-degree above 0, their out-degrees and their
-    decay strengths."""
-    queries = first + np.flatnonzero(degrees)
-    return queries, degrees[queries - first], np.full(queries.shape, gamma(queries),
-                                                      dtype=np.float64)
+    return _balls(locations, queries, degrees[queries - first], gammas)
 
 
 def _balls(locations: np.ndarray, queries: np.ndarray, degrees: np.ndarray,
@@ -276,8 +249,10 @@ def _all_earlier(axes: np.ndarray, node: int, gamma: float) -> Ball:
     return Ball(node, np.empty(0, dtype=np.int64), np.empty(0), 0.0, gamma, 0.0, axes)
 
 
-def _decay_everywhere(axes: np.ndarray, node: int, gamma: float) -> np.ndarray:
-    """exp(-gamma * (d - d_min)) for every node before `node`."""
+def earlier_decay(axes: np.ndarray, node: int, gamma: float) -> np.ndarray:
+    """exp(-gamma * (d - d_min)) for every node before `node`, d its
+    distance from `node` by the columns of `axes`: the weights of a finish
+    with the exponential race, on the cell draw or the ball draw."""
     d = np.sqrt(_squared_distances(axes, np.arange(node), axes[:, node, None]))
     return np.exp(-gamma * (d - d.min()))
 
@@ -378,10 +353,9 @@ class _Levels:
         """(lo, hi) of each query's cells `corner + offsets` at its level;
         the cells where `skip` holds come out empty."""
         perm, runs = _runs(levels)
-        if len(runs) > 1:
-            queries, corner = queries.take(perm), corner.take(perm, axis=0)
-            if skip is not None:
-                skip = skip.take(perm, axis=0)
+        queries, corner = queries.take(perm), corner.take(perm, axis=0)
+        if skip is not None:
+            skip = skip.take(perm, axis=0)
         parts = []
         for level, a, b in runs:
             grid = self.grid(level)
@@ -391,8 +365,6 @@ class _Levels:
                 # the last cell, past every key, holds no node
                 keys[skip[a:b]] = grid.keys[-1]
             parts.append(grid.ranges(keys, queries[a:b]))
-        if len(runs) == 1:
-            return parts[0]
         lo = np.empty((len(queries), len(offsets)), dtype=np.int64)
         hi = np.empty_like(lo)
         lo[perm] = np.concatenate([part[0] for part in parts])
@@ -474,9 +446,8 @@ class _Levels:
         levels, lo, hi = box
         # gathered one level after another: a level's candidates are a run
         perm, runs = _runs(levels)
-        if len(runs) > 1:
-            queries, gammas, radius = queries.take(perm), gammas.take(perm), radius.take(perm)
-            lo, hi = lo.take(perm, axis=0), hi.take(perm, axis=0)
+        queries, gammas, radius = queries.take(perm), gammas.take(perm), radius.take(perm)
+        lo, hi = lo.take(perm, axis=0), hi.take(perm, axis=0)
         radius = radius * _SHAVE
         sizes = hi - lo
         counts = np.add.reduce(sizes, 1)
@@ -509,8 +480,6 @@ class _Levels:
                  for n, a, b, e, g, r in zip(queries.tolist(), bounds, bounds[1:],
                                              envelope.tolist(), gammas.tolist(),
                                              radius.tolist())]
-        if len(runs) == 1:
-            return balls
         in_order = [None] * len(balls)
         for j, ball in zip(perm.tolist(), balls):
             in_order[j] = ball

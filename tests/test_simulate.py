@@ -177,16 +177,39 @@ class TestSamplerCounters:
 
     def test_fills_are_not_draws(self, monkeypatch):
         # an edgeless seed under "total" gives every node weight 0: the cell
-        # draw takes the nodes of weight, none, and the ball draw hands the
-        # insertion to a race that draws nothing
+        # draw and the ball draw take the nodes of weight, none, without a
+        # hand-off to the race
         seed = SeedNetwork(nodes=((0, 1970), (1, 1971)), edges=())
         for balls in (False, True):
             if balls:
                 force_balls(monkeypatch)
             g = grow(make_model("lbm", degree_mode="total"), seed, YearSchedule({1976: [2]}))
             assert g.fallback_fills == 2
-            assert g.sampler["race_handoffs"] == balls and g.sampler["race_draws"] == 0
+            assert g.sampler["race_handoffs"] == g.sampler["race_draws"] == 0
             assert g.sampler["cell_draws"] == g.sampler["ball_draws"] == 0
+
+    # the log draw, lbm's cell draw under its default decay, and the ball
+    # draw, which a decay of 5000 picks by itself
+    @pytest.mark.parametrize("kind, options, way", [
+        pytest.param("ba", {}, "log_draws", id="log"),
+        pytest.param("lbm", {}, "cell_draws", id="cells"),
+        pytest.param("lbm", {"gamma_regime": "const", "gamma_const": 5000.0}, "ball_draws",
+                     id="balls"),
+    ])
+    def test_short_insertions_take_every_node_of_weight(self, kind, options, way):
+        # under "total" only nodes 0 and 4 have weight: a k = 3 insertion
+        # takes both, however far apart, and fills its third target; at a
+        # decay of 5000 the factor of the farther one often underflows
+        seed = SeedNetwork(nodes=((0, 1970), (1, 1971), (2, 1972), (3, 1972), (4, 1973)),
+                           edges=((4, 0),))
+        model = make_model(kind, degree_mode="total", **options)
+        for rng_seed in range(200):
+            g0 = init_from_seed(seed.nodes, seed.edges, model, rng_seed)
+            g = run_simulation(g0, YearSchedule({1976: [3]}), model, rng_seed)
+            assert {0, 4} <= set(g.edges[-3:, 1].tolist())
+            assert g.fallback_fills == 1
+            assert g.sampler[way] == 2
+            assert g.sampler["race_handoffs"] == g.sampler["race_draws"] == 0
 
     def test_dense_handoffs_finish_with_the_race(self, monkeypatch):
         calls = count_races(monkeypatch)
@@ -840,6 +863,41 @@ class TestSpatialSampler:
             monkeypatch, lambda: assert_last_insertion_law(g0, model, [3], runs=self.RUNS))
         assert counts["cell_draws"] > 0
 
+    def test_cell_logs_hold_each_cells_weight(self, monkeypatch):
+        # under "total" a seed node that neither cites nor is cited enters
+        # the pass at weight 0 and has no entry in its cell's log; after
+        # the pass each cell's log credits exactly its own nodes' weights
+        made = []
+        init = citegrow.sampling._CellLogs.__init__
+
+        def recorded(self, log, cells):
+            made.append((self, np.count_nonzero(log.weights[:log.n_nodes] == 0.0)))
+            init(self, log, cells)
+
+        monkeypatch.setattr(citegrow.sampling._CellLogs, "__init__", recorded)
+        seed = synthetic_seed(n_nodes=60, rng_seed=3)
+        schedule = corpus_like_schedule(n_nodes=600, start_year=1976, end_year=1985,
+                                        rng_seed=4)
+        grow(make_model("lbm", degree_mode="total"), seed, schedule, rng_seed=2)
+        [(logs, zero)] = made
+        assert zero > 0
+        log, cells = logs.log, logs.cells
+        n = log.n_nodes
+        weights = log.weights[:n]
+        np.testing.assert_allclose(
+            logs.totals, np.bincount(cells.cell[:n], weights=weights, minlength=logs.count),
+            rtol=1e-12)
+        credited = np.zeros(n)
+        for c, size in enumerate(logs.size):
+            if not size:
+                assert logs.totals[c] == 0.0
+                continue
+            owner = np.asarray(logs.owner[c][:size])
+            cum = np.asarray(logs.cum[c][:size])
+            assert np.all(cells.cell[owner] == c) and cum[-1] == logs.totals[c]
+            np.add.at(credited, owner, np.diff(cum, prepend=0.0))
+        np.testing.assert_allclose(credited, weights, rtol=1e-9, atol=1e-12)
+
 
 class TestNearDraw:
     """`IncrementLog.sample_near` on a fixed state and ball: the ball race,
@@ -867,7 +925,7 @@ class TestNearDraw:
         log.grow([3, 0, 0, 0, 0], weights[3:].tolist(), gains.tolist(), memoryview(cited), rng)
         assert cited.tolist() == [0, 1, 2] and log.size == 11
         np.testing.assert_allclose(log.weights, weights)
-        ball = next(spatial.balls(locations, np.array([k]), lambda n: gamma, 8))
+        ball = next(spatial._balls(locations, np.array([8]), np.array([k]), np.array([gamma])))
         # the law's weights, relative to the nearest node's distance factor
         d = np.sqrt(((locations[:8] - locations[8]) ** 2).sum(axis=1))
         return log, ball, log.weights * np.exp(-gamma * (d - d.min()))
@@ -877,7 +935,8 @@ class TestNearDraw:
         monkeypatch.setattr(spatial, "MIN_BLOCK", 1)
 
     def check(self, log, ball, exact, k):
-        assert_draw_law(lambda rng: log.sample_near(k, rng, ball), exact, k, self.RUNS)
+        assert_draw_law(lambda rng: log.sample_near(k, log.n_nodes, log.size, rng, ball),
+                        exact, k, self.RUNS)
         counts = log.counts
         drawn = counts["ball_draws"] + counts["tail_draws"] + counts["race_draws"]
         assert drawn == k * self.RUNS
@@ -913,9 +972,9 @@ class TestNearDraw:
         tail = IncrementLog._tail
         states = []
 
-        def recorded(log, keys, nodes, rng, ball, rate, bound):
+        def recorded(log, keys, nodes, t, rng, ball, rate, bound):
             before = rng.bit_generator.state
-            result = tail(log, keys, nodes, rng, ball, rate, bound)
+            result = tail(log, keys, nodes, t, rng, ball, rate, bound)
             states.append(before == rng.bit_generator.state)
             return result
 
@@ -963,7 +1022,8 @@ class TestNearDraw:
         positive = exact > 0
         law = exact[positive]
         nodes = np.flatnonzero(positive)
-        assert_draw_law(lambda rng: np.searchsorted(nodes, log.sample_near(2, rng, ball)),
+        assert_draw_law(lambda rng: np.searchsorted(
+                            nodes, log.sample_near(2, log.n_nodes, log.size, rng, ball)),
                         law, 2, self.RUNS)
         assert log.counts["race_handoffs"] == self.RUNS
 
@@ -981,7 +1041,8 @@ class TestNearDraw:
         assert ball.envelope > 0.5
         positive = exact > 0
         nodes = np.flatnonzero(positive)
-        assert_draw_law(lambda rng: np.searchsorted(nodes, log.sample_near(2, rng, ball)),
+        assert_draw_law(lambda rng: np.searchsorted(
+                            nodes, log.sample_near(2, log.n_nodes, log.size, rng, ball)),
                         exact[positive], 2, self.RUNS)
         assert log.counts["race_handoffs"] == 0 and log.counts["ball_draws"] > 0
 
@@ -998,8 +1059,8 @@ class TestNearDraw:
 
     def test_same_ball_same_draw(self):
         log, ball, _ = self.state(2, 0.5, 3, seed=5)
-        a = log.sample_near(3, np.random.default_rng(7), ball)
-        b = log.sample_near(3, np.random.default_rng(7), ball)
+        a = log.sample_near(3, log.n_nodes, log.size, np.random.default_rng(7), ball)
+        b = log.sample_near(3, log.n_nodes, log.size, np.random.default_rng(7), ball)
         assert a == b and a == sorted(a) and all(type(node) is int for node in a)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1008,7 +1069,8 @@ class TestNearDraw:
         # on the same bits the ball was gathered with
         locations = np.random.default_rng(dim).random((400, dim))
         tails = 0
-        for ball in spatial.balls(locations, np.full(360, 2), lambda n: 2.0, 40):
+        for ball in spatial._balls(locations, np.arange(40, 400), np.full(360, 2),
+                                   np.full(360, 2.0)):
             earlier = np.arange(ball.node)
             inside = np.isin(earlier, ball.nodes)
             acceptance = ball.tail_acceptance(earlier)
@@ -1020,7 +1082,7 @@ class TestNearDraw:
 
 
 class TestBallGeometry:
-    """Every ball `spatial.balls` finds, checked against all earlier nodes
+    """Every ball of the ball draw, checked against all earlier nodes
     by brute force, across the windows of insertions whose balls are found
     together and the pieces they are gathered in."""
 
@@ -1030,6 +1092,7 @@ class TestBallGeometry:
     @pytest.mark.parametrize("max_queries", [7, spatial.MAX_QUERIES])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_balls_match_brute_force(self, dim, max_queries, monkeypatch):
+        force_balls(monkeypatch)
         monkeypatch.setattr(spatial, "MAX_QUERIES", max_queries)
         monkeypatch.setattr(spatial, "MAX_ENTRIES", 64)
         gather = spatial._Levels.gather
@@ -1047,7 +1110,7 @@ class TestBallGeometry:
         found = []
         # a decay steep enough that radii often clear their floor, the
         # cell side of the level that sets the local density
-        for ball in spatial.balls(locations, degrees, lambda nodes: nodes / 10.0, first):
+        for ball in spatial.choose_draw(locations, degrees, lambda nodes: nodes / 10.0, first):
             node = ball.node
             found.append(node)
             assert ball.gamma == node / 10.0
