@@ -38,7 +38,13 @@ searches that condensation would otherwise cost:
   in the unchosen heavy weight plus the log total: below the first it is
   the heavy node it lands on by a scan of the list, above it a point of
   the log. A chosen heavy node leaves the weight drawn from, so it is
-  never drawn again; a node of the log still is, and is rejected.
+  never drawn again; a node of the log still is, and is rejected. A heavy
+  draw lowers the unchosen heavy weight by one subtraction, and sets it
+  to exactly 0 once the insertion has chosen every heavy node of weight,
+  which the pass counts: otherwise the rounding of the subtractions could
+  leave a point below it with no unchosen heavy node to land on. The
+  count depends only on the chosen set and reads no random number, so
+  each draw stays proportional to weight.
 - A frozen prefix. With every block of `BLOCK` uniforms the log is frozen
   as it stands, and one search finds the nodes of `BLOCK` further
   uniform points below its total. The log only grows at its end, so a
@@ -91,7 +97,10 @@ above `_TINY`, or the tail would need too many proposals) are fixed
 before the first draw, so they cannot bias it. A weight at
 most `_TINY`, 0 included, can overflow its key E / w to inf, and inf
 keys would tie; the race ranks by log E - log w when fewer than k of its
-keys are finite."""
+keys are finite. The race that takes a handed-off insertion or finishes
+a cell draw (`_race_decayed`) ranks by log E - log a - log g, log g =
+-gamma * (d - d_min) from `spatial.earlier_decay`, finite for every node
+of weight however far, where g itself may underflow to 0."""
 
 from __future__ import annotations
 
@@ -285,6 +294,8 @@ class IncrementLog:
         # than there are nodes of weight
         way = "log_draws" if near is None else "ball_draws" if balls else "cell_draws"
         heavy_w = sum(self.weights.take(heavy).tolist())
+        # the heavy nodes of weight, which a heavy draw can choose
+        heavy_positive = int(np.count_nonzero(self.weights.take(heavy)))
         positive = int(np.count_nonzero(self.weights[:n]))
         total = cum[t - 1] if t else 0.0
         # uniforms for the draws, and the nodes found for `block` uniform
@@ -315,6 +326,7 @@ class IncrementLog:
                 chosen: set[int] = set()
                 chosen_w = 0.0
                 left = heavy_w
+                heavy_left = heavy_positive
                 mass = left + total
                 limit = dense * mass
                 need = k
@@ -339,7 +351,10 @@ class IncrementLog:
                                         break
                             heavy_draws += 1
                             chosen.add(node)
-                            left = sum([weights[h] for h in heavy if h not in chosen])
+                            # exactly 0 once every heavy node of weight is
+                            # chosen, whatever rounding the subtractions left
+                            heavy_left -= 1
+                            left = left - weights[node] if heavy_left else 0.0
                             mass = left + total
                             limit = dense * mass
                             break
@@ -389,6 +404,8 @@ class IncrementLog:
                 e += 1
                 gain = gains[node]
                 if gain > cut:
+                    if not weights[node]:
+                        heavy_positive += 1
                     heavy_w += gain
                 else:
                     running += gain
@@ -407,6 +424,8 @@ class IncrementLog:
             if gains[n] > cut:
                 heavy.append(n)
                 heavy_w += weight
+                if weight:
+                    heavy_positive += 1
                 weight = 0.0
             total = cum[t] = total + (running + weight)
             n += 1
@@ -489,8 +508,8 @@ class IncrementLog:
         # the sum is at least the least weight, which often settles the bound
         if (size < k or tiny and np.count_nonzero(w > _TINY) < k
                 or rate and rate * k > HANDOFF * n * least and rate * k > HANDOFF * n * _sum(w)):
-            w = self.weights[:n] * earlier_decay(ball.axes, n, ball.gamma)
-            chosen = _race_positive(w, k, rng).tolist()
+            chosen = _race_decayed(self.weights[:n], earlier_decay(ball.axes, n, ball.gamma),
+                                   k, rng).tolist()
             counts["race_handoffs"] += 1
             counts["race_draws"] += len(chosen)
             return chosen
@@ -689,9 +708,10 @@ class _CellLogs:
         counts["cell_draws"] += len(chosen)
         counts["cell_rejects"] += fails
         if len(chosen) < k:
-            w = self.log.weights[:node] * earlier_decay(self.cells.axes, node, gamma)
-            w[list(chosen)] = 0.0
-            more = _race_positive(w, k - len(chosen), rng).tolist()
+            a = self.log.weights[:node].copy()
+            a[list(chosen)] = 0.0
+            more = _race_decayed(a, earlier_decay(self.cells.axes, node, gamma),
+                                 k - len(chosen), rng).tolist()
             counts["race_handoffs"] += 1
             counts["race_draws"] += len(more)
             chosen.update(more)
@@ -711,3 +731,22 @@ def _race_positive(w: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     when fewer than k have weight; consumes no random numbers when none do."""
     k = min(k, int(np.count_nonzero(w)))
     return sample_without_replacement(w, k, rng) if k else _EMPTY
+
+
+def _race_decayed(a: np.ndarray, log_decay: np.ndarray, k: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The exponential race for k nodes of weight a * exp(log_decay), or
+    for every node with a > 0 when fewer than k have it, as a sorted
+    array; consumes no random numbers when none do. It draws one
+    exponential E per node and ranks by log E - log a - log_decay, finite
+    for every a > 0 however far exp(log_decay) would underflow."""
+    positive = a > 0.0
+    k = min(k, int(np.count_nonzero(positive)))
+    if not k:
+        return _EMPTY
+    e = rng.exponential(size=a.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.where(positive, np.log(e) - np.log(a) - log_decay, inf)
+    chosen = keys.argpartition(k - 1)[:k] if k < a.size else np.arange(a.size)
+    chosen.sort()
+    return chosen

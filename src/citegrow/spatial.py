@@ -250,11 +250,12 @@ def _all_earlier(axes: np.ndarray, node: int, gamma: float) -> Ball:
 
 
 def earlier_decay(axes: np.ndarray, node: int, gamma: float) -> np.ndarray:
-    """exp(-gamma * (d - d_min)) for every node before `node`, d its
-    distance from `node` by the columns of `axes`: the weights of a finish
-    with the exponential race, on the cell draw or the ball draw."""
+    """-gamma * (d - d_min) for every node before `node`, d its distance
+    from `node` by the columns of `axes`: the log distance factors of a
+    finish with the exponential race, on the cell draw or the ball draw,
+    finite however far a node is, where the factor itself may underflow."""
     d = np.sqrt(_squared_distances(axes, np.arange(node), axes[:, node, None]))
-    return np.exp(-gamma * (d - d.min()))
+    return -gamma * (d - d.min())
 
 
 def _squared_distances(axes: np.ndarray, nodes: np.ndarray, center: np.ndarray) -> np.ndarray:

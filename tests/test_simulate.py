@@ -211,6 +211,26 @@ class TestSamplerCounters:
             assert g.sampler[way] == 2
             assert g.sampler["race_handoffs"] == g.sampler["race_draws"] == 0
 
+    @pytest.mark.parametrize("draw", ["balls", "cells"])
+    def test_far_nodes_of_weight_are_raced(self, draw, monkeypatch):
+        # under "total" nodes 0, 1, 3 and 4 have weight and node 2 has
+        # none; at a decay of 5000 the factors of the far ones underflow,
+        # so an insertion that needs 3 of the 4 must still race them, on
+        # the ball draw's hand-off and on the cell draw's race finish
+        # (which every insertion reaches, its envelope underflowing too)
+        if draw == "cells":
+            monkeypatch.setattr(spatial, "CELL_DECAY", math.inf)
+        seed = SeedNetwork(nodes=((0, 1970), (1, 1971), (2, 1972), (3, 1972), (4, 1973)),
+                           edges=((4, 0), (3, 1)))
+        model = make_model("lbm", degree_mode="total", gamma_regime="const",
+                           gamma_const=5000.0)
+        for rng_seed in range(200):
+            g0 = init_from_seed(seed.nodes, seed.edges, model, rng_seed)
+            g = run_simulation(g0, YearSchedule({1976: [3]}), model, rng_seed)
+            assert 2 not in g.edges[-3:, 1].tolist()
+            assert g.fallback_fills == 0
+            assert g.sampler["race_handoffs"] == 1
+
     def test_dense_handoffs_finish_with_the_race(self, monkeypatch):
         calls = count_races(monkeypatch)
         s = dominant_fitness_run().sampler
@@ -336,7 +356,8 @@ def on_both_draws(monkeypatch, check) -> dict:
 
 
 def count_races(monkeypatch) -> list:
-    """Record the k of every exponential race the sampler runs."""
+    """Record the k of every ba/af/mf dense-share race the sampler runs
+    (the lbm/lbm-g races run `sampling._race_decayed`)."""
     race = citegrow.sampling.sample_without_replacement
     calls = []
 
@@ -360,6 +381,22 @@ def count_freezes(monkeypatch) -> list:
 
     monkeypatch.setattr(IncrementLog, "_freeze", counted)
     return calls
+
+
+class ScriptedUniforms:
+    """A generator whose `random(size)` returns the given blocks of
+    uniforms in turn, each of that size; any other draw fails."""
+
+    def __init__(self, *blocks):
+        self.blocks = iter(blocks)
+
+    def random(self, size):
+        block = np.array(next(self.blocks), dtype=np.float64)
+        assert block.size == size
+        return block
+
+    def __getattr__(self, name):
+        raise AssertionError(f"unscripted draw: {name}")
 
 
 def two_sample_chi2(a, b) -> tuple[float, int]:
@@ -555,6 +592,45 @@ class TestIncrementLogSampler:
         np.add.at(expected, cited, np.take(gains, cited))
         np.testing.assert_allclose(log.weights, expected)
 
+    @pytest.mark.parametrize("point", [0.0, 1e-18, 1e-17])
+    def test_no_heavy_weight_left_is_exactly_zero(self, point, monkeypatch):
+        # heavy weights 0.1 and 0.2: after both are chosen, the subtractions
+        # leave (0.1 + 0.2) - 0.2 - 0.1 > 0, and a third point below that
+        # residue must still fall in the log, whose nodes 2 and 3 weigh 1
+        monkeypatch.setattr(citegrow.sampling, "HEAVY", 1.0)
+        monkeypatch.setattr(citegrow.sampling, "BLOCK", 3)
+        residue = (0.1 + 0.2) - 0.2 - 0.1
+        assert residue > 0.0
+        heavy = 0.1 + 0.2
+        # the first two points land on node 1, then node 0, in the heavy
+        # weight; the frozen log finds node 2 for the 0.25 of the second
+        # block of uniforms
+        mass = (heavy + 2.0, heavy - 0.2 + 2.0)
+        assert point * (2.0 + residue) < residue
+        uniforms = ScriptedUniforms([0.2 / mass[0], 0.05 / mass[1], point],
+                                    [0.25, 0.75, 0.75])
+        log = IncrementLog([0.1, 0.2, 1.0, 1.0], max_nodes=5, max_entries=5 + 3)
+        cited = np.empty(3, dtype=np.int64)
+        fills = log.grow([3], [0.0], [0.1, 0.2, 0.0, 0.0, 0.0], memoryview(cited), uniforms)
+        assert fills == 0 and cited.tolist() == [0, 1, 2]
+        assert log.counts["heavy_draws"] == 2 and log.counts["log_draws"] == 1
+        assert log.counts["log_rejects"] == 0
+
+    def test_filled_heavy_node_gains_weight(self, monkeypatch):
+        # under "total" seed node 2 has fitness 50 but weight 0; in a third
+        # of the runs the first insertion fills it, and it joins node 0
+        # (fitness 30) among the heavy nodes of weight the second
+        # insertion's draw must leave in the weight drawn from
+        monkeypatch.setattr(citegrow.sampling, "HEAVY", 1.0)
+        seed = SeedNetwork(nodes=((0, 1970), (1, 1971), (2, 1972), (3, 1972), (4, 1973)),
+                           edges=((1, 0),))
+        model = make_model("mf", degree_mode="total")
+        g = init_from_seed(seed.nodes, seed.edges, model, 0)
+        g0 = GrowthGraph(g.years, g.sub_years, np.array([30.0, 1.0, 50.0, 1.0, 1.0]),
+                         g.locations, g.out_degrees, g.edges, g.n_seed)
+        counts = assert_last_insertion_law(g0, model, [3, 2], runs=10_000)
+        assert counts["heavy_draws"] > 10_000
+
     @pytest.mark.parametrize("kind", ["ba", "mf"])
     def test_zero_weight_nodes_are_never_drawn(self, kind):
         # under "total" only nodes 0 and 1 have a degree, so nodes 2-4
@@ -677,6 +753,21 @@ class TestWholeRunLaw:
         counts = self.check(g0, model, [2, 2])
         assert counts["heavy_draws"] > 0 and counts["log_draws"] > 0
         assert len(freezes) > 2 * self.RUNS
+
+    @pytest.mark.parametrize("degree_mode", ["in-plus-one", "total"])
+    def test_every_heavy_node_chosen(self, degree_mode, monkeypatch):
+        # seed nodes 0 and 1 have fitness 5 and 4, and HEAVY 1 with
+        # HEAVY_MAX 2 keeps them on the heavy list unless a new node's
+        # fitness tops 4; most first insertions choose both and then draw
+        # their third target with no heavy weight left
+        monkeypatch.setattr(citegrow.sampling, "HEAVY", 1.0)
+        monkeypatch.setattr(citegrow.sampling, "HEAVY_MAX", 2)
+        model = make_model("mf", degree_mode=degree_mode)
+        g = init_from_seed(self.SEED.nodes, self.SEED.edges, model, 2)
+        g0 = GrowthGraph(g.years, g.sub_years, np.array([5.0, 4.0, 1.0, 1.0]), g.locations,
+                         g.out_degrees, g.edges, g.n_seed)
+        counts = self.check(g0, model, [3, 2])
+        assert counts["heavy_draws"] > 2 * self.RUNS and counts["log_draws"] > self.RUNS
 
     @pytest.mark.parametrize("kind", ["ba", "af", "mf"])
     def test_final_in_degrees(self, kind, monkeypatch):
@@ -996,14 +1087,14 @@ class TestNearDraw:
         # HANDOFF 0 hands every insertion with a tail to the race, decided
         # before any draw
         monkeypatch.setattr(citegrow.sampling, "HANDOFF", 0.0)
-        race = citegrow.sampling.sample_without_replacement
+        race = citegrow.sampling._race_decayed
         calls = []
 
-        def counted(weights, k, rng):
+        def counted(weights, log_decay, k, rng):
             calls.append(k)
-            return race(weights, k, rng)
+            return race(weights, log_decay, k, rng)
 
-        monkeypatch.setattr(citegrow.sampling, "sample_without_replacement", counted)
+        monkeypatch.setattr(citegrow.sampling, "_race_decayed", counted)
         log, ball, exact = self.state(2, 0.5, 3, seed=2)
         counts = self.check(log, ball, exact, 3)
         assert counts["race_handoffs"] == self.RUNS == len(calls)
